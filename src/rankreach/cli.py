@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,27 @@ from .errors import DomainError, NumericalError, ParseError
 from .graph import DirectedGraph, parse_edge_list, parse_graph_json
 from .localization import RankContext, achieve_value, pr_interval
 from .oracle import monte_carlo_interval
-from .stochastic import StochasticConfig, load_config, pagerank_solve
+from .stochastic import StochasticConfig, load_config
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +167,7 @@ def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: list[list]) -> None
 
 
 def _cmd_pagerank(cfg, g, ctx, args):
-    v = cfg.model.personalization(g.n)
-    pi = pagerank_solve(cfg.model.alpha, ctx.p_u, v).pi
+    pi = ctx.rank(cfg.model.personalization(g.n)).pi
     spec = [("node", "label"), ("pagerank", "f6")]
     _emit(cfg, spec, [[g.labels[i], float(pi[i])] for i in range(g.n)])
 
@@ -177,10 +197,12 @@ def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
 
 
 def _cmd_competitors(cfg, g, ctx, args):
-    x = ctx.fundamental()
     if args.pair:
+        # one pair reads two columns of X, which the context solves for alone
+        columns = ctx
         pairs = [_parse_pair(g, args.pair)]
     else:
+        columns = ctx.fundamental()
         pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     spec = [
         ("i", "label"),
@@ -191,7 +213,7 @@ def _cmd_competitors(cfg, g, ctx, args):
     ]
     rows = []
     for i, j in pairs:
-        verdict = effective_competitors(x, i, j)
+        verdict = effective_competitors(columns, i, j)
         rows.append(
             [
                 g.labels[i],
@@ -242,7 +264,11 @@ def _cmd_achieve(cfg, g, ctx, args):
 
 
 def _cmd_verify(cfg, g, ctx, args):
-    nodes = [g.index_of(args.node)] if args.node else list(range(g.n))
+    if args.node:
+        nodes = [g.index_of(args.node)]
+    else:
+        nodes = list(range(g.n))
+        ctx.fundamental()  # every interval is read: build X once
     per_node = {}
     bad = []
     for i in nodes:
@@ -283,7 +309,7 @@ def _build_parser() -> _Parser:
     )
     common = _Parser(add_help=False)
     common.add_argument("graph", help="input graph file")
-    common.add_argument("--alpha", type=float, default=None,
+    common.add_argument("--alpha", type=_finite, default=None,
                         help="damping factor in (0, 1), default 0.85")
     common.add_argument("--u", default=None, metavar="PATH|uniform",
                         help="dangling distribution, one float per line")
@@ -321,22 +347,22 @@ def _build_parser() -> _Parser:
     sc = sub.add_parser("sc-interval", parents=[common],
                         help="rank hull over the concentrated family")
     sc.add_argument("--node", default=None, help="restrict to one label")
-    sc.add_argument("--epsilon", type=float, default=0.01)
+    sc.add_argument("--epsilon", type=_finite, default=0.01)
     sc.set_defaults(handler=_cmd_sc_interval)
 
     achieve = sub.add_parser("achieve", parents=[common],
                              help="realize a target rank value for a node")
     achieve.add_argument("--node", required=True)
-    achieve.add_argument("--target", type=float, required=True)
-    achieve.add_argument("--tol", type=float, default=1e-6)
+    achieve.add_argument("--target", type=_finite, required=True)
+    achieve.add_argument("--tol", type=_finite, default=1e-6)
     achieve.set_defaults(handler=_cmd_achieve)
 
     verify = sub.add_parser("verify", parents=[common],
                             help="Monte-Carlo containment report")
     verify.add_argument("--seed", type=int, required=True)
     verify.add_argument("--node", default=None, help="restrict to one label")
-    verify.add_argument("--samples", type=int, default=10000)
-    verify.add_argument("--concentration", type=float, default=1.0)
+    verify.add_argument("--samples", type=_count, default=10000)
+    verify.add_argument("--concentration", type=_finite, default=1.0)
     verify.set_defaults(handler=_cmd_verify)
     return parser
 

@@ -69,16 +69,19 @@ class WitnessCertificate:
 
 
 def effective_competitors(
-    fm: FundamentalMatrix, i: int, j: int, margin: float = STRICT_MARGIN
+    fm: FundamentalMatrix | RankContext, i: int, j: int, margin: float = STRICT_MARGIN
 ) -> CompetitionVerdict:
     """Compare columns i and j of X; a sign change in the difference means
-    the pair competes.  Witnesses are the first qualifying rows."""
+    the pair competes.  Witnesses are the first qualifying rows.
+
+    Given a context rather than X, only the two columns are solved for,
+    unless the context already holds X."""
     if i == j:
         raise DomainError("competitivity is defined for distinct nodes")
     for idx in (i, j):
         if not 0 <= idx < fm.n:
             raise DomainError(f"node index {idx} out of range")
-    diff = fm.x[:, i] - fm.x[:, j]
+    diff = fm.column(i) - fm.column(j)
     above = np.flatnonzero(diff > margin)
     below = np.flatnonzero(diff < -margin)
     if above.size and below.size:

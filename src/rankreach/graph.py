@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, ParseError
 
@@ -81,9 +82,9 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class AdjacencyView:
-    """Binary adjacency matrix ``a`` with per-node out-degrees ``kout``."""
+    """Sparse (CSR) binary adjacency matrix ``a`` with per-node out-degrees ``kout``."""
 
-    a: np.ndarray
+    a: scipy.sparse.csr_array
     kout: np.ndarray
 
 
@@ -127,6 +128,8 @@ def parse_graph_json(text: str) -> DirectedGraph:
     if not isinstance(raw_nodes, list):
         raise ParseError('"nodes" must be a list of labels')
     labels = tuple(str(x) for x in raw_nodes)
+    if not isinstance(doc["edges"], list):
+        raise ParseError('"edges" must be a list of [source_index, target_index] pairs')
     edges = set()
     for k, pair in enumerate(doc["edges"]):
         ok = (
@@ -140,17 +143,24 @@ def parse_graph_json(text: str) -> DirectedGraph:
     return DirectedGraph(labels=labels, edges=frozenset(edges))
 
 
+def _edge_array(g: DirectedGraph) -> np.ndarray:
+    """The edges as an (m, 2) array of (source, target) indices."""
+    return np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+
+
 def adjacency(g: DirectedGraph) -> AdjacencyView:
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for s, t in g.edges:
-        a[s, t] = 1
-    kout = a.sum(axis=1)
-    a.flags.writeable = False
+    e = _edge_array(g)
+    a = scipy.sparse.csr_array(
+        (np.ones(len(e), dtype=np.int64), (e[:, 0], e[:, 1])), shape=(g.n, g.n)
+    )
+    a.sum_duplicates()
+    kout = np.bincount(e[:, 0], minlength=g.n)
     kout.flags.writeable = False
     return AdjacencyView(a=a, kout=kout)
 
 
 def dangling_indicator(g: DirectedGraph) -> DanglingIndicator:
-    d = (adjacency(g).kout == 0).astype(np.int64)
+    kout = np.bincount(_edge_array(g)[:, 0], minlength=g.n)
+    d = (kout == 0).astype(np.int64)
     d.flags.writeable = False
     return DanglingIndicator(d=d)

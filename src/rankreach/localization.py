@@ -30,13 +30,16 @@ from .stochastic import (
     SOLVE_RESIDUAL_TOL,
     patch_dangling,
     row_stochastic,
-    solve_rank_system,
 )
 
 ROW_SUM_CHECK_TOL = 1e-10
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
+# Residuals of X are checked this many columns at a time, which bounds the
+# temporaries at n * RESIDUAL_BLOCK floats; narrow blocks stay in cache and
+# measured faster than 256 or 512 columns at n = 300 to 2000.
+RESIDUAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,8 @@ class FundamentalMatrix:
     alpha: float
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
+        # Column-major: intervals and competitor verdicts read columns.
+        x = np.array(self.x, dtype=float, order="F")
         if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
         if not 0.0 < self.alpha < 1.0:
@@ -58,6 +62,9 @@ class FundamentalMatrix:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    def column(self, i: int) -> np.ndarray:
+        return self.x[:, i]
 
 
 @dataclass(frozen=True)
@@ -107,28 +114,45 @@ class AchieveResult:
 
 
 def fundamental_matrix(alpha: float, p_u: RowStochasticMatrix) -> FundamentalMatrix:
-    """Build X row by row: row j solves the rank system with weight e_j.
+    """Residual-checked, structure-verified X of a fresh context.
 
-    Basis vectors are admissible weights for the linear system even though
-    they are not admissible personalizations.  One factorization backs all
-    n solves; each row's residual is checked independently.
+    A one-shot wrapper: callers that go on to solve against the same
+    matrix keep the :class:`RankContext` instead.
     """
-    if not p_u.dangling_patched:
-        raise DomainError("matrix must be dangling-patched first")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    n = p_u.n
-    xt = solve_rank_system(alpha, p_u, np.eye(n), check_residual=False)
-    a_t = np.eye(n) - alpha * p_u.p.T
-    per_row = np.abs(a_t @ xt - (1.0 - alpha) * np.eye(n)).max(axis=0)
-    worst = int(per_row.argmax())
-    if per_row[worst] > SOLVE_RESIDUAL_TOL:
+    return RankContext(alpha, p_u).fundamental()
+
+
+def _check_residual(r: np.ndarray, what: str, first: int = 0) -> None:
+    """Raise :class:`NumericalError` when a residual A x - b exceeds
+    SOLVE_RESIDUAL_TOL; column k of ``r`` is ``what`` number first + k."""
+    per_column = np.abs(r, out=r).max(axis=0)
+    worst = first + int(np.argmax(per_column))
+    residual = float(np.max(per_column))
+    if residual > SOLVE_RESIDUAL_TOL:
         raise NumericalError(
-            f"row {worst}: residual {per_row[worst]:.3e} exceeds "
+            f"{what} {worst}: residual {residual:.3e} exceeds "
             f"{SOLVE_RESIDUAL_TOL:g}",
-            details={"row": worst, "residual": float(per_row[worst])},
+            details={what: worst, "residual": residual},
         )
-    return FundamentalMatrix(x=xt.T, alpha=alpha)
+
+
+def _check_structure(
+    min_entry: float, row_sum_error: float, margins: np.ndarray, first_column: int
+) -> None:
+    """Raise :class:`StructureError` unless X's guaranteed structure holds;
+    ``margins`` covers the columns from ``first_column`` on."""
+    failures = {}
+    if min_entry < -FLOAT_RESOLUTION:
+        failures["min_entry"] = min_entry
+    if row_sum_error > ROW_SUM_CHECK_TOL:
+        failures["row_sum_error"] = row_sum_error
+    if margins.min() <= 0.0:
+        failures["worst_margin"] = float(margins.min())
+        failures["worst_column"] = first_column + int(margins.argmin())
+    if failures:
+        raise StructureError(
+            f"fundamental matrix structure violated: {failures}", details=failures
+        )
 
 
 def verify_structure(fm: FundamentalMatrix) -> StructureReport:
@@ -148,18 +172,7 @@ def verify_structure(fm: FundamentalMatrix) -> StructureReport:
         margins = np.array([np.diag(x)[0]])
     else:
         margins = np.diag(x) - off_diag.max(axis=0)
-    failures = {}
-    if min_entry < -FLOAT_RESOLUTION:
-        failures["min_entry"] = min_entry
-    if row_sum_error > ROW_SUM_CHECK_TOL:
-        failures["row_sum_error"] = row_sum_error
-    if n > 1 and margins.min() <= 0.0:
-        failures["worst_margin"] = float(margins.min())
-        failures["worst_column"] = int(margins.argmin())
-    if failures:
-        raise StructureError(
-            f"fundamental matrix structure violated: {failures}", details=failures
-        )
+    _check_structure(min_entry, row_sum_error, margins, first_column=0)
     margins.flags.writeable = False
     return StructureReport(
         column_margins=margins,
@@ -168,18 +181,22 @@ def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     )
 
 
-def pr_interval(fm: FundamentalMatrix, i: int) -> PRInterval:
-    """Open interval (column minimum, diagonal entry) for node i."""
-    if fm.n == 1:
+def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
+    """Open interval (column minimum, diagonal entry) for node i.
+
+    Reads only column i of X, from a dense X or from a context, which
+    solves for that one column unless it already holds X.
+    """
+    if src.n == 1:
         raise DegenerateIntervalError(
             "single-node graph: the rank is identically 1"
         )
-    if not 0 <= i < fm.n:
+    if not 0 <= i < src.n:
         raise DomainError(f"node index {i} out of range")
-    col = fm.x[:, i]
+    col = src.column(i)
     lo = float(col.min())
     witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
-    return PRInterval(node=i, lo=lo, hi=float(fm.x[i, i]), lo_witness=witness)
+    return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
 
 
 def basis_family(j: int, epsilon: float, n: int) -> BasisFamilyVector:
@@ -209,9 +226,12 @@ def basis_family_matrix(epsilon: float, n: int) -> np.ndarray:
 class RankContext:
     """Fixed damping factor and patched transition matrix.
 
-    Caches the LU factorization of the rank system and the verified
-    fundamental matrix, so repeated rank evaluations (bisection, halving
-    searches, Monte-Carlo batches) cost one triangular solve each.
+    Owns the package's only factorization: one LU of the rank system
+    A_t = I - alpha P_u^T, made on first use.  Every solve goes through
+    it: rank vectors and rows of X solve with A_t, single columns of X
+    with its transpose.  X itself is built and verified at most once, and
+    point queries (one interval, one pair) solve only the columns they
+    read unless X is already built.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -224,6 +244,7 @@ class RankContext:
         self._lu = None
         self._fundamental = None
         self._structure = None
+        self._row_sum_error = None
 
     @classmethod
     def from_graph(
@@ -243,27 +264,72 @@ class RankContext:
 
     def _factorization(self):
         if self._lu is None:
-            a_t = np.eye(self.n) - self.alpha * self.p_u.p.T
-            self._lu = scipy.linalg.lu_factor(a_t)
+            a = self.p_u.toarray()
+            a *= self.alpha
+            # 0 - alpha P rather than -alpha P, which would leave -0.0 in
+            # the structural zeros and could sign the zeros of X.
+            np.subtract(0.0, a, out=a)
+            a.flat[:: self.n + 1] += 1.0
+            # a is I - alpha P_u in C order, so a.T is A_t in Fortran order,
+            # which LAPACK factors in place.
+            self._lu = scipy.linalg.lu_factor(a.T, overwrite_a=True)
         return self._lu
 
-    def rank_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Rank vector(s) for raw weight vector(s); columns are independent."""
+    def _system_times(self, x: np.ndarray, trans: int) -> np.ndarray:
+        """A_t x (trans 0) or A_t^T x (trans 1) as a fresh array, applied
+        through the sparse P and its rank-one term, never a dense product."""
+        y = self.p_u.rmatvec(x) if trans == 0 else self.p_u.matvec(x)
+        y *= -self.alpha
+        y += x
+        return y
+
+    def rank_weights(
+        self, weights: np.ndarray, check_residual: bool = False
+    ) -> np.ndarray:
+        """Rank vector(s) for raw weight vector(s); columns are independent.
+
+        Warm repeated solves skip the residual check; one-off solves whose
+        result is reported (the rank vector itself) pass ``check_residual``.
+        """
         w = np.asarray(weights, dtype=float)
         if w.shape[0] != self.n:
             raise DomainError("weight vector must have length n")
-        return scipy.linalg.lu_solve(self._factorization(), (1.0 - self.alpha) * w)
+        b = (1.0 - self.alpha) * w
+        x = scipy.linalg.lu_solve(self._factorization(), b)
+        if check_residual:
+            r = self._system_times(x, 0)
+            r -= b
+            _check_residual(r, "weight column")
+        return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:
-        return PageRankVector(pi=self.rank_weights(v.v))
+        """Residual-checked rank vector for personalization v."""
+        return PageRankVector(pi=self.rank_weights(v.v, check_residual=True))
 
     def rank_component(self, v: PersonalizationVector, i: int) -> float:
         return float(self.rank_weights(v.v)[i])
 
     def fundamental(self) -> FundamentalMatrix:
-        """Structure-verified X, computed once."""
+        """Structure-verified X, computed once.
+
+        Row j of X solves the rank system with weight e_j; basis vectors
+        are admissible weights for the linear system even though they are
+        not admissible personalizations.  Each row's residual is checked.
+        """
         if self._fundamental is None:
-            fm = fundamental_matrix(self.alpha, self.p_u)
+            n = self.n
+            b = np.eye(n)
+            b *= 1.0 - self.alpha
+            # b is symmetric, so b.T is the Fortran-order right-hand side
+            # that lu_solve overwrites with X^T in place.
+            xt = scipy.linalg.lu_solve(self._factorization(), b.T, overwrite_b=True)
+            for start in range(0, n, RESIDUAL_BLOCK):
+                r = self._system_times(xt[:, start:start + RESIDUAL_BLOCK], 0)
+                k = np.arange(r.shape[1])
+                r[start + k, k] -= 1.0 - self.alpha
+                _check_residual(r, "row", first=start)
+            fm = FundamentalMatrix(x=xt.T, alpha=self.alpha)
+            del b, xt  # free the solve buffer before verify_structure copies X
             self._structure = verify_structure(fm)
             self._fundamental = fm
         return self._fundamental
@@ -272,10 +338,41 @@ class RankContext:
         self.fundamental()
         return self._structure
 
+    def _row_sums(self) -> float:
+        """Max deviation of X's row sums from 1: X 1 is one transposed
+        solve, made once per context."""
+        if self._row_sum_error is None:
+            ones = np.full(self.n, 1.0 - self.alpha)
+            sums = scipy.linalg.lu_solve(self._factorization(), ones, trans=1)
+            self._row_sum_error = float(np.abs(sums - 1.0).max())
+        return self._row_sum_error
+
+    def column(self, i: int) -> np.ndarray:
+        """Column i of X: read off X when it is built, else one transposed
+        solve, whose residual and structure are checked as X's would be
+        (nonnegative, diagonal strictly dominant, unit row sums)."""
+        if not 0 <= i < self.n:
+            raise DomainError(f"node index {i} out of range")
+        if self._fundamental is not None:
+            return self._fundamental.column(i)
+        b = np.zeros(self.n)
+        b[i] = 1.0 - self.alpha
+        col = scipy.linalg.lu_solve(self._factorization(), b, trans=1)
+        r = self._system_times(col, 1)
+        r -= b
+        _check_residual(r, "column", first=i)
+        off_diag = np.delete(col, i)
+        margin = col[i] - off_diag.max() if off_diag.size else col[i]
+        _check_structure(
+            float(col.min()), self._row_sums(), np.array([margin]), first_column=i
+        )
+        return col
+
     def interval(self, i: int) -> PRInterval:
-        return pr_interval(self.fundamental(), i)
+        return pr_interval(self, i)
 
     def intervals(self) -> list[PRInterval]:
+        self.fundamental()
         return [self.interval(i) for i in range(self.n)]
 
 

@@ -172,7 +172,7 @@ def explicit_inverse_check(
         raise DomainError(
             f"explicit inversion capped at n={n_cap}, got n={p_u.n}"
         )
-    brute = (1.0 - alpha) * _gauss_jordan_inverse(np.eye(p_u.n) - alpha * p_u.p)
+    brute = (1.0 - alpha) * _gauss_jordan_inverse(np.eye(p_u.n) - alpha * p_u.toarray())
     fast = fundamental_matrix(alpha, p_u).x
     deviation = float(np.abs(brute - fast).max())
     if deviation > INVERSE_DEVIATION_TOL:

@@ -2,24 +2,27 @@
 and the rank vector by power iteration or direct linear solve.
 
 The two solvers are deliberately independent routes to the same vector and
-are cross-checked against each other in the test suite.
+are cross-checked against each other in the test suite.  The direct solve
+goes through :class:`~rankreach.localization.RankContext`, which owns the
+package's only factorization; the power iteration densifies the Google
+matrix for itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from .errors import ConvergenceError, DomainError, NumericalError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError
 from .graph import DanglingIndicator, DirectedGraph, adjacency
 
 ROW_SUM_TOL = 1e-12
 RANK_SUM_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
-DENSE_SOLVE_CUTOFF = 2000
 DEFAULT_ALPHA = 0.85
 POWER_TOL = 1e-12
 
@@ -70,36 +73,71 @@ class PersonalizationVector:
 
 @dataclass(frozen=True)
 class RowStochasticMatrix:
-    """Transition structure of the graph.
+    """Transition structure of the graph, kept sparse.
 
-    Unpatched, rows of dangling nodes are all-zero and every other row sums
-    to 1; patched, every row sums to 1.
+    ``p`` is a CSR matrix whose rows each sum to 1, except the all-zero
+    rows of dangling nodes.  Patching does not fill those rows in: it
+    records the dangling distribution ``u``, so the patched matrix is
+    P_u = p + d u^T, a sparse part plus a rank-one term, with ``dangling``
+    the boolean mask d.  Unpatched, ``u`` is None.
     """
 
-    p: np.ndarray
-    dangling_patched: bool = False
+    p: scipy.sparse.csr_array
+    u: np.ndarray | None = None
+    dangling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        p = scipy.sparse.csr_array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
             raise DomainError("transition matrix must be square and nonempty")
-        if p.min() < 0.0 or p.max() > 1.0 + ROW_SUM_TOL:
+        p.sum_duplicates()
+        # written so that NaN entries fail it too
+        if p.nnz and not (p.data.min() >= 0.0 and p.data.max() <= 1.0 + ROW_SUM_TOL):
             raise DomainError("transition entries must lie in [0, 1]")
         sums = p.sum(axis=1)
-        off_one = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if self.dangling_patched:
-            bad = off_one
-        else:
-            bad = off_one & (np.abs(sums) > ROW_SUM_TOL)
+        dangling = sums == 0.0
+        bad = ~dangling & (np.abs(sums - 1.0) > ROW_SUM_TOL)
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise DomainError(f"row {row} sums to {sums[row]!r}, not stochastic")
-        p.flags.writeable = False
+        for arr in (p.data, p.indices, p.indptr, dangling):
+            arr.flags.writeable = False
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dangling", dangling)
+        if self.u is not None:
+            u = _frozen_vector(self.u, "dangling distribution", sum_tol=ROW_SUM_TOL)
+            if u.shape != (self.n,):
+                raise DomainError("dangling distribution must have length n")
+            object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    @property
+    def dangling_patched(self) -> bool:
+        return self.u is not None
+
+    def toarray(self) -> np.ndarray:
+        """Dense P_u (dense p before patching), for the oracles and tests."""
+        dense = self.p.toarray()
+        if self.dangling_patched:
+            dense[self.dangling] = self.u
+        return dense
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """P_u x for a vector or a matrix of columns."""
+        y = self.p @ x
+        if self.dangling_patched:
+            y[self.dangling] += self.u @ x
+        return y
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """P_u^T x for a vector or a matrix of columns."""
+        y = self.p.T @ x
+        if self.dangling_patched:
+            y += np.multiply.outer(self.u, x[self.dangling].sum(axis=0))
+        return y
 
 
 @dataclass(frozen=True)
@@ -143,21 +181,21 @@ def row_stochastic(g: DirectedGraph) -> RowStochasticMatrix:
     """Out-degree-normalized adjacency; rows of dangling nodes stay zero."""
     adj = adjacency(g)
     p = adj.a.astype(float)
-    linked = adj.kout > 0
-    p[linked] /= adj.kout[linked, None]
-    return RowStochasticMatrix(p=p, dangling_patched=False)
+    p.data /= np.repeat(adj.kout, np.diff(p.indptr))
+    return RowStochasticMatrix(p=p)
 
 
 def patch_dangling(
     p: RowStochasticMatrix, d: DanglingIndicator, u: DanglingDistribution
 ) -> RowStochasticMatrix:
-    """Replace each dangling row with u^T, making every row stochastic."""
+    """Send each dangling row to u^T, making every row stochastic."""
     if p.dangling_patched:
         raise DomainError("matrix is already dangling-patched")
     if d.d.shape != (p.n,) or u.u.shape != (p.n,):
         raise DomainError("dangling indicator and distribution must have length n")
-    patched = p.p + np.outer(d.d.astype(float), u.u)
-    return RowStochasticMatrix(p=patched, dangling_patched=True)
+    if not np.array_equal(d.d != 0, p.dangling):
+        raise DomainError("dangling indicator does not mark the all-zero rows")
+    return RowStochasticMatrix(p=p.p, u=u.u)
 
 
 def google_matrix(
@@ -170,7 +208,7 @@ def google_matrix(
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if v.v.shape != (p_u.n,):
         raise DomainError("personalization vector must have length n")
-    g = alpha * p_u.p + (1.0 - alpha) * v.v[None, :]
+    g = alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]
     return GoogleMatrix(g=g, alpha=alpha)
 
 
@@ -203,73 +241,32 @@ def pagerank_power(
     )
 
 
-def _fixed_point_solve(alpha: float, p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-free route: iterate x <- alpha P^T x + (1-alpha) b to the limit."""
-    step_tol = 1e-15
-    cap = 10 * math.ceil(math.log(step_tol) / math.log(alpha))
-    x = (1.0 - alpha) * np.array(b, dtype=float)
-    for _ in range(cap):
-        nxt = alpha * (p.T @ x) + (1.0 - alpha) * b
-        delta = float(np.abs(nxt - x).max())
-        x = nxt
-        if delta <= step_tol:
-            break
-    return x
-
-
 def solve_rank_system(
     alpha: float,
     p_u: RowStochasticMatrix,
     weights: np.ndarray,
-    dense_cutoff: int = DENSE_SOLVE_CUTOFF,
     check_residual: bool = True,
 ) -> np.ndarray:
     """Solve (I - alpha P_u)^T x = (1 - alpha) w for one or many columns w.
 
     ``weights`` need not be positive (basis vectors are fine); the system is
     strictly diagonally dominant, hence nonsingular, for any alpha in (0, 1).
-    A 2-D ``weights`` is treated as one system per column.  Callers that do
-    their own per-column residual reporting pass ``check_residual=False``.
+    A 2-D ``weights`` is treated as one system per column.  A one-shot
+    wrapper: callers with more than one solve keep a ``RankContext``.
     """
-    if not p_u.dangling_patched:
-        raise DomainError("matrix must be dangling-patched first")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    w = np.asarray(weights, dtype=float)
-    n = p_u.n
-    if w.shape[0] != n:
-        raise DomainError("weight vector must have length n")
-    a_t = np.eye(n) - alpha * p_u.p.T
-    if n <= dense_cutoff:
-        x = np.linalg.solve(a_t, (1.0 - alpha) * w)
-    elif w.ndim == 1:
-        x = _fixed_point_solve(alpha, p_u.p, w)
-    else:
-        x = np.column_stack(
-            [_fixed_point_solve(alpha, p_u.p, w[:, k]) for k in range(w.shape[1])]
-        )
-    if check_residual:
-        residual = float(np.abs(a_t @ x - (1.0 - alpha) * w).max())
-        if residual > SOLVE_RESIDUAL_TOL:
-            raise NumericalError(
-                f"linear solve residual {residual:.3e} exceeds "
-                f"{SOLVE_RESIDUAL_TOL:g}",
-                details={"residual": residual, "n": n},
-            )
-    return x
+    from .localization import RankContext  # localization builds on this module
+
+    ctx = RankContext(alpha, p_u)
+    return ctx.rank_weights(weights, check_residual=check_residual)
 
 
 def pagerank_solve(
-    alpha: float,
-    p_u: RowStochasticMatrix,
-    v: PersonalizationVector,
-    dense_cutoff: int = DENSE_SOLVE_CUTOFF,
+    alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
 ) -> PageRankVector:
     """Rank vector by direct solve of the teleport-factored linear system."""
     if v.v.shape != (p_u.n,):
         raise DomainError("personalization vector must have length n")
-    x = solve_rank_system(alpha, p_u, v.v, dense_cutoff=dense_cutoff)
-    return PageRankVector(pi=x)
+    return PageRankVector(pi=solve_rank_system(alpha, p_u, v.v))
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,10 @@ def load_config(text: str) -> StochasticConfig:
         spec = doc.get(key, "uniform")
         if isinstance(spec, str):
             return spec
-        if isinstance(spec, list):
+        numeric = isinstance(spec, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in spec
+        )
+        if numeric:
             return tuple(float(x) for x in spec)
         raise ParseError(f'config "{key}" must be "uniform" or a list of floats')
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+import scipy.linalg
+
 import rankreach.localization
 from rankreach.cli import run
 from rankreach.errors import StructureError
@@ -255,3 +258,57 @@ def test_numerical_failure_exits_2_with_json_diagnostic(capsys, monkeypatch):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "StructureError"
     assert diagnostic["details"]["worst_margin"] == -1.0
+
+
+def test_json_graph_with_non_list_edges_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"nodes": ["a", "b"], "edges": 5}')
+    code, _, err = invoke(capsys, "intervals", str(path))
+    assert code == 1
+    assert err.startswith("rankreach: error:")
+    assert "Traceback" not in err
+
+
+def test_config_with_non_numeric_vector_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"v": ["a"]}')
+    code, _, err = invoke(capsys, "pagerank", "--config", str(cfg), G1)
+    assert code == 1
+    assert err.startswith("rankreach: error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["intervals"], "--alpha", "nan"),
+        (["sc-interval"], "--epsilon", "nan"),
+        (["achieve", "--node", "1"], "--target", "inf"),
+        (["achieve", "--node", "1", "--target", "0.35"], "--tol", "nan"),
+        (["verify", "--seed", "1"], "--samples", "0"),
+        (["verify", "--seed", "1"], "--concentration", "nan"),
+    ],
+)
+def test_nonfinite_float_and_nonpositive_count_flags_exit_1(capsys, argv, flag, value):
+    code, _, err = invoke(capsys, *argv, flag, value, G1)
+    assert code == 1
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["achieve", "--node", "1", "--target", "0.35"], ["competitors", "--pair", "1,3"]]
+)
+def test_point_queries_check_their_solves(capsys, monkeypatch, argv):
+    # The point path solves single columns of X instead of building X;
+    # a broken solve must still fail as a numerical error.
+    real = scipy.linalg.lu_solve
+
+    def perturbed(*args, **kwargs):
+        return real(*args, **kwargs) + 1e-6
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed)
+    code, out, err = invoke(capsys, *argv, G1)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NumericalError"

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankreach
 from rankreach import (
     DanglingDistribution,
     DegenerateIntervalError,
@@ -15,6 +19,7 @@ from rankreach import (
     basis_family,
     basis_family_matrix,
     dangling_indicator,
+    effective_competitors,
     fundamental_matrix,
     parse_edge_list,
     parse_graph_json,
@@ -22,6 +27,7 @@ from rankreach import (
     pr_interval,
     row_stochastic,
     verify_structure,
+    witness_epsilon,
 )
 
 from .golden import (
@@ -231,7 +237,7 @@ def test_fundamental_matrix_agrees_with_library_inverse():
     rng = rng_for(5150)
     for _ in range(10):
         ctx = random_context(rng, int(rng.integers(2, 11)))
-        explicit = 0.15 * np.linalg.inv(np.eye(ctx.n) - 0.85 * ctx.p_u.p)
+        explicit = 0.15 * np.linalg.inv(np.eye(ctx.n) - 0.85 * ctx.p_u.toarray())
         assert np.abs(ctx.fundamental().x - explicit).max() <= 1e-12
 
 
@@ -243,3 +249,66 @@ def test_context_from_json_graph_with_isolated_node():
     g = parse_graph_json('{"nodes": ["a", "b", "c"], "edges": [[0, 1]]}')
     ctx = RankContext.from_graph(g)
     assert ctx.structure().column_margins.min() > 0.0
+
+
+def test_one_factorization_per_context(g1, monkeypatch):
+    factorizations = []
+    real_lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real_lu_factor(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    ctx = RankContext.from_graph(g1)
+    ctx.interval(1)  # a point query, before X exists
+    ctx.fundamental()
+    ctx.interval(0)
+    ctx.rank_weights(np.full(3, 1.0 / 3.0))
+    achieve_value(ctx, 0, 0.35)
+    witness_epsilon(ctx, effective_competitors(ctx, 0, 2))
+    assert factorizations == [(3, 3)]
+    # the production solve path stays the one LU: no dense solver call and
+    # a single factorization site anywhere in the package
+    source = "".join(
+        path.read_text() for path in Path(rankreach.__file__).parent.glob("*.py")
+    )
+    assert "linalg.solve" not in source
+    assert source.count("lu_factor(") == 1
+
+
+def test_point_queries_match_the_dense_x():
+    rng = rng_for(4242)
+    for _ in range(8):
+        n = int(rng.integers(2, 40))
+        base = random_context(rng, n)
+        fm = fundamental_matrix(base.alpha, base.p_u)
+        for i in range(n):
+            point = RankContext(base.alpha, base.p_u).interval(i)
+            dense = pr_interval(fm, i)
+            assert point.lo_witness == dense.lo_witness
+            assert abs(point.lo - dense.lo) <= 1e-13
+            assert abs(point.hi - dense.hi) <= 1e-13
+        for i, j in [(0, n - 1), (n // 2, 0)]:
+            if i != j:
+                assert effective_competitors(base, i, j) == effective_competitors(fm, i, j)
+
+
+def test_point_query_checks_row_sums(ctx1, monkeypatch):
+    # X 1 = 1 comes from one transposed solve per context; skewing just that
+    # solve must surface as a structure violation on the point path.
+    real = scipy.linalg.lu_solve
+
+    def skewed(lu_piv, b, trans=0, **kwargs):
+        x = real(lu_piv, b, trans=trans, **kwargs)
+        if trans == 1 and np.ptp(b) == 0.0:
+            x = x + 1e-6
+        return x
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    with pytest.raises(StructureError, match="row_sum_error"):
+        RankContext(ctx1.alpha, ctx1.p_u).interval(0)

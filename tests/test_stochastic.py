@@ -9,6 +9,7 @@ from rankreach import (
     DomainError,
     ParseError,
     PersonalizationVector,
+    RankContext,
     RowStochasticMatrix,
     StochasticConfig,
     dangling_indicator,
@@ -35,38 +36,38 @@ def _patched(g, u=None):
 
 def test_row_stochastic_g1_row(g1):
     p = row_stochastic(g1)
-    assert p.p[1].tolist() == [0.5, 0.0, 0.5]
+    assert p.toarray()[1].tolist() == [0.5, 0.0, 0.5]
     assert not p.dangling_patched
 
 
 def test_row_stochastic_dangling_row_is_zero():
     p = row_stochastic(parse_edge_list("1 2"))
-    assert p.p[1].tolist() == [0.0, 0.0]
+    assert p.toarray()[1].tolist() == [0.0, 0.0]
 
 
 def test_row_stochastic_g3_split_row(g3):
-    assert row_stochastic(g3).p[3].tolist() == [0, 0, 0, 0, 0.5, 0.5]
+    assert row_stochastic(g3).toarray()[3].tolist() == [0, 0, 0, 0, 0.5, 0.5]
 
 
 def test_patch_replaces_dangling_row():
     g = parse_edge_list("1 2")
     p_u = _patched(g, DanglingDistribution(u=np.array([0.5, 0.5])))
-    assert p_u.p[1].tolist() == [0.5, 0.5]
-    assert p_u.p[0].tolist() == [0.0, 1.0]
+    assert p_u.toarray()[1].tolist() == [0.5, 0.5]
+    assert p_u.toarray()[0].tolist() == [0.0, 1.0]
     assert p_u.dangling_patched
 
 
 def test_patch_without_dangling_nodes_is_identity(g1):
     p = row_stochastic(g1)
     p_u = _patched(g1)
-    assert np.array_equal(p_u.p, p.p)
+    assert np.array_equal(p_u.toarray(), p.toarray())
     assert p_u.dangling_patched
 
 
 def test_patch_single_dangling_node():
     g = parse_graph_json('{"nodes": ["1"], "edges": []}')
     p_u = _patched(g, DanglingDistribution(u=np.array([1.0])))
-    assert p_u.p.tolist() == [[1.0]]
+    assert p_u.toarray().tolist() == [[1.0]]
 
 
 def test_double_patch_rejected(g1):
@@ -80,7 +81,7 @@ def test_double_patch_rejected(g1):
 def test_patched_rows_sum_to_one(seed, n):
     g = random_graph(rng_for(seed), n, density=0.3, dangling_frac=0.4)
     p_u = _patched(g)
-    assert np.abs(p_u.p.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(p_u.toarray().sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_row_stochastic_matrix_validation():
@@ -88,10 +89,14 @@ def test_row_stochastic_matrix_validation():
         RowStochasticMatrix(p=np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
         RowStochasticMatrix(p=np.array([[1.5, -0.5], [0.5, 0.5]]))
-    # all-zero rows are fine until patched, then rejected
-    RowStochasticMatrix(p=np.zeros((2, 2)))
-    with pytest.raises(DomainError):
-        RowStochasticMatrix(p=np.zeros((2, 2)), dangling_patched=True)
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        RowStochasticMatrix(p=np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    # all-zero rows are fine; patching sends them to a distribution u
+    assert RowStochasticMatrix(p=np.zeros((2, 2))).dangling.tolist() == [True, True]
+    with pytest.raises(DomainError, match="sum to 1"):
+        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([0.5, 0.4]))
+    with pytest.raises(DomainError, match="length n"):
+        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.0]))
 
 
 def test_google_matrix_two_cycle(cycle2):
@@ -177,7 +182,7 @@ def test_solve_satisfies_defining_identity():
         w = rng.random(n) + 0.01
         v = PersonalizationVector(v=w / w.sum())
         pi = pagerank_solve(0.85, p_u, v).pi
-        lhs = pi @ (np.eye(n) - 0.85 * p_u.p)
+        lhs = pi @ (np.eye(n) - 0.85 * p_u.toarray())
         assert np.abs(lhs - 0.15 * v.v).max() <= 1e-10
 
 
@@ -189,12 +194,18 @@ def test_solvers_cross_validate_on_g3(g3):
     assert np.abs(direct.pi - power.pi).max() <= 1e-10
 
 
-def test_fixed_point_fallback_matches_dense(g2):
-    p_u = _patched(g2)
-    v = PersonalizationVector.uniform(5)
-    dense = pagerank_solve(0.85, p_u, v)
-    matrix_free = pagerank_solve(0.85, p_u, v, dense_cutoff=0)
-    assert np.abs(dense.pi - matrix_free.pi).max() <= 1e-9
+def test_no_size_cliff_above_2000():
+    # n = 2001 once fell off the direct solve into a per-column fixed-point
+    # loop; every size now solves against the same LU.
+    g = random_graph(rng_for(2001), 2001, density=0.004, dangling_frac=0.1)
+    ctx = RankContext.from_graph(g)
+    p_dense = ctx.p_u.toarray()
+    explicit = 0.15 * np.linalg.inv(np.eye(g.n) - 0.85 * p_dense)
+    assert np.abs(ctx.fundamental().x - explicit).max() <= 1e-12
+    v = PersonalizationVector.uniform(g.n)
+    direct = pagerank_solve(0.85, ctx.p_u, v)
+    power = pagerank_power(google_matrix(0.85, ctx.p_u, v))
+    assert np.abs(direct.pi - power.pi).max() <= 1e-9
 
 
 def test_solve_rank_system_accepts_basis_weights(g1):

@@ -32,17 +32,13 @@ from .errors import (
     StructureError,
 )
 from .graph import (
-    AdjacencyView,
-    DanglingIndicator,
     DirectedGraph,
     adjacency,
-    dangling_indicator,
     parse_edge_list,
     parse_graph_json,
 )
 from .localization import (
     AchieveResult,
-    BasisFamilyVector,
     FundamentalMatrix,
     PRInterval,
     RankContext,
@@ -50,45 +46,36 @@ from .localization import (
     achieve_value,
     basis_family,
     basis_family_matrix,
-    fundamental_matrix,
     pr_interval,
     verify_structure,
 )
 from .oracle import (
+    GoogleMatrix,
     SampleReport,
     explicit_inverse_check,
+    google_matrix,
     monte_carlo_interval,
     observe_rank_swaps,
+    pagerank_power,
     sample_personalization,
     sample_personalization_batch,
 )
 from .stochastic import (
     DEFAULT_ALPHA,
-    DanglingDistribution,
-    GoogleMatrix,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
     StochasticConfig,
-    google_matrix,
     load_config,
-    pagerank_power,
-    pagerank_solve,
-    patch_dangling,
     row_stochastic,
-    solve_rank_system,
 )
 
 __all__ = [
     "AchieveResult",
-    "AdjacencyView",
-    "BasisFamilyVector",
     "CompetitionVerdict",
     "CompetitivityInterval",
     "ConvergenceError",
     "DEFAULT_ALPHA",
-    "DanglingDistribution",
-    "DanglingIndicator",
     "DegenerateIntervalError",
     "DirectedGraph",
     "DomainError",
@@ -116,10 +103,8 @@ __all__ = [
     "basis_family_matrix",
     "competitivity_graph",
     "competitivity_interval",
-    "dangling_indicator",
     "effective_competitors",
     "explicit_inverse_check",
-    "fundamental_matrix",
     "google_matrix",
     "leadership_certificate",
     "leadership_group",
@@ -127,15 +112,12 @@ __all__ = [
     "monte_carlo_interval",
     "observe_rank_swaps",
     "pagerank_power",
-    "pagerank_solve",
     "parse_edge_list",
     "parse_graph_json",
-    "patch_dangling",
     "pr_interval",
     "row_stochastic",
     "sample_personalization",
     "sample_personalization_batch",
-    "solve_rank_system",
     "verify_structure",
     "witness_epsilon",
 ]

@@ -96,6 +96,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc.reason} at byte {exc.start}") from None
 
 
 def _vector_spec(flag_value, fallback):
@@ -271,11 +273,10 @@ def _cmd_verify(cfg, g, ctx, args):
         ctx.fundamental()  # every interval is read: build X once
     per_node = {}
     bad = []
-    for i in nodes:
-        rep = monte_carlo_interval(
-            ctx, i, cfg.samples, cfg.seed, concentration=cfg.concentration
-        )
-        per_node[g.labels[i]] = {
+    for rep in monte_carlo_interval(
+        ctx, nodes, cfg.samples, cfg.seed, concentration=cfg.concentration
+    ):
+        per_node[g.labels[rep.node]] = {
             "samples": rep.samples,
             "observed_min": round(rep.observed_min, 6),
             "observed_max": round(rep.observed_max, 6),
@@ -284,7 +285,7 @@ def _cmd_verify(cfg, g, ctx, args):
             "violations": rep.violations,
         }
         if rep.violations:
-            bad.append(g.labels[i])
+            bad.append(g.labels[rep.node])
     report = {
         "pass": not bad,
         "alpha": round(cfg.model.alpha, 6),

@@ -150,8 +150,8 @@ def witness_epsilon(
     while epsilon >= floor:
         pair = np.column_stack(
             [
-                basis_family(verdict.witness_k, epsilon, ctx.n).v.v,
-                basis_family(verdict.witness_l, epsilon, ctx.n).v.v,
+                basis_family(verdict.witness_k, epsilon, ctx.n).v,
+                basis_family(verdict.witness_l, epsilon, ctx.n).v,
             ]
         )
         ranked = ctx.rank_weights(pair)
@@ -178,7 +178,7 @@ def leadership_certificate(
     witness row."""
     epsilon = 0.5
     while epsilon >= floor:
-        ranked = ctx.rank_weights(basis_family(witness_row, epsilon, ctx.n).v.v)
+        ranked = ctx.rank_weights(basis_family(witness_row, epsilon, ctx.n).v)
         top = ranked[leader]
         rest = np.delete(ranked, leader)
         if (top > rest).all():

@@ -80,21 +80,6 @@ class DirectedGraph:
         return json.dumps(doc, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class AdjacencyView:
-    """Sparse (CSR) binary adjacency matrix ``a`` with per-node out-degrees ``kout``."""
-
-    a: scipy.sparse.csr_array
-    kout: np.ndarray
-
-
-@dataclass(frozen=True)
-class DanglingIndicator:
-    """Indicator vector: ``d[i] = 1`` exactly when node i has no outlinks."""
-
-    d: np.ndarray
-
-
 def parse_edge_list(text: str) -> DirectedGraph:
     """Parse edge-list text into a graph with canonically ordered labels."""
     pairs = []
@@ -118,9 +103,11 @@ def parse_edge_list(text: str) -> DirectedGraph:
 
 def parse_graph_json(text: str) -> DirectedGraph:
     """Parse the JSON graph form; node order is the declared order."""
+    # ValueError also covers integers too long to convert, RecursionError
+    # arrays nested too deep
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ParseError('expected an object with "nodes" and "edges"')
@@ -128,6 +115,11 @@ def parse_graph_json(text: str) -> DirectedGraph:
     if not isinstance(raw_nodes, list):
         raise ParseError('"nodes" must be a list of labels')
     labels = tuple(str(x) for x in raw_nodes)
+    try:
+        # JSON escapes can spell lone surrogates, which no output can encode
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("node labels must be valid Unicode text") from None
     if not isinstance(doc["edges"], list):
         raise ParseError('"edges" must be a list of [source_index, target_index] pairs')
     edges = set()
@@ -143,24 +135,10 @@ def parse_graph_json(text: str) -> DirectedGraph:
     return DirectedGraph(labels=labels, edges=frozenset(edges))
 
 
-def _edge_array(g: DirectedGraph) -> np.ndarray:
-    """The edges as an (m, 2) array of (source, target) indices."""
-    return np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-
-
-def adjacency(g: DirectedGraph) -> AdjacencyView:
-    e = _edge_array(g)
-    a = scipy.sparse.csr_array(
+def adjacency(g: DirectedGraph) -> scipy.sparse.csr_array:
+    """Binary adjacency matrix in CSR form; row i's entry count is node i's
+    out-degree, so dangling nodes are its empty rows."""
+    e = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    return scipy.sparse.csr_array(
         (np.ones(len(e), dtype=np.int64), (e[:, 0], e[:, 1])), shape=(g.n, g.n)
     )
-    a.sum_duplicates()
-    kout = np.bincount(e[:, 0], minlength=g.n)
-    kout.flags.writeable = False
-    return AdjacencyView(a=a, kout=kout)
-
-
-def dangling_indicator(g: DirectedGraph) -> DanglingIndicator:
-    kout = np.bincount(_edge_array(g)[:, 0], minlength=g.n)
-    d = (kout == 0).astype(np.int64)
-    d.flags.writeable = False
-    return DanglingIndicator(d=d)

@@ -9,6 +9,7 @@ mixing two concentrated personalizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,13 @@ from .errors import (
     NumericalError,
     StructureError,
 )
-from .graph import DirectedGraph, dangling_indicator
+from .graph import DirectedGraph
 from .stochastic import (
-    DanglingDistribution,
     DEFAULT_ALPHA,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
     SOLVE_RESIDUAL_TOL,
-    patch_dangling,
     row_stochastic,
 )
 
@@ -95,15 +94,6 @@ class PRInterval:
 
 
 @dataclass(frozen=True)
-class BasisFamilyVector:
-    """Personalization with mass 1 - epsilon on one node, uniform elsewhere."""
-
-    j: int
-    epsilon: float
-    v: PersonalizationVector
-
-
-@dataclass(frozen=True)
 class AchieveResult:
     """Mixture parameters realizing a requested rank value."""
 
@@ -111,15 +101,6 @@ class AchieveResult:
     epsilon: float
     achieved: float
     v: PersonalizationVector
-
-
-def fundamental_matrix(alpha: float, p_u: RowStochasticMatrix) -> FundamentalMatrix:
-    """Residual-checked, structure-verified X of a fresh context.
-
-    A one-shot wrapper: callers that go on to solve against the same
-    matrix keep the :class:`RankContext` instead.
-    """
-    return RankContext(alpha, p_u).fundamental()
 
 
 def _check_residual(r: np.ndarray, what: str, first: int = 0) -> None:
@@ -199,7 +180,7 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
 
 
-def basis_family(j: int, epsilon: float, n: int) -> BasisFamilyVector:
+def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     """Vector with 1 - epsilon at node j and epsilon/(n-1) everywhere else."""
     if n < 2:
         raise DomainError("concentrated family needs at least 2 nodes")
@@ -209,7 +190,7 @@ def basis_family(j: int, epsilon: float, n: int) -> BasisFamilyVector:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     v = np.full(n, epsilon / (n - 1))
     v[j] = 1.0 - epsilon
-    return BasisFamilyVector(j=j, epsilon=epsilon, v=PersonalizationVector(v=v))
+    return PersonalizationVector(v=v)
 
 
 def basis_family_matrix(epsilon: float, n: int) -> np.ndarray:
@@ -251,12 +232,12 @@ class RankContext:
         cls,
         g: DirectedGraph,
         alpha: float = DEFAULT_ALPHA,
-        u: DanglingDistribution | None = None,
+        u: np.ndarray | None = None,
     ) -> "RankContext":
+        """Context of graph g; the dangling distribution u is uniform unless given."""
         if u is None:
-            u = DanglingDistribution.uniform(g.n)
-        p_u = patch_dangling(row_stochastic(g), dangling_indicator(g), u)
-        return cls(alpha=alpha, p_u=p_u)
+            u = np.full(g.n, 1.0 / g.n)
+        return cls(alpha=alpha, p_u=row_stochastic(g, u))
 
     @property
     def n(self) -> int:
@@ -305,9 +286,6 @@ class RankContext:
     def rank(self, v: PersonalizationVector) -> PageRankVector:
         """Residual-checked rank vector for personalization v."""
         return PageRankVector(pi=self.rank_weights(v.v, check_residual=True))
-
-    def rank_component(self, v: PersonalizationVector, i: int) -> float:
-        return float(self.rank_weights(v.v)[i])
 
     def fundamental(self) -> FundamentalMatrix:
         """Structure-verified X, computed once.
@@ -386,6 +364,8 @@ def achieve_value(
     on the column-minimum witness.  The rank component is affine in the
     mixture weight, so bisection converges unconditionally.
     """
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     interval = ctx.interval(i)
@@ -395,8 +375,8 @@ def achieve_value(
             f"({interval.lo!r}, {interval.hi!r})"
         )
     epsilon = min(1e-6, tol / 10.0)
-    v_top = basis_family(i, epsilon, ctx.n).v.v
-    v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v.v
+    v_top = basis_family(i, epsilon, ctx.n).v
+    v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v
 
     def at(lam: float) -> tuple[np.ndarray, float]:
         v = lam * v_top + (1.0 - lam) * v_bot

@@ -1,22 +1,32 @@
-"""Monte-Carlo and brute-force cross-checks for the analytic machinery.
+"""Independent cross-checks for the analytic machinery: Monte-Carlo
+sampling, power iteration on the Google matrix, and Gauss-Jordan inversion.
 
 Sampling is seeded and counter-based (Philox) so every report reproduces
 bit-for-bit.  Rank values for sampled personalizations always come from
 the linear solve, never from the fundamental matrix they are checked
-against, keeping the two routes independent.
+against, keeping the two routes independent.  The power iteration and
+the elimination share no code with the production LU; production never
+calls them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .competition import STRICT_MARGIN
-from .errors import DomainError, NumericalError, OracleMismatchError
-from .localization import FLOAT_RESOLUTION, RankContext, fundamental_matrix
-from .stochastic import PersonalizationVector, RowStochasticMatrix
+from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
+from .localization import FLOAT_RESOLUTION, RankContext
+from .stochastic import (
+    ROW_SUM_TOL,
+    PageRankVector,
+    PersonalizationVector,
+    RowStochasticMatrix,
+)
 
+POWER_TOL = 1e-12
 INVERSE_SIZE_CAP = 10
 INVERSE_DEVIATION_TOL = 1e-10
 VERTEX_CONCENTRATION = 0.01
@@ -57,8 +67,11 @@ def sample_personalization_batch(
     """
     if n < 1:
         raise DomainError("need at least one node")
-    if concentration <= 0.0:
+    if not concentration > 0.0:  # NaN fails it too
         raise DomainError(f"concentration must be positive, got {concentration}")
+    if concentration < np.finfo(float).tiny:
+        # below the normal floats, U / concentration overflows to inf
+        raise DomainError(f"concentration {concentration!r} is too small to sample with")
     if count < 0:
         raise DomainError("sample count must be nonnegative")
     if seed < 0:
@@ -81,36 +94,46 @@ def sample_personalization(
 
 def monte_carlo_interval(
     ctx: RankContext,
-    i: int,
+    nodes: list[int],
     samples: int,
     seed: int,
     concentration: float = 1.0,
-) -> SampleReport:
-    """Sample personalizations and check node i's rank stays inside its
-    analytic interval; the empirical hull is reported alongside."""
+) -> list[SampleReport]:
+    """Sample personalizations and check each node's rank stays inside its
+    analytic interval; the empirical hull is reported alongside.
+
+    One batch of ``samples`` personalizations is drawn and solved once, and
+    every node in ``nodes`` is read off it: one report per node, in order.
+    """
     if ctx.n < 2:
         raise DomainError("interval sampling needs at least 2 nodes")
-    interval = ctx.interval(i)
+    if samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
+    intervals = [ctx.interval(i) for i in nodes]
     batch = sample_personalization_batch(seed, ctx.n, samples, concentration)
-    vals = ctx.rank_weights(batch.T)[i, :]
-    outside = (vals < interval.lo - FLOAT_RESOLUTION) | (
-        vals > interval.hi + FLOAT_RESOLUTION
-    )
-    violations = int(outside.sum())
-    first = None
-    if violations:
-        k = int(np.flatnonzero(outside)[0])
-        first = (tuple(float(x) for x in batch[k]), float(vals[k]))
-    return SampleReport(
-        node=i,
-        samples=samples,
-        observed_min=float(vals.min()),
-        observed_max=float(vals.max()),
-        violations=violations,
-        lo=interval.lo,
-        hi=interval.hi,
-        first_violation=first,
-    )
+    ranked = ctx.rank_weights(batch.T)
+    reports = []
+    for interval in intervals:
+        vals = ranked[interval.node, :]
+        outside = (vals < interval.lo - FLOAT_RESOLUTION) | (
+            vals > interval.hi + FLOAT_RESOLUTION
+        )
+        violations = int(outside.sum())
+        first = None
+        if violations:
+            k = int(np.flatnonzero(outside)[0])
+            first = (tuple(float(x) for x in batch[k]), float(vals[k]))
+        reports.append(SampleReport(
+            node=interval.node,
+            samples=samples,
+            observed_min=float(vals.min()),
+            observed_max=float(vals.max()),
+            violations=violations,
+            lo=interval.lo,
+            hi=interval.hi,
+            first_violation=first,
+        ))
+    return reports
 
 
 def observe_rank_swaps(
@@ -137,6 +160,74 @@ def observe_rank_swaps(
     ranked = ctx.rank_weights(np.vstack(batches).T)
     diff = ranked[i, :] - ranked[j, :]
     return bool((diff > STRICT_MARGIN).any() and (diff < -STRICT_MARGIN).any())
+
+
+@dataclass(frozen=True)
+class GoogleMatrix:
+    """Strictly positive, row-stochastic matrix driving the power iteration."""
+
+    g: np.ndarray
+    alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        g = np.array(self.g, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise DomainError("matrix must be square")
+        if not (g > 0.0).all():
+            raise DomainError("entries must be strictly positive")
+        if np.abs(g.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+            raise DomainError("rows must sum to 1")
+        g.flags.writeable = False
+        object.__setattr__(self, "g", g)
+
+    @property
+    def n(self) -> int:
+        return self.g.shape[0]
+
+
+def google_matrix(
+    alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
+) -> GoogleMatrix:
+    """alpha * P_u plus (1 - alpha) times the rank-one teleport to v."""
+    if not p_u.dangling_patched:
+        raise DomainError("matrix must be dangling-patched first")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if v.v.shape != (p_u.n,):
+        raise DomainError("personalization vector must have length n")
+    g = alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]
+    return GoogleMatrix(g=g, alpha=alpha)
+
+
+def default_power_iterations(alpha: float, tol: float) -> int:
+    # alpha bounds the contraction rate of the iteration, hence the cap.
+    return 10 * math.ceil(math.log(tol) / math.log(alpha))
+
+
+def pagerank_power(
+    gm: GoogleMatrix, tol: float = POWER_TOL, max_iter: int | None = None
+) -> PageRankVector:
+    """Left fixed point of gm by power iteration from the uniform start.
+
+    Returns x with ``||x G - x||_1 <= tol``; raises :class:`ConvergenceError`
+    carrying the last residual when the cap is hit first.
+    """
+    if max_iter is None:
+        max_iter = default_power_iterations(gm.alpha, tol)
+    x = np.full(gm.n, 1.0 / gm.n)
+    residual = math.inf
+    for _ in range(max_iter):
+        nxt = x @ gm.g
+        residual = float(np.abs(nxt - x).sum())
+        if residual <= tol:
+            return PageRankVector(pi=x)
+        x = nxt
+    raise ConvergenceError(
+        f"power iteration missed tol={tol:g} after {max_iter} iterations",
+        details={"residual": residual, "tol": tol, "max_iter": max_iter},
+    )
 
 
 def _gauss_jordan_inverse(m: np.ndarray) -> np.ndarray:
@@ -173,7 +264,7 @@ def explicit_inverse_check(
             f"explicit inversion capped at n={n_cap}, got n={p_u.n}"
         )
     brute = (1.0 - alpha) * _gauss_jordan_inverse(np.eye(p_u.n) - alpha * p_u.toarray())
-    fast = fundamental_matrix(alpha, p_u).x
+    fast = RankContext(alpha, p_u).fundamental().x
     deviation = float(np.abs(brute - fast).max())
     if deviation > INVERSE_DEVIATION_TOL:
         raise OracleMismatchError(

@@ -1,30 +1,28 @@
-"""Row-stochastic machinery: P, the dangling patch, the full rank matrix,
-and the rank vector by power iteration or direct linear solve.
+"""Row-stochastic machinery: the patched transition matrix P_u, the
+probability vectors around it, and the model configuration.
 
-The two solvers are deliberately independent routes to the same vector and
-are cross-checked against each other in the test suite.  The direct solve
-goes through :class:`~rankreach.localization.RankContext`, which owns the
-package's only factorization; the power iteration densifies the Google
-matrix for itself.
+P_u = P + d u^T is built once, from the graph's adjacency and the dangling
+distribution u, and everything else solves against it through
+:class:`~rankreach.localization.RankContext`.  The independent
+cross-check routes (power iteration on the Google matrix, Gauss-Jordan
+inversion) live in :mod:`rankreach.oracle`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from .errors import ConvergenceError, DomainError, ParseError
-from .graph import DanglingIndicator, DirectedGraph, adjacency
+from .errors import DomainError, ParseError
+from .graph import DirectedGraph, adjacency
 
 ROW_SUM_TOL = 1e-12
 RANK_SUM_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 DEFAULT_ALPHA = 0.85
-POWER_TOL = 1e-12
 
 
 def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
@@ -37,22 +35,6 @@ def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
         raise DomainError(f"{name} must sum to 1, got {v.sum()!r}")
     v.flags.writeable = False
     return v
-
-
-@dataclass(frozen=True)
-class DanglingDistribution:
-    """Strictly positive probability vector replacing all-zero rows."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "u", _frozen_vector(self.u, "dangling distribution", sum_tol=ROW_SUM_TOL)
-        )
-
-    @classmethod
-    def uniform(cls, n: int) -> "DanglingDistribution":
-        return cls(u=np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -141,31 +123,6 @@ class RowStochasticMatrix:
 
 
 @dataclass(frozen=True)
-class GoogleMatrix:
-    """Strictly positive, row-stochastic matrix driving the power iteration."""
-
-    g: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        g = np.array(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DomainError("matrix must be square")
-        if not (g > 0.0).all():
-            raise DomainError("entries must be strictly positive")
-        if np.abs(g.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise DomainError("rows must sum to 1")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
-
-@dataclass(frozen=True)
 class PageRankVector:
     """Strictly positive rank vector summing to 1."""
 
@@ -177,96 +134,13 @@ class PageRankVector:
         )
 
 
-def row_stochastic(g: DirectedGraph) -> RowStochasticMatrix:
-    """Out-degree-normalized adjacency; rows of dangling nodes stay zero."""
-    adj = adjacency(g)
-    p = adj.a.astype(float)
-    p.data /= np.repeat(adj.kout, np.diff(p.indptr))
-    return RowStochasticMatrix(p=p)
-
-
-def patch_dangling(
-    p: RowStochasticMatrix, d: DanglingIndicator, u: DanglingDistribution
-) -> RowStochasticMatrix:
-    """Send each dangling row to u^T, making every row stochastic."""
-    if p.dangling_patched:
-        raise DomainError("matrix is already dangling-patched")
-    if d.d.shape != (p.n,) or u.u.shape != (p.n,):
-        raise DomainError("dangling indicator and distribution must have length n")
-    if not np.array_equal(d.d != 0, p.dangling):
-        raise DomainError("dangling indicator does not mark the all-zero rows")
-    return RowStochasticMatrix(p=p.p, u=u.u)
-
-
-def google_matrix(
-    alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
-) -> GoogleMatrix:
-    """alpha * P_u plus (1 - alpha) times the rank-one teleport to v."""
-    if not p_u.dangling_patched:
-        raise DomainError("matrix must be dangling-patched first")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if v.v.shape != (p_u.n,):
-        raise DomainError("personalization vector must have length n")
-    g = alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]
-    return GoogleMatrix(g=g, alpha=alpha)
-
-
-def default_power_iterations(alpha: float, tol: float) -> int:
-    # alpha bounds the contraction rate of the iteration, hence the cap.
-    return 10 * math.ceil(math.log(tol) / math.log(alpha))
-
-
-def pagerank_power(
-    gm: GoogleMatrix, tol: float = POWER_TOL, max_iter: int | None = None
-) -> PageRankVector:
-    """Left fixed point of gm by power iteration from the uniform start.
-
-    Returns x with ``||x G - x||_1 <= tol``; raises :class:`ConvergenceError`
-    carrying the last residual when the cap is hit first.
-    """
-    if max_iter is None:
-        max_iter = default_power_iterations(gm.alpha, tol)
-    x = np.full(gm.n, 1.0 / gm.n)
-    residual = math.inf
-    for _ in range(max_iter):
-        nxt = x @ gm.g
-        residual = float(np.abs(nxt - x).sum())
-        if residual <= tol:
-            return PageRankVector(pi=x)
-        x = nxt
-    raise ConvergenceError(
-        f"power iteration missed tol={tol:g} after {max_iter} iterations",
-        details={"residual": residual, "tol": tol, "max_iter": max_iter},
-    )
-
-
-def solve_rank_system(
-    alpha: float,
-    p_u: RowStochasticMatrix,
-    weights: np.ndarray,
-    check_residual: bool = True,
-) -> np.ndarray:
-    """Solve (I - alpha P_u)^T x = (1 - alpha) w for one or many columns w.
-
-    ``weights`` need not be positive (basis vectors are fine); the system is
-    strictly diagonally dominant, hence nonsingular, for any alpha in (0, 1).
-    A 2-D ``weights`` is treated as one system per column.  A one-shot
-    wrapper: callers with more than one solve keep a ``RankContext``.
-    """
-    from .localization import RankContext  # localization builds on this module
-
-    ctx = RankContext(alpha, p_u)
-    return ctx.rank_weights(weights, check_residual=check_residual)
-
-
-def pagerank_solve(
-    alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
-) -> PageRankVector:
-    """Rank vector by direct solve of the teleport-factored linear system."""
-    if v.v.shape != (p_u.n,):
-        raise DomainError("personalization vector must have length n")
-    return PageRankVector(pi=solve_rank_system(alpha, p_u, v.v))
+def row_stochastic(g: DirectedGraph, u: np.ndarray | None = None) -> RowStochasticMatrix:
+    """Out-degree-normalized adjacency P, patched to P_u = P + d u^T when a
+    dangling distribution ``u`` is given; unpatched, dangling rows stay zero."""
+    p = adjacency(g).astype(float)
+    kout = np.diff(p.indptr)
+    p.data /= np.repeat(kout, kout)
+    return RowStochasticMatrix(p=p, u=u)
 
 
 @dataclass(frozen=True)
@@ -291,12 +165,12 @@ class StochasticConfig:
             else:
                 _frozen_vector(spec, f"{name} vector", sum_tol=ROW_SUM_TOL)
 
-    def dangling_distribution(self, n: int) -> DanglingDistribution:
+    def dangling_distribution(self, n: int) -> np.ndarray:
         if self.u_spec == "uniform":
-            return DanglingDistribution.uniform(n)
+            return np.full(n, 1.0 / n)
         if len(self.u_spec) != n:
             raise DomainError(f"u vector has length {len(self.u_spec)}, graph has {n} nodes")
-        return DanglingDistribution(u=np.array(self.u_spec))
+        return np.array(self.u_spec)
 
     def personalization(self, n: int) -> PersonalizationVector:
         if self.v_spec == "uniform":
@@ -309,8 +183,9 @@ class StochasticConfig:
 def load_config(text: str) -> StochasticConfig:
     """Parse the config JSON ``{"alpha": float, "u": [...]|"uniform", "v": ...}``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # integers parse as floats, so none is too large to convert
+        doc = json.loads(text, parse_int=float)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid config JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")

@@ -18,13 +18,11 @@ from rankreach import (
     competitivity_graph,
     effective_competitors,
     explicit_inverse_check,
-    fundamental_matrix,
     google_matrix,
     leadership_group,
     monte_carlo_interval,
     observe_rank_swaps,
     pagerank_power,
-    pagerank_solve,
     verify_structure,
     witness_epsilon,
 )
@@ -69,7 +67,7 @@ def test_criterion_01_matrix_reproduction():
         start = time.perf_counter()
         for name, expected, _ in FIXTURES:
             ctx = _fresh_context(name)
-            fm = fundamental_matrix(ctx.alpha, ctx.p_u)
+            fm = RankContext(ctx.alpha, ctx.p_u).fundamental()
             assert np.abs(fm.x - expected).max() <= 1e-4
         assert time.perf_counter() - start < 1.0
 
@@ -117,7 +115,7 @@ def test_criterion_05_solver_equivalence():
         ]
         for ctx in contexts:
             v = PersonalizationVector.uniform(ctx.n)
-            direct = pagerank_solve(ctx.alpha, ctx.p_u, v)
+            direct = ctx.rank(v)
             power = pagerank_power(google_matrix(ctx.alpha, ctx.p_u, v))
             assert np.abs(direct.pi - power.pi).max() <= 1e-9
         assert time.perf_counter() - start < 10.0
@@ -128,7 +126,7 @@ def test_criterion_06_structure_suite():
         rng = rng_for(20260806)
         for _ in range(200):
             n = int(rng.integers(2, 31))
-            fm = fundamental_matrix(0.85, random_row_stochastic(rng, n))
+            fm = RankContext(0.85, random_row_stochastic(rng, n)).fundamental()
             report = verify_structure(fm)
             assert report.column_margins.min() > 0.0
         for name, _, _ in FIXTURES:
@@ -142,10 +140,10 @@ def test_criterion_07_monte_carlo_containment():
         for name, _, _ in FIXTURES:
             ctx = _fresh_context(name)
             for node in range(ctx.n):
-                plain = monte_carlo_interval(ctx, node, 10_000, seed=1000 + node)
+                [plain] = monte_carlo_interval(ctx, [node], 10_000, seed=1000 + node)
                 assert plain.violations == 0
-                biased = monte_carlo_interval(
-                    ctx, node, 100_000, seed=2000 + node, concentration=0.01
+                [biased] = monte_carlo_interval(
+                    ctx, [node], 100_000, seed=2000 + node, concentration=0.01
                 )
                 assert biased.violations == 0
                 assert abs(biased.observed_max - biased.hi) <= 1e-2

@@ -1,11 +1,18 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankreach.localization
 from rankreach.cli import run
 from rankreach.errors import StructureError
+from rankreach.localization import RankContext
 
 from .conftest import GRAPH_DIR
 
@@ -135,6 +142,20 @@ def test_verify_report(capsys):
     for entry in report["nodes"].values():
         assert entry["violations"] == 0
         assert entry["lo"] < entry["observed_min"] <= entry["observed_max"] < entry["hi"]
+
+
+def test_verify_solves_one_sample_batch(capsys, monkeypatch):
+    shapes = []
+    real = RankContext.rank_weights
+
+    def counting(self, weights, *args, **kwargs):
+        shapes.append(weights.shape)
+        return real(self, weights, *args, **kwargs)
+
+    monkeypatch.setattr(RankContext, "rank_weights", counting)
+    code, _, _ = invoke(capsys, "verify", "--seed", "7", "--samples", "50", G1)
+    assert code == 0
+    assert shapes == [(3, 50)]
 
 
 def test_verify_requires_seed(capsys):
@@ -312,3 +333,148 @@ def test_point_queries_check_their_solves(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "NumericalError"
+
+
+# Documents and flag values for the error-contract property.  Each one is
+# well formed three times in four, so runs get past parsing and reach the
+# solvers; otherwise it takes one of the malformed forms a parser must
+# refuse, including ones the JSON and text decoders choke on.  At most 8
+# labels (n <= 8) and a handful of samples keep every run small.
+_label = st.sampled_from(["1", "2", "3", "10", "a", "b", "c", "d"])
+_unit = st.floats(1e-6, 1 - 1e-6).map(repr)
+_bad_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "-1", "1e-300", "5e-324", "1e999", "0.9999999999999999", "abc", ""]),
+)
+_entry = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-1, 2), st.text(max_size=1)
+)
+_hostile = st.sampled_from([
+    b"\xff\xfe 1\n",
+    b"[" * 5000,
+    b'{"nodes": ["a"], "edges": [[0, ' + b"1" * 5000 + b"]]}",
+    b'{"alpha": 1' + b"0" * 400 + b"}",
+    b"{nope",
+])
+
+
+def _mostly(good, bad):
+    """``good`` three times in four, else ``bad``."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+@st.composite
+def _invocation(draw):
+    """(argv, files): a subcommand with mutated flags, and the documents it reads."""
+    cmd = draw(st.sampled_from([
+        "pagerank", "xmatrix", "intervals", "competitors", "leaders",
+        "sc-interval", "achieve", "verify",
+    ]))
+    edges = draw(st.lists(st.tuples(_label, _label), min_size=1, max_size=12))
+    labels = sorted({x for e in edges for x in e})
+    n = len(labels)
+    lines = [f"{s} {t}" for s, t in edges]
+    doc = {"nodes": labels, "edges": [[labels.index(s), labels.index(t)] for s, t in edges]}
+    index = st.one_of(st.integers(-1, n), st.just(2**70), _entry)
+    fmt = draw(st.sampled_from(["edgelist", "json"]))
+    good_graph = st.just("\n".join(lines) if fmt == "edgelist" else json.dumps(doc))
+    bad_graph = st.one_of(
+        st.lists(st.sampled_from(["", "# c", "1 2 3", "lonely"]), min_size=1).map(
+            lambda extra: "\n".join(lines + extra)
+        ),
+        st.fixed_dictionaries({}, optional={
+            "nodes": st.one_of(
+                st.lists(st.one_of(_label, st.just("\ud800")), max_size=8), st.integers()
+            ),
+            "edges": st.one_of(
+                st.lists(st.one_of(st.lists(index, max_size=3), index), max_size=6),
+                st.integers(),
+            ),
+        }).map(json.dumps),
+    )
+    name = "graph" + (".edges" if fmt == "edgelist" else ".json")
+    files = {name: draw(_mostly(good_graph.map(str.encode), st.one_of(
+        bad_graph.map(str.encode), _hostile)))}
+    argv = [cmd, name]
+
+    def maybe(flag, good, bad, required=False):
+        if draw(st.booleans()) or (required and draw(st.integers(0, 9))):
+            argv.extend([flag, draw(_mostly(good, bad))])
+
+    uniform = "\n".join([repr(1.0 / n)] * n).encode()
+    vector_file = st.one_of(
+        st.lists(st.one_of(_bad_number, st.just("# c")), max_size=9).map(
+            lambda vals: "\n".join(vals).encode()
+        ),
+        _hostile,
+    )
+    vector_spec = st.one_of(st.just("other"), st.lists(_entry, max_size=9))
+    config = st.fixed_dictionaries({}, optional={
+        "alpha": _mostly(st.floats(1e-6, 1 - 1e-6), st.one_of(
+            _entry, st.booleans(), st.just(10**400))),
+        "u": _mostly(st.just("uniform"), vector_spec),
+        "v": _mostly(st.just([1.0 / n] * n), vector_spec),
+    })
+    bad_config = st.one_of(
+        st.fixed_dictionaries({"bogus": st.just(1)}).map(json.dumps).map(str.encode),
+        _hostile,
+    )
+    for flag, path, good, bad in [
+        ("--config", "config.json", config.map(json.dumps).map(str.encode), bad_config),
+        ("--u", "u.txt", st.just(uniform), vector_file),
+        ("--v", "v.txt", st.just(uniform), vector_file),
+    ]:
+        if draw(st.booleans()):
+            files[path] = draw(_mostly(good, bad))
+            argv.extend([flag, path])
+    # alpha this close to 1 breaks the solve and must end in exit 2
+    maybe("--alpha", st.one_of(_unit, st.sampled_from(["0.99999999", "0.9999999999999999"])),
+          _bad_number)
+    maybe("--format", st.just(fmt), st.just("json" if fmt == "edgelist" else "edgelist"))
+    maybe("--output", st.sampled_from(["csv", "json"]), st.just("xml"))
+    node = st.sampled_from(labels)
+    if cmd == "competitors":
+        maybe("--pair", st.tuples(node, node).map(",".join), st.sampled_from(["zz,1", "1"]))
+    if cmd in ("sc-interval", "verify"):
+        maybe("--node", node, st.just("zz"))
+    if cmd == "sc-interval":
+        maybe("--epsilon", _unit, _bad_number)
+    if cmd == "achieve":
+        maybe("--node", node, st.just("zz"), required=True)
+        maybe("--target", _unit, _bad_number, required=True)
+        maybe("--tol", _unit, _bad_number)
+    if cmd == "verify":
+        maybe("--seed", st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"]),
+              required=True)
+        maybe("--samples", st.integers(1, 30).map(str), st.sampled_from(["0", "-1", "abc"]))
+        maybe("--concentration", _unit, _bad_number)
+    return argv, files
+
+
+def _is_diagnostic(err: str) -> bool:
+    try:
+        doc = json.loads(err)
+    except ValueError:
+        return False
+    return isinstance(doc, dict) and {"error", "message", "details"} <= doc.keys()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_invocation())
+def test_error_contract_holds_for_mutated_inputs(invocation):
+    # Every run ends in exit 0, 1 or 2 without a traceback, and stderr
+    # carries the JSON diagnostic exactly when the exit code is 2.
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        # stdout encodes strictly as UTF-8, like a terminal or a pipe
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        out.flush()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert _is_diagnostic(err.getvalue()) == (code == 2)

@@ -8,9 +8,9 @@ from rankreach import (
     DomainError,
     ParseError,
     adjacency,
-    dangling_indicator,
     parse_edge_list,
     parse_graph_json,
+    row_stochastic,
 )
 
 from .golden import A1, A3
@@ -19,11 +19,11 @@ from .golden import A1, A3
 def test_parse_g1_matches_reference_adjacency(g1):
     assert g1.labels == ("1", "2", "3")
     assert len(g1.edges) == 5
-    assert (adjacency(g1).a == A1).all()
+    assert (adjacency(g1) == A1).all()
 
 
 def test_parse_g3_matches_reference_adjacency(g3):
-    assert (adjacency(g3).a == A3).all()
+    assert (adjacency(g3) == A3).all()
 
 
 def test_duplicate_edges_collapse():
@@ -65,24 +65,24 @@ def test_empty_document_rejected():
 def test_self_loop_counts_toward_out_degree():
     g = parse_edge_list("1 1")
     assert g.n == 1
-    assert adjacency(g).kout.tolist() == [1]
-    assert dangling_indicator(g).d.tolist() == [0]
+    assert np.diff(adjacency(g).indptr).tolist() == [1]
+    assert row_stochastic(g).dangling.tolist() == [False]
 
 
-def test_dangling_indicator_single_sink():
+def test_dangling_single_sink():
     g = parse_edge_list("1 2")
-    assert dangling_indicator(g).d.tolist() == [0, 1]
+    assert row_stochastic(g).dangling.tolist() == [False, True]
 
 
 def test_reference_networks_have_no_dangling_nodes(g1, g3):
-    assert dangling_indicator(g1).d.tolist() == [0, 0, 0]
-    assert dangling_indicator(g3).d.tolist() == [0] * 6
+    assert not row_stochastic(g1).dangling.any()
+    assert not row_stochastic(g3).dangling.any()
 
 
 def test_json_isolated_node_is_dangling():
     g = parse_graph_json('{"nodes": ["a", "b", "c"], "edges": [[0, 1]]}')
     assert g.labels == ("a", "b", "c")
-    assert dangling_indicator(g).d.tolist() == [0, 1, 1]
+    assert row_stochastic(g).dangling.tolist() == [False, True, True]
 
 
 def test_json_preserves_declared_node_order():
@@ -105,6 +105,8 @@ def test_json_rejects_malformed_documents():
         parse_graph_json('{"nodes": ["a"], "edges": [[0, 1]]}')
     with pytest.raises(ParseError, match="distinct"):
         parse_graph_json('{"nodes": ["a", "a"], "edges": []}')
+    with pytest.raises(ParseError, match="Unicode"):
+        parse_graph_json('{"nodes": ["\\ud800"], "edges": []}')
 
 
 def test_json_roundtrip():
@@ -136,17 +138,15 @@ _pairs = st.lists(st.tuples(_label, _label), min_size=1, max_size=30)
 @given(_pairs)
 def test_out_degrees_sum_to_edge_count(pairs):
     g = parse_edge_list("\n".join(f"{s} {t}" for s, t in pairs))
-    adj = adjacency(g)
-    assert int(adj.kout.sum()) == len(g.edges)
+    assert int(np.diff(adjacency(g).indptr).sum()) == len(g.edges)
     assert set(g.labels) == {tok for pair in pairs for tok in pair}
 
 
 @given(_pairs)
 def test_dangling_iff_zero_adjacency_row(pairs):
     g = parse_edge_list("\n".join(f"{s} {t}" for s, t in pairs))
-    adj = adjacency(g)
-    d = dangling_indicator(g).d
-    assert np.array_equal(d == 1, adj.a.sum(axis=1) == 0)
+    d = row_stochastic(g).dangling
+    assert np.array_equal(d, adjacency(g).sum(axis=1) == 0)
 
 
 @given(_pairs)

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -8,22 +9,19 @@ from hypothesis import strategies as st
 
 import rankreach
 from rankreach import (
-    DanglingDistribution,
     DegenerateIntervalError,
     DomainError,
     FundamentalMatrix,
     PersonalizationVector,
     RankContext,
+    RowStochasticMatrix,
     StructureError,
     achieve_value,
     basis_family,
     basis_family_matrix,
-    dangling_indicator,
     effective_competitors,
-    fundamental_matrix,
     parse_edge_list,
     parse_graph_json,
-    patch_dangling,
     pr_interval,
     row_stochastic,
     verify_structure,
@@ -63,13 +61,11 @@ def test_fundamental_matrix_two_cycle_closed_form(ctx_cycle):
     assert np.abs(ctx_cycle.fundamental().x - expected).max() <= 1e-12
 
 
-def test_fundamental_matrix_preconditions(g1):
-    p = row_stochastic(g1)
+def test_rank_context_preconditions(g1):
     with pytest.raises(DomainError, match="patched"):
-        fundamental_matrix(0.85, p)
-    p_u = patch_dangling(p, dangling_indicator(g1), DanglingDistribution.uniform(3))
+        RankContext(0.85, row_stochastic(g1))
     with pytest.raises(DomainError, match="alpha"):
-        fundamental_matrix(1.0, p_u)
+        RankContext(1.0, row_stochastic(g1, np.full(3, 1.0 / 3.0)))
 
 
 def test_structure_report_g1(ctx1):
@@ -94,7 +90,7 @@ def test_structure_holds_for_random_row_stochastic_matrices():
     for _ in range(20):
         n = int(rng.integers(2, 21))
         alpha = float(rng.uniform(0.05, 0.95))
-        fm = fundamental_matrix(alpha, random_row_stochastic(rng, n))
+        fm = RankContext(alpha, random_row_stochastic(rng, n)).fundamental()
         report = verify_structure(fm)
         assert report.column_margins.min() > 0.0
 
@@ -154,10 +150,10 @@ def test_interval_sums_bracket_one(ctx1, ctx2, ctx3):
 
 def test_basis_family_construction():
     fam = basis_family(1, 0.1, 3)
-    assert np.abs(fam.v.v - [0.05, 0.9, 0.05]).max() <= 1e-15
-    assert basis_family(0, 0.5, 2).v.v.tolist() == [0.5, 0.5]
+    assert np.abs(fam.v - [0.05, 0.9, 0.05]).max() <= 1e-15
+    assert basis_family(0, 0.5, 2).v.tolist() == [0.5, 0.5]
     m = basis_family_matrix(0.1, 3)
-    assert np.abs(m[:, 1] - fam.v.v).max() == 0.0
+    assert np.abs(m[:, 1] - fam.v).max() == 0.0
 
 
 def test_basis_family_domain_errors():
@@ -172,20 +168,20 @@ def test_basis_family_domain_errors():
 
 
 def test_concentrated_family_limit_is_matrix_row(ctx1):
-    val = ctx1.rank_component(basis_family(0, 1e-3, 3).v, 0)
+    val = ctx1.rank_weights(basis_family(0, 1e-3, 3).v)[0]
     assert abs(val - BASIS_LIMIT_G1) <= 1e-9
     errors = []
     x = ctx1.fundamental().x
     for eps in (1e-2, 1e-3, 1e-4):
-        pi = ctx1.rank(basis_family(0, eps, 3).v).pi
+        pi = ctx1.rank(basis_family(0, eps, 3)).pi
         errors.append(np.abs(pi - x[0]).max())
         assert errors[-1] <= 2.0 * eps
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_rank_component_affine_in_mixture_weight(ctx2):
-    v0 = basis_family(1, 1e-4, 5).v.v
-    v1 = basis_family(3, 1e-4, 5).v.v
+def test_rank_affine_in_mixture_weight(ctx2):
+    v0 = basis_family(1, 1e-4, 5).v
+    v1 = basis_family(3, 1e-4, 5).v
 
     def f(lam):
         return float(ctx2.rank_weights(lam * v1 + (1 - lam) * v0)[3])
@@ -199,7 +195,7 @@ def test_achieve_value_g1(ctx1):
     assert 0.0 <= result.lam <= 1.0
     assert result.epsilon == 1e-7
     # the returned personalization really produces the achieved value
-    assert abs(ctx1.rank_component(result.v, 0) - result.achieved) <= 1e-15
+    assert abs(ctx1.rank_weights(result.v.v)[0] - result.achieved) <= 1e-15
 
 
 def test_achieve_value_rejects_outside_targets(ctx1):
@@ -207,8 +203,9 @@ def test_achieve_value_rejects_outside_targets(ctx1):
     for target in (0.45, iv.lo, iv.hi, iv.lo - 0.01, iv.hi + 0.01):
         with pytest.raises(DomainError, match="outside"):
             achieve_value(ctx1, 0, target)
-    with pytest.raises(DomainError, match="tol"):
-        achieve_value(ctx1, 0, 0.35, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="tol"):
+            achieve_value(ctx1, 0, 0.35, tol=tol)
 
 
 def test_achieve_value_hits_midpoints_on_random_graphs():
@@ -243,6 +240,34 @@ def test_fundamental_matrix_agrees_with_library_inverse():
 
 def test_context_caches_fundamental(ctx1):
     assert ctx1.fundamental() is ctx1.fundamental()
+
+
+def test_from_graph_builds_p_u_once(monkeypatch):
+    # The edge set becomes an array once, and P_u is built and validated
+    # once, dangling patch included.
+    class CountingEdges(frozenset):
+        iterations = 0
+
+        def __iter__(self):
+            CountingEdges.iterations += 1
+            return super().__iter__()
+
+    g = parse_edge_list("1 2\n2 3\n3 1\n1 3\n4 1")
+    g = type(g)(labels=g.labels, edges=CountingEdges(g.edges))
+    built = []
+    real_post_init = RowStochasticMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(RowStochasticMatrix, "__post_init__", counting)
+    CountingEdges.iterations = 0
+    ctx = RankContext.from_graph(g)
+    assert CountingEdges.iterations == 1
+    assert len(built) == 1
+    assert ctx.p_u is built[0]
+    assert ctx.p_u.dangling_patched
 
 
 def test_context_from_json_graph_with_isolated_node():
@@ -281,12 +306,44 @@ def test_one_factorization_per_context(g1, monkeypatch):
     assert source.count("lu_factor(") == 1
 
 
+def test_oracles_stay_apart_from_production():
+    # The cross-check routes are defined in oracle.py alone, and no
+    # production module reaches them; stochastic.py builds P_u and never
+    # imports the context that solves against it.
+    package = Path(rankreach.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    oracles = {"GoogleMatrix", "google_matrix", "pagerank_power", "_gauss_jordan_inverse"}
+    for module, tree in trees.items():
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert module == "oracle" or not defined & oracles, module
+    assert oracles <= {node.name for node in trees["oracle"].body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for module in ("graph", "stochastic", "localization", "competition", "cli"):
+        used = set()
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        assert not used & oracles, module
+    for node in ast.walk(trees["stochastic"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            assert not any(name.split(".")[-1] == "localization" for name in names)
+
+
 def test_point_queries_match_the_dense_x():
     rng = rng_for(4242)
     for _ in range(8):
         n = int(rng.integers(2, 40))
         base = random_context(rng, n)
-        fm = fundamental_matrix(base.alpha, base.p_u)
+        fm = RankContext(base.alpha, base.p_u).fundamental()
         for i in range(n):
             point = RankContext(base.alpha, base.p_u).interval(i)
             dense = pr_interval(fm, i)

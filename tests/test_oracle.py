@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rankreach.oracle
 from rankreach import (
     DomainError,
     OracleMismatchError,
+    RankContext,
     effective_competitors,
     explicit_inverse_check,
     leadership_group,
@@ -55,17 +55,20 @@ def test_low_concentration_biases_to_vertices():
     assert near_uniform.max(axis=1).max() < 0.999
 
 
-def test_sampler_domain_errors():
-    with pytest.raises(DomainError, match="concentration"):
-        sample_personalization(1, 3, 0.0)
+def test_sampler_domain_errors(ctx1):
+    for concentration in (0.0, 5e-324):
+        with pytest.raises(DomainError, match="concentration"):
+            sample_personalization(1, 3, concentration)
     with pytest.raises(DomainError, match="node"):
         sample_personalization(1, 0)
     with pytest.raises(DomainError, match="seed"):
         sample_personalization(-1, 3)
+    with pytest.raises(DomainError, match="sample count"):
+        monte_carlo_interval(ctx1, [0], 0, 1)
 
 
 def test_monte_carlo_containment_g1(ctx1):
-    report = monte_carlo_interval(ctx1, 1, 10_000, seed=17)
+    [report] = monte_carlo_interval(ctx1, [1], 10_000, seed=17)
     assert report.violations == 0
     assert report.first_violation is None
     assert 0.3872 < report.observed_min
@@ -74,29 +77,33 @@ def test_monte_carlo_containment_g1(ctx1):
 
 
 def test_monte_carlo_containment_g3_hub(ctx3):
-    report = monte_carlo_interval(ctx3, 3, 10_000, seed=23)
+    [report] = monte_carlo_interval(ctx3, [3], 10_000, seed=23)
     assert report.violations == 0
     assert 0.3057 < report.observed_min
     assert report.observed_max < 0.5405
 
 
 def test_monte_carlo_containment_two_cycle(ctx_cycle):
-    report = monte_carlo_interval(ctx_cycle, 0, 5_000, seed=5)
+    [report] = monte_carlo_interval(ctx_cycle, [0], 5_000, seed=5)
     assert report.violations == 0
     assert 0.4594594595 < report.observed_min
     assert report.observed_max < 0.5405405406
 
 
 def test_vertex_biased_sampling_approaches_supremum(ctx1):
-    report = monte_carlo_interval(ctx1, 0, 10_000, seed=29, concentration=0.01)
+    [report] = monte_carlo_interval(ctx1, [0], 10_000, seed=29, concentration=0.01)
     assert report.violations == 0
     assert abs(report.observed_max - X1_EXACT[0, 0]) <= 5e-3
 
 
 def test_monte_carlo_reports_are_reproducible(ctx2):
-    a = monte_carlo_interval(ctx2, 4, 2_000, seed=101)
-    b = monte_carlo_interval(ctx2, 4, 2_000, seed=101)
+    a = monte_carlo_interval(ctx2, [4], 2_000, seed=101)
+    b = monte_carlo_interval(ctx2, [4], 2_000, seed=101)
     assert a == b
+    # one batch serves every node: each report matches its single-node run
+    together = monte_carlo_interval(ctx2, [0, 4], 2_000, seed=101)
+    assert [r.node for r in together] == [0, 4]
+    assert together[1] == a[0]
 
 
 def test_rank_swaps_reference_pairs(ctx1, ctx_cycle):
@@ -160,15 +167,15 @@ def test_gauss_jordan_matches_library_inverse():
 
 
 def test_mismatch_raises(ctx1, monkeypatch):
-    real = rankreach.oracle.fundamental_matrix
+    real = RankContext.fundamental
 
-    def skewed(alpha, p_u):
-        fm = real(alpha, p_u)
+    def skewed(ctx):
+        fm = real(ctx)
         bad = fm.x.copy()
         bad[0, 0] += 1e-6
-        return type(fm)(x=bad, alpha=alpha)
+        return type(fm)(x=bad, alpha=fm.alpha)
 
-    monkeypatch.setattr(rankreach.oracle, "fundamental_matrix", skewed)
+    monkeypatch.setattr(RankContext, "fundamental", skewed)
     with pytest.raises(OracleMismatchError) as err:
         explicit_inverse_check(0.85, ctx1.p_u)
     assert err.value.details["deviation"] >= 1e-7

@@ -5,33 +5,30 @@ from hypothesis import strategies as st
 
 from rankreach import (
     ConvergenceError,
-    DanglingDistribution,
     DomainError,
     ParseError,
     PersonalizationVector,
     RankContext,
     RowStochasticMatrix,
     StochasticConfig,
-    dangling_indicator,
     google_matrix,
     load_config,
     pagerank_power,
-    pagerank_solve,
     parse_edge_list,
     parse_graph_json,
-    patch_dangling,
     row_stochastic,
-    solve_rank_system,
 )
 
 from .golden import UNIFORM_PI_G1, X1_EXACT
 from .helpers import random_graph, rng_for
 
 
-def _patched(g, u=None):
-    if u is None:
-        u = DanglingDistribution.uniform(g.n)
-    return patch_dangling(row_stochastic(g), dangling_indicator(g), u)
+def _patched(g):
+    return row_stochastic(g, np.full(g.n, 1.0 / g.n))
+
+
+def _rank(p_u, v):
+    return RankContext(0.85, p_u).rank(v)
 
 
 def test_row_stochastic_g1_row(g1):
@@ -51,7 +48,7 @@ def test_row_stochastic_g3_split_row(g3):
 
 def test_patch_replaces_dangling_row():
     g = parse_edge_list("1 2")
-    p_u = _patched(g, DanglingDistribution(u=np.array([0.5, 0.5])))
+    p_u = row_stochastic(g, np.array([0.5, 0.5]))
     assert p_u.toarray()[1].tolist() == [0.5, 0.5]
     assert p_u.toarray()[0].tolist() == [0.0, 1.0]
     assert p_u.dangling_patched
@@ -66,14 +63,8 @@ def test_patch_without_dangling_nodes_is_identity(g1):
 
 def test_patch_single_dangling_node():
     g = parse_graph_json('{"nodes": ["1"], "edges": []}')
-    p_u = _patched(g, DanglingDistribution(u=np.array([1.0])))
+    p_u = row_stochastic(g, np.array([1.0]))
     assert p_u.toarray().tolist() == [[1.0]]
-
-
-def test_double_patch_rejected(g1):
-    p_u = _patched(g1)
-    with pytest.raises(DomainError, match="already"):
-        patch_dangling(p_u, dangling_indicator(g1), DanglingDistribution.uniform(3))
 
 
 @settings(max_examples=30)
@@ -149,14 +140,14 @@ def test_power_nonconvergence_carries_residual(g1):
 
 
 def test_solve_two_cycle_is_uniform(cycle2):
-    pi = pagerank_solve(0.85, _patched(cycle2), PersonalizationVector.uniform(2))
+    pi = _rank(_patched(cycle2), PersonalizationVector.uniform(2))
     assert np.abs(pi.pi - 0.5).max() <= 1e-14
 
 
 def test_solve_concentrated_v_approaches_first_row_of_x(g1):
     v = np.full(3, 1e-6 / 2)
     v[0] = 1.0 - 1e-6
-    pi = pagerank_solve(0.85, _patched(g1), PersonalizationVector(v=v))
+    pi = _rank(_patched(g1), PersonalizationVector(v=v))
     assert np.abs(pi.pi - X1_EXACT[0]).max() <= 1e-5
 
 
@@ -168,7 +159,7 @@ def test_solve_agrees_with_power_on_random_graphs():
         g = random_graph(rng, n, density=0.2, dangling_frac=0.3)
         p_u = _patched(g)
         v = PersonalizationVector.uniform(n)
-        direct = pagerank_solve(0.85, p_u, v)
+        direct = _rank(p_u, v)
         power = pagerank_power(google_matrix(0.85, p_u, v))
         assert np.abs(direct.pi - power.pi).max() <= 1e-9
 
@@ -181,7 +172,7 @@ def test_solve_satisfies_defining_identity():
         p_u = _patched(g)
         w = rng.random(n) + 0.01
         v = PersonalizationVector(v=w / w.sum())
-        pi = pagerank_solve(0.85, p_u, v).pi
+        pi = _rank(p_u, v).pi
         lhs = pi @ (np.eye(n) - 0.85 * p_u.toarray())
         assert np.abs(lhs - 0.15 * v.v).max() <= 1e-10
 
@@ -189,7 +180,7 @@ def test_solve_satisfies_defining_identity():
 def test_solvers_cross_validate_on_g3(g3):
     p_u = _patched(g3)
     v = PersonalizationVector.uniform(6)
-    direct = pagerank_solve(0.85, p_u, v)
+    direct = _rank(p_u, v)
     power = pagerank_power(google_matrix(0.85, p_u, v))
     assert np.abs(direct.pi - power.pi).max() <= 1e-10
 
@@ -203,13 +194,13 @@ def test_no_size_cliff_above_2000():
     explicit = 0.15 * np.linalg.inv(np.eye(g.n) - 0.85 * p_dense)
     assert np.abs(ctx.fundamental().x - explicit).max() <= 1e-12
     v = PersonalizationVector.uniform(g.n)
-    direct = pagerank_solve(0.85, ctx.p_u, v)
+    direct = ctx.rank(v)
     power = pagerank_power(google_matrix(0.85, ctx.p_u, v))
     assert np.abs(direct.pi - power.pi).max() <= 1e-9
 
 
-def test_solve_rank_system_accepts_basis_weights(g1):
-    x_row = solve_rank_system(0.85, _patched(g1), np.eye(3)[0])
+def test_rank_weights_accepts_basis_weights(g1):
+    x_row = RankContext(0.85, _patched(g1)).rank_weights(np.eye(3)[0])
     assert np.abs(x_row - X1_EXACT[0]).max() <= 1e-9
 
 
@@ -218,7 +209,7 @@ def test_pagerank_is_positive_and_normalized():
     for _ in range(10):
         n = int(rng.integers(2, 25))
         g = random_graph(rng, n, density=0.2, dangling_frac=0.5)
-        pi = pagerank_solve(0.85, _patched(g), PersonalizationVector.uniform(n)).pi
+        pi = _rank(_patched(g), PersonalizationVector.uniform(n)).pi
         assert pi.min() > 0
         assert abs(pi.sum() - 1.0) <= 1e-10
 
@@ -229,9 +220,8 @@ def test_vector_validation():
     with pytest.raises(DomainError, match="sum to 1"):
         PersonalizationVector(v=np.array([0.5, 0.6]))
     with pytest.raises(DomainError, match="positive"):
-        DanglingDistribution(u=np.array([1.5, -0.5]))
-    u = DanglingDistribution.uniform(4)
-    assert u.u.tolist() == [0.25] * 4
+        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.5, -0.5]))
+    assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
 
 
 def test_config_loading():

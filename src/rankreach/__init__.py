@@ -16,6 +16,7 @@ from .competition import (
     WitnessCertificate,
     competitivity_graph,
     competitivity_interval,
+    competitor_scan,
     effective_competitors,
     leadership_certificate,
     leadership_group,
@@ -103,6 +104,7 @@ __all__ = [
     "basis_family_matrix",
     "competitivity_graph",
     "competitivity_interval",
+    "competitor_scan",
     "effective_competitors",
     "explicit_inverse_check",
     "google_matrix",

@@ -11,17 +11,22 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .competition import (
     competitivity_interval,
+    competitor_scan,
     effective_competitors,
     leadership_group,
 )
 from .errors import DomainError, NumericalError, ParseError
 from .graph import DirectedGraph, parse_edge_list, parse_graph_json
-from .localization import RankContext, achieve_value, pr_interval
+from .localization import FundamentalMatrix, RankContext, achieve_value, pr_interval
 from .oracle import monte_carlo_interval
 from .stochastic import StochasticConfig, load_config
 
@@ -154,18 +159,26 @@ def _json_cell(kind: str, value):
     return value
 
 
-def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: list[list]) -> None:
+def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: Iterable[Sequence]) -> None:
+    names = [name for name, _ in spec]
+    # Label cells (str, or None for none) pass through both formats as they
+    # are: csv writes None as an empty field.  Only the other kinds format.
+    formatted = [(k, kind) for k, (_, kind) in enumerate(spec) if kind != "label"]
+    cell = _json_cell if cfg.output == "json" else _csv_cell
+
+    def cells(row: Sequence) -> list:
+        out = list(row)
+        for k, kind in formatted:
+            out[k] = cell(kind, out[k])
+        return out
+
     if cfg.output == "json":
-        payload = [
-            {name: _json_cell(kind, v) for (name, kind), v in zip(spec, row)}
-            for row in rows
-        ]
+        payload = [dict(zip(names, cells(row))) for row in rows]
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow([name for name, _ in spec])
-    for row in rows:
-        writer.writerow([_csv_cell(kind, v) for (_, kind), v in zip(spec, row)])
+    writer.writerow(names)
+    writer.writerows(map(cells, rows))
 
 
 def _cmd_pagerank(cfg, g, ctx, args):
@@ -198,14 +211,20 @@ def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
     return g.index_of(parts[0]), g.index_of(parts[1])
 
 
+def _scan_rows(g: DirectedGraph, fm: FundamentalMatrix) -> Iterator[tuple]:
+    """Rows of the full competitor scan, the pairs i < j in row-major order."""
+    labels = np.array(g.labels, dtype=object)
+    for i, competes, above, below in competitor_scan(fm):
+        yield from zip(
+            repeat(g.labels[i]),
+            g.labels[i + 1:],
+            competes.tolist(),
+            np.where(competes, labels[above], None).tolist(),
+            np.where(competes, labels[below], None).tolist(),
+        )
+
+
 def _cmd_competitors(cfg, g, ctx, args):
-    if args.pair:
-        # one pair reads two columns of X, which the context solves for alone
-        columns = ctx
-        pairs = [_parse_pair(g, args.pair)]
-    else:
-        columns = ctx.fundamental()
-        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     spec = [
         ("i", "label"),
         ("j", "label"),
@@ -213,19 +232,20 @@ def _cmd_competitors(cfg, g, ctx, args):
         ("witness_k", "label"),
         ("witness_l", "label"),
     ]
-    rows = []
-    for i, j in pairs:
-        verdict = effective_competitors(columns, i, j)
-        rows.append(
-            [
-                g.labels[i],
-                g.labels[j],
-                verdict.competes,
-                None if verdict.witness_k is None else g.labels[verdict.witness_k],
-                None if verdict.witness_l is None else g.labels[verdict.witness_l],
-            ]
-        )
-    _emit(cfg, spec, rows)
+    if not args.pair:
+        _emit(cfg, spec, _scan_rows(g, ctx.fundamental()))
+        return
+    # one pair reads two columns of X, which the context solves for alone
+    i, j = _parse_pair(g, args.pair)
+    verdict = effective_competitors(ctx, i, j)
+    row = [
+        g.labels[i],
+        g.labels[j],
+        verdict.competes,
+        None if verdict.witness_k is None else g.labels[verdict.witness_k],
+        None if verdict.witness_l is None else g.labels[verdict.witness_l],
+    ]
+    _emit(cfg, spec, [row])
 
 
 def _cmd_leaders(cfg, g, ctx, args):

@@ -2,11 +2,16 @@
 
 All verdicts come from column and row comparisons of the fundamental
 matrix; the certificate constructors then exhibit explicit personalization
-vectors realizing each verdict.
+vectors realizing each verdict.  Nodes i and j compete exactly when
+X[:, i] - X[:, j] changes sign.  One kernel, ``_verdicts``, compares a
+column with a block of columns; ``effective_competitors`` asks it about
+one pair, and ``competitor_scan`` about all n(n-1)/2 pairs, one row of
+the upper triangle at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,9 @@ from .stochastic import PageRankVector
 # competitors nor leaders.  Being conservative never fabricates a verdict.
 STRICT_MARGIN = 1e-9
 EPSILON_FLOOR = 1e-12
+# Competitor scans compare column i with this many later columns at a time,
+# which bounds the temporaries at n * SCAN_BLOCK floats.
+SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,18 @@ class WitnessCertificate:
     rank_low: PageRankVector
 
 
+def _verdicts(
+    col_i: np.ndarray, cols: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verdicts of column i against each column of ``cols``: whether the
+    difference changes sign beyond ``margin``, with the first row above
+    and the first row below (meaningful only where the pair competes)."""
+    d = col_i[:, None] - cols
+    above = d > margin
+    below = d < -margin
+    return above.any(0) & below.any(0), above.argmax(0), below.argmax(0)
+
+
 def effective_competitors(
     fm: FundamentalMatrix | RankContext, i: int, j: int, margin: float = STRICT_MARGIN
 ) -> CompetitionVerdict:
@@ -81,10 +101,8 @@ def effective_competitors(
     for idx in (i, j):
         if not 0 <= idx < fm.n:
             raise DomainError(f"node index {idx} out of range")
-    diff = fm.column(i) - fm.column(j)
-    above = np.flatnonzero(diff > margin)
-    below = np.flatnonzero(diff < -margin)
-    if above.size and below.size:
+    competes, above, below = _verdicts(fm.column(i), fm.column(j)[:, None], margin)
+    if competes[0]:
         return CompetitionVerdict(
             i=i, j=j, competes=True,
             witness_k=int(above[0]), witness_l=int(below[0]),
@@ -92,15 +110,33 @@ def effective_competitors(
     return CompetitionVerdict(i=i, j=j, competes=False)
 
 
+def competitor_scan(
+    fm: FundamentalMatrix, margin: float = STRICT_MARGIN
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Verdicts of every pair i < j, in row-major order.
+
+    Yields ``(i, competes, witness_k, witness_l)`` for i = 0 .. n-2, each
+    array indexed by j - i - 1 over j = i+1 .. n-1; the witnesses are the
+    rows ``effective_competitors`` reports and are meaningful only where
+    ``competes`` holds."""
+    x = fm.x
+    n = fm.n
+    for i in range(n - 1):
+        blocks = [
+            _verdicts(x[:, i], x[:, start:start + SCAN_BLOCK], margin)
+            for start in range(i + 1, n, SCAN_BLOCK)
+        ]
+        yield (i, *(np.concatenate(parts) for parts in zip(*blocks)))
+
+
 def competitivity_graph(
     fm: FundamentalMatrix, margin: float = STRICT_MARGIN
 ) -> set[tuple[int, int]]:
     """All competing pairs (i, j) with i < j."""
     pairs = set()
-    for i in range(fm.n):
-        for j in range(i + 1, fm.n):
-            if effective_competitors(fm, i, j, margin=margin).competes:
-                pairs.add((i, j))
+    for i, competes, _, _ in competitor_scan(fm, margin):
+        js = np.flatnonzero(competes) + (i + 1)
+        pairs.update(zip([i] * js.size, js.tolist()))
     return pairs
 
 
@@ -108,18 +144,22 @@ def leadership_group(
     fm: FundamentalMatrix, margin: float = STRICT_MARGIN
 ) -> LeadershipGroup:
     """Union of strict row maxima of X; tied rows contribute no leader."""
-    leaders: set[int] = set()
-    witness: dict[int, int] = {}
     if fm.n == 1:
         return LeadershipGroup(leaders=frozenset({0}), witness_rows={0: 0})
-    for row_idx in range(fm.n):
-        row = fm.x[row_idx]
-        order = np.argsort(row)
-        top, second = int(order[-1]), int(order[-2])
-        if row[top] - row[second] > margin:
-            leaders.add(top)
-            witness.setdefault(top, row_idx)
-    return LeadershipGroup(leaders=frozenset(leaders), witness_rows=witness)
+    x = fm.x
+    every_row = np.arange(fm.n)
+    top = x.argmax(1)
+    # Masking each row's top leaves its runner-up as the row maximum (a tied
+    # top stays, so the gap is 0).  One max over a copy of X measured twice
+    # as fast as np.partition, with half the temporaries.
+    rest = x.copy(order="K")
+    rest[every_row, top] = -np.inf
+    rows = np.flatnonzero(x[every_row, top] - rest.max(1) > margin)
+    leaders, first = np.unique(top[rows], return_index=True)
+    return LeadershipGroup(
+        leaders=frozenset(leaders.tolist()),
+        witness_rows=dict(zip(leaders.tolist(), rows[first].tolist())),
+    )
 
 
 def competitivity_interval(

@@ -368,13 +368,15 @@ def achieve_value(
         raise DomainError(f"tol must be finite, got {tol}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    epsilon = min(1e-6, tol / 10.0)
+    if epsilon == 0.0:
+        raise DomainError(f"tol {tol!r} is too small: tol/10 underflows to 0")
     interval = ctx.interval(i)
     if not interval.lo < target < interval.hi:
         raise DomainError(
             f"target {target!r} outside the attainable open interval "
             f"({interval.lo!r}, {interval.hi!r})"
         )
-    epsilon = min(1e-6, tol / 10.0)
     v_top = basis_family(i, epsilon, ctx.n).v
     v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v
 

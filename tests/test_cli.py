@@ -269,6 +269,17 @@ def test_single_node_graph_intervals_exit_1(capsys, tmp_path):
     assert "single-node" in err
 
 
+def test_single_node_graph_competitors_print_only_the_header(capsys, tmp_path):
+    path = tmp_path / "one.edges"
+    path.write_text("1 1\n")
+    code, out, _ = invoke(capsys, "competitors", str(path))
+    assert code == 0
+    assert out == "i,j,competes,witness_k,witness_l\n"
+    code, out, _ = invoke(capsys, "competitors", "--output", "json", str(path))
+    assert code == 0
+    assert out == "[]\n"
+
+
 def test_numerical_failure_exits_2_with_json_diagnostic(capsys, monkeypatch):
     def broken(fm):
         raise StructureError("synthetic breakdown", details={"worst_margin": -1.0})

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+import rankreach.cli
+import rankreach.competition
 from rankreach import (
+    STRICT_MARGIN,
     DomainError,
     FundamentalMatrix,
+    RankContext,
     competitivity_graph,
     competitivity_interval,
+    competitor_scan,
     effective_competitors,
     leadership_certificate,
     leadership_group,
     witness_epsilon,
 )
 
+from .conftest import GRAPH_DIR
 from .golden import (
     COMPETING_G1,
     COMPETING_G2,
@@ -23,7 +29,7 @@ from .golden import (
     WITNESS_ROWS_G2,
     WITNESS_ROWS_G3,
 )
-from .helpers import random_context, rng_for
+from .helpers import random_context, random_graph, rng_for
 
 
 def test_g1_outer_pair_competes_with_witness_rows(ctx1):
@@ -166,3 +172,162 @@ def test_witness_certificates_on_random_graphs():
             cert = witness_epsilon(ctx, effective_competitors(x, i, j))
             assert cert.rank_high.pi[i] > cert.rank_high.pi[j]
             assert cert.rank_low.pi[i] < cert.rank_low.pi[j]
+
+
+def _pairwise_reference(fm):
+    """Verdict and witness rows of every pair i < j, by the per-pair
+    comparison that the scan replaced."""
+    expected = {}
+    for i in range(fm.n):
+        for j in range(i + 1, fm.n):
+            diff = fm.x[:, i] - fm.x[:, j]
+            above = np.flatnonzero(diff > STRICT_MARGIN)
+            below = np.flatnonzero(diff < -STRICT_MARGIN)
+            if above.size and below.size:
+                expected[(i, j)] = (True, int(above[0]), int(below[0]))
+            else:
+                expected[(i, j)] = (False, None, None)
+    return expected
+
+
+def _assert_scan_matches_pairs(fm):
+    expected = _pairwise_reference(fm)
+    seen = {}
+    for i, competes, above, below in competitor_scan(fm):
+        assert competes.shape == above.shape == below.shape == (fm.n - i - 1,)
+        for offset, verdict in enumerate(competes.tolist()):
+            j = i + 1 + offset
+            if verdict:
+                seen[(i, j)] = (True, int(above[offset]), int(below[offset]))
+            else:
+                seen[(i, j)] = (False, None, None)
+    assert list(seen) == list(expected)  # the same pairs, row-major
+    assert seen == expected
+    for (i, j), ref in expected.items():
+        v = effective_competitors(fm, i, j)
+        assert (v.competes, v.witness_k, v.witness_l) == ref
+    assert competitivity_graph(fm) == {p for p, v in expected.items() if v[0]}
+
+
+def _margin_matrix():
+    """X whose column differences against column 0 sit exactly at, just
+    inside and just outside STRICT_MARGIN; the last two columns are random
+    draws from the same values."""
+    m, d = STRICT_MARGIN, 1e-12
+    x = np.zeros((9, 9))
+    x[1:3, 1] = m, -m                  # at the margin both ways: no
+    x[1:3, 2] = m + d, -(m + d)        # past it both ways: competes
+    x[1:3, 3] = m - d, -(m - d)        # inside it both ways: no
+    x[1:3, 4] = m + d, -m              # past it one way only: no
+    x[1:3, 5] = m, -(m + d)            # past it the other way only: no
+    x[[0, 3], 6] = -(m + d), m + d     # competes, witnesses rows 0 and 3
+    values = np.array([0.0, m, -m, m + d, -(m + d), m - d, -(m - d)])
+    x[:, 7:] = rng_for(5).choice(values, size=(9, 2))
+    return FundamentalMatrix(x=x, alpha=0.85)
+
+
+def test_scan_matches_pairwise_verdicts(ctx1, ctx2, ctx3, ctx_cycle):
+    for ctx in (ctx1, ctx2, ctx3, ctx_cycle):
+        _assert_scan_matches_pairs(ctx.fundamental())
+    _assert_scan_matches_pairs(random_context(rng_for(50), 50).fundamental())
+
+
+def test_scan_resolves_differences_at_the_margin():
+    fm = _margin_matrix()
+    _assert_scan_matches_pairs(fm)
+    _, competes, above, below = next(competitor_scan(fm))
+    # pairs (0, j) for j = 1..6
+    assert competes[:6].tolist() == [False, True, False, False, False, True]
+    assert (above[1], below[1]) == (2, 1)
+    assert (above[5], below[5]) == (0, 3)
+
+
+def test_scan_spans_several_blocks():
+    n = 2 * rankreach.competition.SCAN_BLOCK + 5
+    ctx = RankContext.from_graph(random_graph(rng_for(77), n, density=0.05))
+    _assert_scan_matches_pairs(ctx.fundamental())
+    # columns more than 50 apart differ by more than the noise: no verdict
+    noise = rng_for(78).random((n, n)) * 0.1
+    fm = FundamentalMatrix(x=noise + 0.002 * np.arange(n), alpha=0.85)
+    _assert_scan_matches_pairs(fm)
+    assert 0 < len(competitivity_graph(fm)) < n * (n - 1) // 2
+
+
+def test_scan_of_single_node_has_no_pairs():
+    fm = FundamentalMatrix(x=np.ones((1, 1)), alpha=0.85)
+    assert list(competitor_scan(fm)) == []
+    assert competitivity_graph(fm) == set()
+
+
+def test_every_verdict_goes_through_one_kernel(ctx2, monkeypatch):
+    calls = []
+    real = rankreach.competition._verdicts
+
+    def counting(col_i, cols, margin):
+        calls.append(cols.shape[1])
+        return real(col_i, cols, margin)
+
+    monkeypatch.setattr(rankreach.competition, "_verdicts", counting)
+    fm = ctx2.fundamental()
+    effective_competitors(fm, 0, 1)
+    assert calls == [1]
+    list(competitor_scan(fm))
+    assert calls[1:] == [4, 3, 2, 1]
+    competitivity_graph(fm)
+    assert calls[5:] == [4, 3, 2, 1]
+
+
+def test_cli_full_scan_makes_no_pairwise_calls(capsys, monkeypatch):
+    calls = []
+    real = rankreach.competition.effective_competitors
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    for module in (rankreach.competition, rankreach.cli):
+        monkeypatch.setattr(module, "effective_competitors", counting)
+    assert rankreach.cli.run(["competitors", str(GRAPH_DIR / "g2.edges")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 10
+    assert calls == []
+
+
+def _leaders_by_row_sort(fm, margin=STRICT_MARGIN):
+    """The per-row argsort that leadership_group replaced."""
+    if fm.n == 1:
+        return frozenset({0}), {0: 0}
+    leaders, witness = set(), {}
+    for row_idx in range(fm.n):
+        row = fm.x[row_idx]
+        order = np.argsort(row)
+        top, second = int(order[-1]), int(order[-2])
+        if row[top] - row[second] > margin:
+            leaders.add(top)
+            witness.setdefault(top, row_idx)
+    return frozenset(leaders), witness
+
+
+def test_leadership_group_matches_row_sort():
+    rng = rng_for(9090)
+    matrices = [random_context(rng, int(rng.integers(2, 40))).fundamental()
+                for _ in range(10)]
+    m, d = STRICT_MARGIN, 1e-12
+    crafted = np.zeros((7, 7))
+    crafted[0, [2, 5]] = 0.5            # exact tie at the top: no leader
+    crafted[1, 3], crafted[1, 4] = m + d, 0.0     # zero row apart from 3
+    crafted[2, 4] = m - d               # gap just inside the margin: no leader
+    crafted[3, 4] = m                   # gap exactly at the margin: no leader
+    crafted[4, 3] = 2 * m + d           # leader 3 again, later row
+    crafted[5, [1, 6]] = m + d, 0.0
+    crafted[5, 0] = -1.0
+    crafted[6, [0, 1]] = 0.25, 0.25 - m - d
+    matrices.append(FundamentalMatrix(x=crafted, alpha=0.85))
+    matrices.append(FundamentalMatrix(x=np.ones((1, 1)), alpha=0.85))
+    for fm in matrices:
+        group = leadership_group(fm)
+        leaders, witness = _leaders_by_row_sort(fm)
+        assert group.leaders == leaders
+        assert group.witness_rows == witness
+    group = leadership_group(matrices[-2])
+    assert group.leaders == {0, 1, 3}
+    assert group.witness_rows == {0: 6, 1: 5, 3: 1}

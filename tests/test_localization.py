@@ -42,7 +42,7 @@ from .golden import (
     X2_4DP,
     X3_4DP,
 )
-from .helpers import random_context, random_row_stochastic, rng_for
+from .helpers import random_context, random_graph, random_row_stochastic, rng_for
 
 
 def test_fundamental_matrix_g1(ctx1):
@@ -93,6 +93,17 @@ def test_structure_holds_for_random_row_stochastic_matrices():
         fm = RankContext(alpha, random_row_stochastic(rng, n)).fundamental()
         report = verify_structure(fm)
         assert report.column_margins.min() > 0.0
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1.0 - 1e-6])
+def test_structure_holds_at_extreme_alpha(alpha, g1, g2, g3, cycle2):
+    graphs = (g1, g2, g3, cycle2, random_graph(rng_for(55), 50))
+    for g in graphs:
+        fm = RankContext.from_graph(g, alpha=alpha).fundamental()
+        report = verify_structure(fm)
+        assert report.column_margins.min() > 0.0
+        assert report.min_entry >= 0.0
+        assert report.max_row_sum_error <= 1e-10
 
 
 def test_structure_detects_tampering():
@@ -203,7 +214,7 @@ def test_achieve_value_rejects_outside_targets(ctx1):
     for target in (0.45, iv.lo, iv.hi, iv.lo - 0.01, iv.hi + 0.01):
         with pytest.raises(DomainError, match="outside"):
             achieve_value(ctx1, 0, target)
-    for tol in (0.0, np.nan, np.inf):
+    for tol in (0.0, np.nan, np.inf, 5e-324):
         with pytest.raises(DomainError, match="tol"):
             achieve_value(ctx1, 0, 0.35, tol=tol)
 

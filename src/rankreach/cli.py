@@ -1,7 +1,9 @@
 """Command-line front end: reproducible graph analyses, CSV or JSON output.
 
-Exit codes: 0 success, 1 parse/domain errors (including usage errors),
-2 numerical failures, which also print a JSON diagnostic to stderr.
+Exit codes: 0 success, 1 parse/domain errors (including usage errors)
+and a stdout closed before the output ends (a broken pipe, as in
+``rankreach competitors g | head -1``), 2 numerical failures, which also
+print a JSON diagnostic to stderr.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -58,42 +60,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: graph source, model parameters, output shape."""
-
-    input_path: str
-    format: str
-    output: str
-    model: StochasticConfig
-    seed: int | None = None
-    epsilon: float = 0.01
-    samples: int = 10000
-    concentration: float = 1.0
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        base = StochasticConfig()
-        if getattr(args, "config", None):
-            base = load_config(_read_text(args.config))
-        model = StochasticConfig(
-            alpha=args.alpha if args.alpha is not None else base.alpha,
-            u_spec=_vector_spec(args.u, base.u_spec),
-            v_spec=_vector_spec(args.v, base.v_spec),
-        )
-        fmt = args.format
-        if fmt is None:
-            fmt = "json" if args.graph.endswith(".json") else "edgelist"
-        return cls(
-            input_path=args.graph,
-            format=fmt,
-            output=args.output or "csv",
-            model=model,
-            seed=getattr(args, "seed", None),
-            epsilon=getattr(args, "epsilon", 0.01),
-            samples=getattr(args, "samples", 10000),
-            concentration=getattr(args, "concentration", 1.0),
-        )
+def _model(args: argparse.Namespace) -> StochasticConfig:
+    """The model of an invocation: its flags merged over ``--config``."""
+    base = StochasticConfig()
+    if args.config:
+        base = load_config(_read_text(args.config))
+    return StochasticConfig(
+        alpha=args.alpha if args.alpha is not None else base.alpha,
+        u_spec=_vector_spec(args.u, base.u_spec),
+        v_spec=_vector_spec(args.v, base.v_spec),
+    )
 
 
 def _read_text(path: str) -> str:
@@ -128,9 +104,10 @@ def _read_vector_file(path: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _load_graph(cfg: RunConfig) -> DirectedGraph:
-    text = _read_text(cfg.input_path)
-    if cfg.format == "json":
+def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
+    """Parse the graph file, in the format given or else implied by its name."""
+    text = _read_text(path)
+    if fmt == "json" or (fmt is None and path.endswith(".json")):
         return parse_graph_json(text)
     return parse_edge_list(text)
 
@@ -159,12 +136,14 @@ def _json_cell(kind: str, value):
     return value
 
 
-def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: Iterable[Sequence]) -> None:
+def _emit(
+    args: argparse.Namespace, spec: list[tuple[str, str]], rows: Iterable[Sequence]
+) -> None:
     names = [name for name, _ in spec]
     # Label cells (str, or None for none) pass through both formats as they
     # are: csv writes None as an empty field.  Only the other kinds format.
     formatted = [(k, kind) for k, (_, kind) in enumerate(spec) if kind != "label"]
-    cell = _json_cell if cfg.output == "json" else _csv_cell
+    cell = _json_cell if args.output == "json" else _csv_cell
 
     def cells(row: Sequence) -> list:
         out = list(row)
@@ -172,7 +151,7 @@ def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: Iterable[Sequence])
             out[k] = cell(kind, out[k])
         return out
 
-    if cfg.output == "json":
+    if args.output == "json":
         payload = [dict(zip(names, cells(row))) for row in rows]
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return
@@ -181,27 +160,27 @@ def _emit(cfg: RunConfig, spec: list[tuple[str, str]], rows: Iterable[Sequence])
     writer.writerows(map(cells, rows))
 
 
-def _cmd_pagerank(cfg, g, ctx, args):
-    pi = ctx.rank(cfg.model.personalization(g.n)).pi
+def _cmd_pagerank(model, g, ctx, args):
+    pi = ctx.rank(model.personalization(g.n)).pi
     spec = [("node", "label"), ("pagerank", "f6")]
-    _emit(cfg, spec, [[g.labels[i], float(pi[i])] for i in range(g.n)])
+    _emit(args, spec, [[g.labels[i], float(pi[i])] for i in range(g.n)])
 
 
-def _cmd_xmatrix(cfg, g, ctx, args):
+def _cmd_xmatrix(model, g, ctx, args):
     x = ctx.fundamental().x
     spec = [("node", "label")] + [(label, "f6") for label in g.labels]
     rows = [[g.labels[i], *map(float, x[i])] for i in range(g.n)]
-    _emit(cfg, spec, rows)
+    _emit(args, spec, rows)
 
 
-def _cmd_intervals(cfg, g, ctx, args):
+def _cmd_intervals(model, g, ctx, args):
     x = ctx.fundamental()
     spec = [("node", "label"), ("lo", "f6"), ("hi", "f6"), ("lo_witness", "label")]
     rows = []
     for i in range(g.n):
         iv = pr_interval(x, i)
         rows.append([g.labels[i], iv.lo, iv.hi, g.labels[iv.lo_witness]])
-    _emit(cfg, spec, rows)
+    _emit(args, spec, rows)
 
 
 def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
@@ -224,7 +203,7 @@ def _scan_rows(g: DirectedGraph, fm: FundamentalMatrix) -> Iterator[tuple]:
         )
 
 
-def _cmd_competitors(cfg, g, ctx, args):
+def _cmd_competitors(model, g, ctx, args):
     spec = [
         ("i", "label"),
         ("j", "label"),
@@ -233,7 +212,7 @@ def _cmd_competitors(cfg, g, ctx, args):
         ("witness_l", "label"),
     ]
     if not args.pair:
-        _emit(cfg, spec, _scan_rows(g, ctx.fundamental()))
+        _emit(args, spec, _scan_rows(g, ctx.fundamental()))
         return
     # one pair reads two columns of X, which the context solves for alone
     i, j = _parse_pair(g, args.pair)
@@ -245,30 +224,30 @@ def _cmd_competitors(cfg, g, ctx, args):
         None if verdict.witness_k is None else g.labels[verdict.witness_k],
         None if verdict.witness_l is None else g.labels[verdict.witness_l],
     ]
-    _emit(cfg, spec, [row])
+    _emit(args, spec, [row])
 
 
-def _cmd_leaders(cfg, g, ctx, args):
+def _cmd_leaders(model, g, ctx, args):
     group = leadership_group(ctx.fundamental())
     spec = [("leader", "label"), ("witness_row", "label")]
     rows = [
         [g.labels[i], g.labels[group.witness_rows[i]]]
         for i in sorted(group.leaders)
     ]
-    _emit(cfg, spec, rows)
+    _emit(args, spec, rows)
 
 
-def _cmd_sc_interval(cfg, g, ctx, args):
+def _cmd_sc_interval(model, g, ctx, args):
     nodes = [g.index_of(args.node)] if args.node else list(range(g.n))
     spec = [("node", "label"), ("epsilon", "g6"), ("lo", "f6"), ("hi", "f6")]
     rows = []
     for i in nodes:
-        sc = competitivity_interval(ctx, i, cfg.epsilon)
+        sc = competitivity_interval(ctx, i, args.epsilon)
         rows.append([g.labels[i], sc.epsilon, sc.lo, sc.hi])
-    _emit(cfg, spec, rows)
+    _emit(args, spec, rows)
 
 
-def _cmd_achieve(cfg, g, ctx, args):
+def _cmd_achieve(model, g, ctx, args):
     i = g.index_of(args.node)
     try:
         result = achieve_value(ctx, i, args.target, args.tol)
@@ -281,11 +260,11 @@ def _cmd_achieve(cfg, g, ctx, args):
         ("lambda", "f6"),
         ("epsilon", "g6"),
     ]
-    _emit(cfg, spec, [[g.labels[i], args.target, result.achieved,
+    _emit(args, spec, [[g.labels[i], args.target, result.achieved,
                        result.lam, result.epsilon]])
 
 
-def _cmd_verify(cfg, g, ctx, args):
+def _cmd_verify(model, g, ctx, args):
     if args.node:
         nodes = [g.index_of(args.node)]
     else:
@@ -294,7 +273,7 @@ def _cmd_verify(cfg, g, ctx, args):
     per_node = {}
     bad = []
     for rep in monte_carlo_interval(
-        ctx, nodes, cfg.samples, cfg.seed, concentration=cfg.concentration
+        ctx, nodes, args.samples, args.seed, concentration=args.concentration
     ):
         per_node[g.labels[rep.node]] = {
             "samples": rep.samples,
@@ -308,10 +287,10 @@ def _cmd_verify(cfg, g, ctx, args):
             bad.append(g.labels[rep.node])
     report = {
         "pass": not bad,
-        "alpha": round(cfg.model.alpha, 6),
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "concentration": float(f"{cfg.concentration:.6g}"),
+        "alpha": round(model.alpha, 6),
+        "samples": args.samples,
+        "seed": args.seed,
+        "concentration": float(f"{args.concentration:.6g}"),
         "nodes": per_node,
     }
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -395,12 +374,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig.from_args(args)
-        g = _load_graph(cfg)
+        model = _model(args)
+        g = _load_graph(args.graph, args.format)
         ctx = RankContext.from_graph(
-            g, alpha=cfg.model.alpha, u=cfg.model.dangling_distribution(g.n)
+            g, alpha=model.alpha, u=model.dangling_distribution(g.n)
         )
-        args.handler(cfg, g, ctx, args)
+        args.handler(model, g, ctx, args)
     except NumericalError as exc:
         diagnostic = {
             "error": type(exc).__name__,
@@ -416,7 +395,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader went away: point stdout at devnull, so that the
+        # interpreter's final flush of the rest cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

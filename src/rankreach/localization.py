@@ -10,7 +10,7 @@ mixing two concentrated personalizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +35,7 @@ ROW_SUM_CHECK_TOL = 1e-10
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
-# Residuals of X are checked this many columns at a time, which bounds the
+# Columns of X are checked this many at a time, which bounds the
 # temporaries at n * RESIDUAL_BLOCK floats; narrow blocks stay in cache and
 # measured faster than 256 or 512 columns at n = 300 to 2000.
 RESIDUAL_BLOCK = 64
@@ -47,10 +47,13 @@ class FundamentalMatrix:
 
     x: np.ndarray
     alpha: float
+    # RankContext.fundamental hands over the X its solve wrote, kept as it is;
+    # any other array is copied, so freezing X never freezes a caller's array.
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         # Column-major: intervals and competitor verdicts read columns.
-        x = np.array(self.x, dtype=float, order="F")
+        x = self.x if _adopt else np.array(self.x, dtype=float, order="F")
         if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
         if not 0.0 < self.alpha < 1.0:
@@ -71,7 +74,7 @@ class StructureReport:
     """Verified structural facts about a computed X.
 
     ``column_margins[i]`` is the diagonal entry minus the largest
-    off-diagonal entry of column i, strictly positive for every column.
+    off-diagonal entry of column i (inf if it has none), strictly positive.
     """
 
     column_margins: np.ndarray
@@ -136,23 +139,31 @@ def _check_structure(
         )
 
 
+def _column_margins(cols: np.ndarray, first: int) -> tuple[float, np.ndarray]:
+    """Minimum entry and dominance margins of X's columns first, first + 1,
+    ..., held side by side in ``cols``: each diagonal entry minus the
+    largest other entry of its column."""
+    k = np.arange(cols.shape[1])
+    off_diag = cols.copy()
+    off_diag[first + k, k] = -np.inf
+    return float(cols.min()), cols[first + k, k] - off_diag.max(axis=0)
+
+
 def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     """Check the guaranteed structure of X; a violation means solver breakdown.
 
     Asserts entrywise nonnegativity, unit row sums, and that each diagonal
-    entry strictly dominates its column.  Returns the per-column dominance
-    margins on success, raises :class:`StructureError` otherwise.
+    entry strictly dominates its column, read in blocks of columns.  Returns
+    the per-column dominance margins, raises :class:`StructureError` else.
     """
     x = fm.x
-    n = fm.n
-    min_entry = float(x.min())
+    blocks = [
+        _column_margins(x[:, start:start + RESIDUAL_BLOCK], start)
+        for start in range(0, fm.n, RESIDUAL_BLOCK)
+    ]
+    min_entry = min(block_min for block_min, _ in blocks)
+    margins = np.concatenate([block_margins for _, block_margins in blocks])
     row_sum_error = float(np.abs(x.sum(axis=1) - 1.0).max())
-    off_diag = x.copy()
-    np.fill_diagonal(off_diag, -np.inf)
-    if n == 1:
-        margins = np.array([np.diag(x)[0]])
-    else:
-        margins = np.diag(x) - off_diag.max(axis=0)
     _check_structure(min_entry, row_sum_error, margins, first_column=0)
     margins.flags.writeable = False
     return StructureReport(
@@ -209,10 +220,10 @@ class RankContext:
 
     Owns the package's only factorization: one LU of the rank system
     A_t = I - alpha P_u^T, made on first use.  Every solve goes through
-    it: rank vectors and rows of X solve with A_t, single columns of X
-    with its transpose.  X itself is built and verified at most once, and
-    point queries (one interval, one pair) solve only the columns they
-    read unless X is already built.
+    it: rank vectors solve with A_t, and X, whole or a column at a time,
+    with its transpose A_t^T = I - alpha P_u.  X itself is built and
+    verified at most once, and point queries (one interval, one pair)
+    solve only the columns they read unless X is already built.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -264,6 +275,14 @@ class RankContext:
         y += x
         return y
 
+    def _check_column_residuals(self, cols: np.ndarray, first: int) -> None:
+        """Check A_t^T X = (1 - alpha) I on X's columns first, first + 1,
+        ..., solved into ``cols``: a block of X, or one column of it."""
+        r = self._system_times(cols, 1)
+        k = np.arange(cols.shape[1])
+        r[first + k, k] -= 1.0 - self.alpha
+        _check_residual(r, "column", first=first)
+
     def rank_weights(
         self, weights: np.ndarray, check_residual: bool = False
     ) -> np.ndarray:
@@ -290,24 +309,20 @@ class RankContext:
     def fundamental(self) -> FundamentalMatrix:
         """Structure-verified X, computed once.
 
-        Row j of X solves the rank system with weight e_j; basis vectors
-        are admissible weights for the linear system even though they are
-        not admissible personalizations.  Each row's residual is checked.
+        Column i of X solves A_t^T x = (1 - alpha) e_i, as in
+        :meth:`column`; all n columns are one transposed solve, which
+        overwrites the Fortran-order right-hand side with X in place.  Each
+        column's residual is checked.
         """
         if self._fundamental is None:
-            n = self.n
-            b = np.eye(n)
-            b *= 1.0 - self.alpha
-            # b is symmetric, so b.T is the Fortran-order right-hand side
-            # that lu_solve overwrites with X^T in place.
-            xt = scipy.linalg.lu_solve(self._factorization(), b.T, overwrite_b=True)
-            for start in range(0, n, RESIDUAL_BLOCK):
-                r = self._system_times(xt[:, start:start + RESIDUAL_BLOCK], 0)
-                k = np.arange(r.shape[1])
-                r[start + k, k] -= 1.0 - self.alpha
-                _check_residual(r, "row", first=start)
-            fm = FundamentalMatrix(x=xt.T, alpha=self.alpha)
-            del b, xt  # free the solve buffer before verify_structure copies X
+            x = np.eye(self.n, order="F")
+            x *= 1.0 - self.alpha
+            x = scipy.linalg.lu_solve(
+                self._factorization(), x, trans=1, overwrite_b=True
+            )
+            for start in range(0, self.n, RESIDUAL_BLOCK):
+                self._check_column_residuals(x[:, start:start + RESIDUAL_BLOCK], start)
+            fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             self._structure = verify_structure(fm)
             self._fundamental = fm
         return self._fundamental
@@ -333,18 +348,13 @@ class RankContext:
             raise DomainError(f"node index {i} out of range")
         if self._fundamental is not None:
             return self._fundamental.column(i)
-        b = np.zeros(self.n)
+        b = np.zeros((self.n, 1))
         b[i] = 1.0 - self.alpha
         col = scipy.linalg.lu_solve(self._factorization(), b, trans=1)
-        r = self._system_times(col, 1)
-        r -= b
-        _check_residual(r, "column", first=i)
-        off_diag = np.delete(col, i)
-        margin = col[i] - off_diag.max() if off_diag.size else col[i]
-        _check_structure(
-            float(col.min()), self._row_sums(), np.array([margin]), first_column=i
-        )
-        return col
+        self._check_column_residuals(col, i)
+        min_entry, margins = _column_margins(col, i)
+        _check_structure(min_entry, self._row_sums(), margins, first_column=i)
+        return col[:, 0]
 
     def interval(self, i: int) -> PRInterval:
         return pr_interval(self, i)

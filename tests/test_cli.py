@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -292,6 +295,27 @@ def test_numerical_failure_exits_2_with_json_diagnostic(capsys, monkeypatch):
     assert diagnostic["details"]["worst_margin"] == -1.0
 
 
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
+    # As in `rankreach competitors star.edges | head -1`: about 370 KB of
+    # CSV, far past what a pipe buffers, so the writer meets the closed
+    # pipe.
+    path = tmp_path / "star.edges"
+    path.write_text("".join(f"0 {j}\n" for j in range(1, 200)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankreach.cli", "competitors", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"i,j,competes,witness_k,witness_l\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+
+
 def test_json_graph_with_non_list_edges_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"nodes": ["a", "b"], "edges": 5}')
@@ -329,11 +353,19 @@ def test_nonfinite_float_and_nonpositive_count_flags_exit_1(capsys, argv, flag, 
 
 
 @pytest.mark.parametrize(
-    "argv", [["achieve", "--node", "1", "--target", "0.35"], ["competitors", "--pair", "1,3"]]
+    "argv",
+    [
+        ["achieve", "--node", "1", "--target", "0.35"],
+        ["competitors", "--pair", "1,3"],
+        ["intervals"],
+        ["leaders"],
+        ["xmatrix"],
+        ["competitors"],
+    ],
 )
-def test_point_queries_check_their_solves(capsys, monkeypatch, argv):
-    # The point path solves single columns of X instead of building X;
-    # a broken solve must still fail as a numerical error.
+def test_solves_are_residual_checked(capsys, monkeypatch, argv):
+    # Point queries solve single columns of X, whole-graph queries all of
+    # X; either way a broken solve must fail as a numerical error.
     real = scipy.linalg.lu_solve
 
     def perturbed(*args, **kwargs):

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,23 @@ def test_structure_detects_tampering():
     with pytest.raises(StructureError, match="min_entry"):
         verify_structure(FundamentalMatrix(
             x=np.array([[1.1, -0.1], [0.4, 0.6]]), alpha=0.85))
+
+    # X is checked in column blocks; a failure past the first block must be
+    # reported by its column in X, not in the block, and measured against
+    # that column's own diagonal entry.  The mass moved keeps every row sum
+    # at 1 and every entry nonnegative, and only column 100 loses its
+    # dominance: 0.2 + 0.5/n on the diagonal against 0.25 + 0.5/n in row 5.
+    n = 130
+    x = np.full((n, n), 0.5 / n) + 0.5 * np.eye(n)
+    x[100, 100] -= 0.3
+    x[100, 0] += 0.3
+    x[5, 5] -= 0.25
+    x[5, 100] += 0.25
+    with pytest.raises(StructureError) as failure:
+        verify_structure(FundamentalMatrix(x=x, alpha=0.85))
+    assert failure.value.details["worst_column"] == 100
+    assert failure.value.details["worst_margin"] == pytest.approx(-0.05)
+    assert set(failure.value.details) == {"worst_margin", "worst_column"}
 
 
 @pytest.mark.parametrize(
@@ -364,6 +382,22 @@ def test_point_queries_match_the_dense_x():
         for i, j in [(0, n - 1), (n // 2, 0)]:
             if i != j:
                 assert effective_competitors(base, i, j) == effective_competitors(fm, i, j)
+
+
+def test_building_x_holds_one_n_squared_buffer():
+    # The solve writes X into the buffer X is kept in, and the checks read
+    # it in column blocks, so once the LU exists, building X peaks at X
+    # itself plus block-sized temporaries: well below two n x n arrays.
+    n = 600
+    ctx = RankContext.from_graph(random_graph(rng_for(600), n, density=0.02))
+    ctx.rank_weights(np.ones(n))  # factor first: only the build is measured
+    tracemalloc.start()
+    try:
+        ctx.fundamental()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_point_query_checks_row_sums(ctx1, monkeypatch):

@@ -46,7 +46,6 @@ from .localization import (
     StructureReport,
     achieve_value,
     basis_family,
-    basis_family_matrix,
     pr_interval,
     verify_structure,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "achieve_value",
     "adjacency",
     "basis_family",
-    "basis_family_matrix",
     "competitivity_graph",
     "competitivity_interval",
     "competitor_scan",

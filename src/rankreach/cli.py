@@ -238,7 +238,11 @@ def _cmd_leaders(model, g, ctx, args):
 
 
 def _cmd_sc_interval(model, g, ctx, args):
-    nodes = [g.index_of(args.node)] if args.node else list(range(g.n))
+    if args.node:
+        nodes = [g.index_of(args.node)]
+    else:
+        nodes = list(range(g.n))
+        ctx.fundamental()  # every column is read: build X once
     spec = [("node", "label"), ("epsilon", "g6"), ("lo", "f6"), ("hi", "f6")]
     rows = []
     for i in nodes:

@@ -7,6 +7,18 @@ X[:, i] - X[:, j] changes sign.  One kernel, ``_verdicts``, compares a
 column with a block of columns; ``effective_competitors`` asks it about
 one pair, and ``competitor_scan`` about all n(n-1)/2 pairs, one row of
 the upper triangle at a time.
+
+The certificates read rows of X as well.  The concentrated personalization
+v_k(epsilon) puts 1 - epsilon on node k and epsilon/(n-1) on every other
+node, so its rank vector is affine in row k of X:
+
+    pi(v_k(epsilon)) = (1 - epsilon) x_k + epsilon/(n-1) (s - x_k),
+
+where s = X^T 1 holds X's column sums.  ``RankContext.concentrated``
+evaluates it, so the halving searches of ``witness_epsilon`` and
+``leadership_certificate`` cost O(n) a step and no solve, and
+``competitivity_interval`` is the hull of the same expression over the
+entries of one column of X.
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ from .errors import DomainError, NumericalError
 from .localization import (
     FundamentalMatrix,
     RankContext,
-    basis_family,
-    basis_family_matrix,
+    _check_concentration,
+    _check_nodes,
 )
 from .stochastic import PageRankVector
 
@@ -98,9 +110,7 @@ def effective_competitors(
     unless the context already holds X."""
     if i == j:
         raise DomainError("competitivity is defined for distinct nodes")
-    for idx in (i, j):
-        if not 0 <= idx < fm.n:
-            raise DomainError(f"node index {idx} out of range")
+    _check_nodes(fm.n, i, j)
     competes, above, below = _verdicts(fm.column(i), fm.column(j)[:, None], margin)
     if competes[0]:
         return CompetitionVerdict(
@@ -165,15 +175,24 @@ def leadership_group(
 def competitivity_interval(
     ctx: RankContext, i: int, epsilon: float
 ) -> CompetitivityInterval:
-    """Hull of node i's rank over all n epsilon-concentrated personalizations."""
-    if ctx.n < 2:
-        raise DomainError("competitivity interval needs at least 2 nodes")
-    if not 0 <= i < ctx.n:
-        raise DomainError(f"node index {i} out of range")
-    vals = ctx.rank_weights(basis_family_matrix(epsilon, ctx.n))[i, :]
+    """Hull of node i's rank over all n epsilon-concentrated personalizations.
+
+    Under v_k(epsilon) node i ranks (1 - epsilon) x_ki + epsilon/(n-1)
+    (s_i - x_ki), so the hull reads column i of X alone."""
+    _check_concentration(ctx.n, epsilon)
+    col = ctx.column(i)
+    vals = (1.0 - epsilon) * col + epsilon / (ctx.n - 1) * (col.sum() - col)
     return CompetitivityInterval(
         node=i, epsilon=epsilon, lo=float(vals.min()), hi=float(vals.max())
     )
+
+
+def _halvings(floor: float) -> Iterator[float]:
+    """epsilon = 1/2, 1/4, ... while it is at least ``floor``."""
+    epsilon = 0.5
+    while epsilon >= floor:
+        yield epsilon
+        epsilon *= 0.5
 
 
 def witness_epsilon(
@@ -186,15 +205,9 @@ def witness_epsilon(
     if not verdict.competes:
         raise DomainError("certificate requires a competing pair")
     i, j = verdict.i, verdict.j
-    epsilon = 0.5
-    while epsilon >= floor:
-        pair = np.column_stack(
-            [
-                basis_family(verdict.witness_k, epsilon, ctx.n).v,
-                basis_family(verdict.witness_l, epsilon, ctx.n).v,
-            ]
-        )
-        ranked = ctx.rank_weights(pair)
+    _check_nodes(ctx.n, i, j)
+    witnesses = [verdict.witness_k, verdict.witness_l]
+    for epsilon, ranked in ctx.concentrated(witnesses, _halvings(floor)):
         high, low = ranked[:, 0], ranked[:, 1]
         if high[i] > high[j] and low[i] < low[j]:
             return WitnessCertificate(
@@ -202,7 +215,6 @@ def witness_epsilon(
                 rank_high=PageRankVector(pi=high),
                 rank_low=PageRankVector(pi=low),
             )
-        epsilon *= 0.5
     raise NumericalError(
         f"no rank-swap certificate for pair ({i}, {j}) above epsilon "
         f"floor {floor:g}",
@@ -216,14 +228,12 @@ def leadership_certificate(
     """Epsilon and rank vector making ``leader`` strictly top-ranked, found
     by halving from 1/2 with the personalization concentrated on the
     witness row."""
-    epsilon = 0.5
-    while epsilon >= floor:
-        ranked = ctx.rank_weights(basis_family(witness_row, epsilon, ctx.n).v)
-        top = ranked[leader]
+    _check_nodes(ctx.n, leader)
+    for epsilon, ranked in ctx.concentrated([witness_row], _halvings(floor)):
+        ranked = ranked[:, 0]
         rest = np.delete(ranked, leader)
-        if (top > rest).all():
+        if (ranked[leader] > rest).all():
             return epsilon, PageRankVector(pi=ranked)
-        epsilon *= 0.5
     raise NumericalError(
         f"no leadership certificate for node {leader} from row {witness_row} "
         f"above epsilon floor {floor:g}",

@@ -10,10 +10,12 @@ mixing two concentrated personalizations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     DegenerateIntervalError,
@@ -32,6 +34,10 @@ from .stochastic import (
 )
 
 ROW_SUM_CHECK_TOL = 1e-10
+# A solve with 1-norm condition number kappa can carry a forward error of
+# about kappa * UNIT_ROUNDOFF, which near alpha = 1 exceeds the fixed
+# ROW_SUM_CHECK_TOL; the row-sum check then allows that much instead.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
@@ -121,14 +127,24 @@ def _check_residual(r: np.ndarray, what: str, first: int = 0) -> None:
 
 
 def _check_structure(
-    min_entry: float, row_sum_error: float, margins: np.ndarray, first_column: int
+    min_entry: float,
+    row_sum_error: float,
+    margins: np.ndarray,
+    first_column: int,
+    condition: Callable[[], float] | None = None,
 ) -> None:
     """Raise :class:`StructureError` unless X's guaranteed structure holds;
-    ``margins`` covers the columns from ``first_column`` on."""
+    ``margins`` covers the columns from ``first_column`` on.
+
+    The row-sum tolerance is max(ROW_SUM_CHECK_TOL, kappa * UNIT_ROUNDOFF)
+    when ``condition`` gives the condition estimate kappa of the system X
+    was solved from; it is called only when the fixed tolerance fails."""
     failures = {}
     if min_entry < -FLOAT_RESOLUTION:
         failures["min_entry"] = min_entry
-    if row_sum_error > ROW_SUM_CHECK_TOL:
+    if row_sum_error > ROW_SUM_CHECK_TOL and (
+        condition is None or row_sum_error > condition() * UNIT_ROUNDOFF
+    ):
         failures["row_sum_error"] = row_sum_error
     if margins.min() <= 0.0:
         failures["worst_margin"] = float(margins.min())
@@ -149,12 +165,16 @@ def _column_margins(cols: np.ndarray, first: int) -> tuple[float, np.ndarray]:
     return float(cols.min()), cols[first + k, k] - off_diag.max(axis=0)
 
 
-def verify_structure(fm: FundamentalMatrix) -> StructureReport:
+def verify_structure(
+    fm: FundamentalMatrix, condition: Callable[[], float] | None = None
+) -> StructureReport:
     """Check the guaranteed structure of X; a violation means solver breakdown.
 
     Asserts entrywise nonnegativity, unit row sums, and that each diagonal
     entry strictly dominates its column, read in blocks of columns.  Returns
     the per-column dominance margins, raises :class:`StructureError` else.
+    ``condition`` returns the condition estimate of the system X was solved
+    from, which widens the row-sum tolerance for ill-conditioned systems.
     """
     x = fm.x
     blocks = [
@@ -164,7 +184,7 @@ def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     min_entry = min(block_min for block_min, _ in blocks)
     margins = np.concatenate([block_margins for _, block_margins in blocks])
     row_sum_error = float(np.abs(x.sum(axis=1) - 1.0).max())
-    _check_structure(min_entry, row_sum_error, margins, first_column=0)
+    _check_structure(min_entry, row_sum_error, margins, 0, condition)
     margins.flags.writeable = False
     return StructureReport(
         column_margins=margins,
@@ -183,36 +203,37 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
         raise DegenerateIntervalError(
             "single-node graph: the rank is identically 1"
         )
-    if not 0 <= i < src.n:
-        raise DomainError(f"node index {i} out of range")
+    _check_nodes(src.n, i)
     col = src.column(i)
     lo = float(col.min())
     witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
     return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
 
 
-def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
-    """Vector with 1 - epsilon at node j and epsilon/(n-1) everywhere else."""
+def _check_nodes(n: int, *nodes: int) -> None:
+    """Raise :class:`DomainError` unless every node index lies in [0, n);
+    checked before X is indexed, which would wrap negative indices."""
+    for i in nodes:
+        if not 0 <= i < n:
+            raise DomainError(f"node index {i} out of range")
+
+
+def _check_concentration(n: int, epsilon: float) -> None:
+    """Raise :class:`DomainError` unless the concentrated family
+    v_k(epsilon) exists: n >= 2 and epsilon in (0, 1)."""
     if n < 2:
         raise DomainError("concentrated family needs at least 2 nodes")
-    if not 0 <= j < n:
-        raise DomainError(f"node index {j} out of range")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
+def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
+    """Vector with 1 - epsilon at node j and epsilon/(n-1) everywhere else."""
+    _check_concentration(n, epsilon)
+    _check_nodes(n, j)
     v = np.full(n, epsilon / (n - 1))
     v[j] = 1.0 - epsilon
     return PersonalizationVector(v=v)
-
-
-def basis_family_matrix(epsilon: float, n: int) -> np.ndarray:
-    """All n concentrated vectors at once, one per column."""
-    if n < 2:
-        raise DomainError("concentrated family needs at least 2 nodes")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    m = np.full((n, n), epsilon / (n - 1))
-    np.fill_diagonal(m, 1.0 - epsilon)
-    return m
 
 
 class RankContext:
@@ -224,6 +245,8 @@ class RankContext:
     with its transpose A_t^T = I - alpha P_u.  X itself is built and
     verified at most once, and point queries (one interval, one pair)
     solve only the columns they read unless X is already built.
+    Concentrated-family rank vectors are rows of X and its column sums,
+    read off X when it is built and solved for once otherwise.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -237,6 +260,8 @@ class RankContext:
         self._fundamental = None
         self._structure = None
         self._row_sum_error = None
+        self._sums = None
+        self._condition = None
 
     @classmethod
     def from_graph(
@@ -323,8 +348,10 @@ class RankContext:
             for start in range(0, self.n, RESIDUAL_BLOCK):
                 self._check_column_residuals(x[:, start:start + RESIDUAL_BLOCK], start)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
-            self._structure = verify_structure(fm)
+            self._structure = verify_structure(fm, self.condition)
             self._fundamental = fm
+            # column sums solved before X existed give way to X's own
+            self._sums = None
         return self._fundamental
 
     def structure(self) -> StructureReport:
@@ -344,8 +371,7 @@ class RankContext:
         """Column i of X: read off X when it is built, else one transposed
         solve, whose residual and structure are checked as X's would be
         (nonnegative, diagonal strictly dominant, unit row sums)."""
-        if not 0 <= i < self.n:
-            raise DomainError(f"node index {i} out of range")
+        _check_nodes(self.n, i)
         if self._fundamental is not None:
             return self._fundamental.column(i)
         b = np.zeros((self.n, 1))
@@ -353,8 +379,65 @@ class RankContext:
         col = scipy.linalg.lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
         min_entry, margins = _column_margins(col, i)
-        _check_structure(min_entry, self._row_sums(), margins, first_column=i)
+        _check_structure(min_entry, self._row_sums(), margins, i, self.condition)
         return col[:, 0]
+
+    def condition(self) -> float:
+        """1-norm condition estimate of the rank system A_t, from LAPACK
+        dgecon on the LU the context holds; computed once."""
+        if self._condition is None:
+            lu, _ = self._factorization()
+            p_u = self.p_u
+            diag = p_u.p.diagonal()
+            diag[p_u.dangling] += p_u.u[p_u.dangling]
+            # Column j of A_t is e_j - alpha P_u[j, :], and P_u's rows sum
+            # to 1, so its absolute sum is 1 + alpha - 2 alpha P_u[j, j].
+            norm = 1.0 + self.alpha - 2.0 * self.alpha * float(diag.min())
+            rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
+            self._condition = math.inf if rcond == 0.0 else 1.0 / rcond
+        return self._condition
+
+    def _column_sums(self) -> np.ndarray:
+        """s = X^T 1, the column sums of X: summed off X when it is built,
+        else one residual-checked solve A_t s = (1 - alpha) 1; cached."""
+        if self._sums is None:
+            if self._fundamental is not None:
+                self._sums = self._fundamental.x.sum(axis=0)
+            else:
+                self._sums = self.rank_weights(np.ones(self.n), check_residual=True)
+        return self._sums
+
+    def concentrated(
+        self, rows: Sequence[int], epsilons: Iterable[float]
+    ) -> Iterator[tuple[float, np.ndarray]]:
+        """Rank vectors of the concentrated personalizations v_k(epsilon),
+        1 - epsilon on node k and epsilon/(n-1) elsewhere, one column per k
+        in ``rows``, yielded as ``(epsilon, vectors)`` for each epsilon.
+
+        The family is affine in row k of X: with s = X^T 1,
+        pi(v_k(epsilon)) = (1 - epsilon - w) x_k + w s, w = epsilon/(n-1).
+        So each epsilon costs O(n) per row and no solve.  The rows are read
+        off X when it is built, else solved for once, residual-checked, as
+        rank vectors of unit weights.
+        """
+        n = self.n
+        rows = list(rows)
+        _check_nodes(n, *rows)
+        if self._fundamental is not None:
+            x_rows = self._fundamental.x[rows].T
+        else:
+            units = np.zeros((n, len(rows)))
+            units[rows, np.arange(len(rows))] = 1.0
+            x_rows = self.rank_weights(units, check_residual=True)
+        sums = self._column_sums()[:, None]
+
+        def family() -> Iterator[tuple[float, np.ndarray]]:
+            for epsilon in epsilons:
+                _check_concentration(n, epsilon)
+                w = epsilon / (n - 1)
+                yield epsilon, (1.0 - epsilon - w) * x_rows + w * sums
+
+        return family()
 
     def interval(self, i: int) -> PRInterval:
         return pr_interval(self, i)
@@ -370,9 +453,11 @@ def achieve_value(
     """Realize ``target`` as node i's rank value, within ``tol``.
 
     Fixes epsilon = min(1e-6, tol/10), then bisects the mixture weight
-    between the personalization concentrated on i and the one concentrated
-    on the column-minimum witness.  The rank component is affine in the
-    mixture weight, so bisection converges unconditionally.
+    lambda between the personalization concentrated on i and the one
+    concentrated on the column-minimum witness.  Node i's rank is affine
+    in lambda, lambda * f1 + (1 - lambda) * f0 with f1 and f0 its values
+    under the two ends, so bisection converges unconditionally and each
+    step costs O(1).
     """
     if not math.isfinite(tol):
         raise DomainError(f"tol must be finite, got {tol}")
@@ -387,15 +472,13 @@ def achieve_value(
             f"target {target!r} outside the attainable open interval "
             f"({interval.lo!r}, {interval.hi!r})"
         )
-    v_top = basis_family(i, epsilon, ctx.n).v
-    v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v
+    ((_, ends),) = ctx.concentrated([i, interval.lo_witness], [epsilon])
+    # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
+    f1, f0 = (float(value) for value in ends[i])
 
-    def at(lam: float) -> tuple[np.ndarray, float]:
-        v = lam * v_top + (1.0 - lam) * v_bot
-        return v, float(ctx.rank_weights(v)[i])
+    def at(lam: float) -> float:
+        return lam * f1 + (1.0 - lam) * f0
 
-    _, f0 = at(0.0)
-    _, f1 = at(1.0)
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1
         raise NumericalError(
@@ -409,13 +492,15 @@ def achieve_value(
     lam = 0.0
     for _ in range(200):
         lam = 0.5 * (lo_lam + hi_lam)
-        v, val = at(lam)
+        val = at(lam)
         if abs(val - target) <= tol:
+            v_top = basis_family(i, epsilon, ctx.n).v
+            v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v
             return AchieveResult(
                 lam=lam,
                 epsilon=epsilon,
                 achieved=val,
-                v=PersonalizationVector(v=v),
+                v=PersonalizationVector(v=lam * v_top + (1.0 - lam) * v_bot),
             )
         if (val < target) == increasing:
             lo_lam = lam

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rankreach.cli
 import rankreach.competition
 from rankreach import (
     STRICT_MARGIN,
+    CompetitionVerdict,
     DomainError,
     FundamentalMatrix,
     RankContext,
+    achieve_value,
     competitivity_graph,
     competitivity_interval,
     competitor_scan,
@@ -129,6 +132,85 @@ def test_concentrated_hull_epsilon_domain(ctx1):
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(DomainError, match="epsilon"):
             competitivity_interval(ctx1, 0, eps)
+
+
+def _hull_by_solve(ctx, i, epsilon):
+    """Hull of node i's rank over the concentrated family, by solving for
+    all n concentrated vectors at once."""
+    n = ctx.n
+    family = np.full((n, n), epsilon / (n - 1))
+    np.fill_diagonal(family, 1.0 - epsilon)
+    vals = ctx.rank_weights(family)[i, :]
+    return vals.min(), vals.max()
+
+
+def test_concentrated_hull_matches_the_family_solve():
+    # The hull reads one column of X; past epsilon = (n-1)/n the weight on
+    # the column's own entries turns negative, which swaps its ends.
+    rng = rng_for(3131)
+    for _ in range(6):
+        n = int(rng.integers(2, 20))
+        ctx = random_context(rng, n, dangling_frac=0.3)
+        epsilons = {1e-7, 0.01, 0.5, (n - 1) / n, 0.5 + 0.5 * (n - 1) / n, 0.999}
+        for i in range(n):
+            for eps in sorted(epsilons):
+                sc = competitivity_interval(ctx, i, eps)
+                lo, hi = _hull_by_solve(ctx, i, eps)
+                assert abs(sc.lo - lo) <= 1e-13
+                assert abs(sc.hi - hi) <= 1e-13
+
+
+def test_concentrated_family_queries_make_no_solve_once_x_is_held(g2, monkeypatch):
+    ctx = RankContext.from_graph(g2)
+    fm = ctx.fundamental()
+    i, j = min(competitivity_graph(fm))
+    verdict = effective_competitors(fm, i, j)
+    group = leadership_group(fm)
+    leader = min(group.leaders)
+    iv = ctx.interval(0)
+    solves = []
+    real = scipy.linalg.lu_solve
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs.get("trans", 0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+    witness_epsilon(ctx, verdict)
+    leadership_certificate(ctx, leader, group.witness_rows[leader])
+    achieve_value(ctx, 0, 0.5 * (iv.lo + iv.hi))
+    for node in range(ctx.n):
+        competitivity_interval(ctx, node, 0.01)
+    assert solves == []
+
+
+def test_certificates_check_indices_before_reading_rows(ctx1):
+    # Indexing X would wrap a negative index around to the last node.
+    for leader, row in ((7, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(DomainError, match="out of range"):
+            leadership_certificate(ctx1, leader, row)
+    for i, j, k, l in ((0, 2, 3, 0), (0, 2, 0, -1), (-1, 2, 0, 2), (0, 3, 0, 2)):
+        verdict = CompetitionVerdict(i=i, j=j, competes=True, witness_k=k, witness_l=l)
+        with pytest.raises(DomainError, match="out of range"):
+            witness_epsilon(ctx1, verdict)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+def test_small_alpha_makes_every_pair_compete_and_every_node_lead(alpha):
+    # X = (1 - alpha) sum_k alpha^k P_u^k puts at least 1 - alpha on the
+    # diagonal, and unit row sums leave at most alpha off it.  Below
+    # alpha = 1/2 each diagonal entry beats the rest of its row and column
+    # by 1 - 2 alpha, whatever the graph: every pair competes, and every
+    # node is the strict maximum of its own row.
+    rng = rng_for(int(alpha * 1000))
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        ctx = random_context(rng, n, density=float(rng.uniform(0.05, 0.6)), alpha=alpha)
+        fm = ctx.fundamental()
+        assert len(competitivity_graph(fm)) == n * (n - 1) // 2
+        group = leadership_group(fm)
+        assert group.witness_rows == {i: i for i in range(n)}
+        assert ctx.structure().column_margins.min() >= 1.0 - 2.0 * alpha - 1e-12
 
 
 def test_witness_certificate_g1(ctx1):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from rankreach import (
     StructureError,
     achieve_value,
     basis_family,
-    basis_family_matrix,
     effective_competitors,
     parse_edge_list,
     parse_graph_json,
@@ -107,6 +107,47 @@ def test_structure_holds_at_extreme_alpha(alpha, g1, g2, g3, cycle2):
         assert report.max_row_sum_error <= 1e-10
 
 
+def test_row_sum_tolerance_follows_the_condition_estimate(g1):
+    # A row-sum error of 1e-9 is a breakdown at alpha 0.85, where the
+    # condition estimate times the unit roundoff is about 1e-15, but lies
+    # within what a solve can carry at alpha = 1 - 1e-9 (about 2e-7).
+    ordinary = RankContext.from_graph(g1, alpha=0.85)
+    x = ordinary.fundamental().x.copy()
+    x[0, 1] += 1e-9
+    tampered = FundamentalMatrix(x=x, alpha=0.85)
+    with pytest.raises(StructureError, match="row_sum_error"):
+        verify_structure(tampered, ordinary.condition)
+    near_one = RankContext.from_graph(g1, alpha=1.0 - 1e-9)
+    report = verify_structure(tampered, near_one.condition)
+    assert report.max_row_sum_error == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_condition_estimate_is_made_only_when_the_fixed_check_fails(g1, monkeypatch):
+    estimates = []
+    real = scipy.linalg.lapack.dgecon
+
+    def counting(*args, **kwargs):
+        estimates.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgecon", counting)
+    RankContext.from_graph(g1).fundamental()
+    RankContext.from_graph(g1).interval(0)
+    assert estimates == []
+    # g1's row sums are off by about 1e-8 at this alpha
+    RankContext.from_graph(g1, alpha=1.0 - 1e-9).fundamental()
+    assert len(estimates) == 1
+
+
+def test_condition_estimate_bounds_the_exact_condition_number():
+    rng = rng_for(1717)
+    for alpha in (0.3, 0.85, 0.99):
+        ctx = random_context(rng, int(rng.integers(2, 30)), alpha=alpha)
+        a = np.eye(ctx.n) - alpha * ctx.p_u.toarray().T
+        exact = np.linalg.cond(a, 1)
+        assert exact / 3.0 <= ctx.condition() <= exact * (1.0 + 1e-9)
+
+
 def test_structure_detects_tampering():
     with pytest.raises(StructureError, match="margin"):
         verify_structure(FundamentalMatrix(
@@ -181,8 +222,6 @@ def test_basis_family_construction():
     fam = basis_family(1, 0.1, 3)
     assert np.abs(fam.v - [0.05, 0.9, 0.05]).max() <= 1e-15
     assert basis_family(0, 0.5, 2).v.tolist() == [0.5, 0.5]
-    m = basis_family_matrix(0.1, 3)
-    assert np.abs(m[:, 1] - fam.v).max() == 0.0
 
 
 def test_basis_family_domain_errors():
@@ -206,6 +245,38 @@ def test_concentrated_family_limit_is_matrix_row(ctx1):
         errors.append(np.abs(pi - x[0]).max())
         assert errors[-1] <= 2.0 * eps
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_concentrated_rank_vectors_match_solves():
+    # Rows of X and its column sums give every concentrated rank vector,
+    # read off X when it is held and solved for once when it is not.
+    rng = rng_for(5151)
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        base = random_context(rng, n, dangling_frac=0.3)
+        held = RankContext(base.alpha, base.p_u)
+        held.fundamental()
+        fresh = RankContext(base.alpha, base.p_u)
+        rows = rng.choice(n, size=min(n, 3), replace=False).tolist()
+        epsilons = [0.5, 1e-3, (n - 1) / n, 0.999, 1e-9]
+        for ctx in (held, fresh):
+            yielded = list(ctx.concentrated(rows, epsilons))
+            assert [eps for eps, _ in yielded] == epsilons
+            for eps, ranked in yielded:
+                assert ranked.shape == (n, len(rows))
+                for c, k in enumerate(rows):
+                    expected = ctx.rank(basis_family(k, eps, n)).pi
+                    assert np.abs(ranked[:, c] - expected).max() <= 1e-12
+        assert fresh._fundamental is None
+
+
+def test_concentrated_rank_vectors_check_rows_and_epsilon(ctx1):
+    for rows in ([3], [-1], [0, 5]):
+        with pytest.raises(DomainError, match="out of range"):
+            ctx1.concentrated(rows, [0.5])
+    for eps in (0.0, 1.0, -0.5):
+        with pytest.raises(DomainError, match="epsilon"):
+            list(ctx1.concentrated([0], [eps]))
 
 
 def test_rank_affine_in_mixture_weight(ctx2):

@@ -10,12 +10,11 @@ mixing two concentrated personalizations.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import (
     DegenerateIntervalError,
@@ -34,10 +33,6 @@ from .stochastic import (
 )
 
 ROW_SUM_CHECK_TOL = 1e-10
-# A solve with 1-norm condition number kappa can carry a forward error of
-# about kappa * UNIT_ROUNDOFF, which near alpha = 1 exceeds the fixed
-# ROW_SUM_CHECK_TOL; the row-sum check then allows that much instead.
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
@@ -131,20 +126,22 @@ def _check_structure(
     row_sum_error: float,
     margins: np.ndarray,
     first_column: int,
-    condition: Callable[[], float] | None = None,
+    alpha: float,
 ) -> None:
     """Raise :class:`StructureError` unless X's guaranteed structure holds;
     ``margins`` covers the columns from ``first_column`` on.
 
-    The row-sum tolerance is max(ROW_SUM_CHECK_TOL, kappa * UNIT_ROUNDOFF)
-    when ``condition`` gives the condition estimate kappa of the system X
-    was solved from; it is called only when the fixed tolerance fails."""
+    The row-sum tolerance is max(ROW_SUM_CHECK_TOL, kappa u), u the unit
+    roundoff and kappa = (1 + alpha)/(1 - alpha) a bound on the 1-norm
+    condition number of A_t: A_t^{-1} = X^T/(1 - alpha), and X is
+    nonnegative with unit row sums, so ||A_t^{-1}||_1 = 1/(1 - alpha), while
+    ||A_t||_1 <= 1 + alpha.  A solve can carry that much error, which
+    exceeds the fixed tolerance only near alpha = 1."""
+    kappa = (1.0 + alpha) / (1.0 - alpha)
     failures = {}
     if min_entry < -FLOAT_RESOLUTION:
         failures["min_entry"] = min_entry
-    if row_sum_error > ROW_SUM_CHECK_TOL and (
-        condition is None or row_sum_error > condition() * UNIT_ROUNDOFF
-    ):
+    if row_sum_error > max(ROW_SUM_CHECK_TOL, kappa * np.finfo(float).eps / 2):
         failures["row_sum_error"] = row_sum_error
     if margins.min() <= 0.0:
         failures["worst_margin"] = float(margins.min())
@@ -165,16 +162,12 @@ def _column_margins(cols: np.ndarray, first: int) -> tuple[float, np.ndarray]:
     return float(cols.min()), cols[first + k, k] - off_diag.max(axis=0)
 
 
-def verify_structure(
-    fm: FundamentalMatrix, condition: Callable[[], float] | None = None
-) -> StructureReport:
+def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     """Check the guaranteed structure of X; a violation means solver breakdown.
 
     Asserts entrywise nonnegativity, unit row sums, and that each diagonal
     entry strictly dominates its column, read in blocks of columns.  Returns
     the per-column dominance margins, raises :class:`StructureError` else.
-    ``condition`` returns the condition estimate of the system X was solved
-    from, which widens the row-sum tolerance for ill-conditioned systems.
     """
     x = fm.x
     blocks = [
@@ -184,7 +177,7 @@ def verify_structure(
     min_entry = min(block_min for block_min, _ in blocks)
     margins = np.concatenate([block_margins for _, block_margins in blocks])
     row_sum_error = float(np.abs(x.sum(axis=1) - 1.0).max())
-    _check_structure(min_entry, row_sum_error, margins, 0, condition)
+    _check_structure(min_entry, row_sum_error, margins, 0, fm.alpha)
     margins.flags.writeable = False
     return StructureReport(
         column_margins=margins,
@@ -261,7 +254,6 @@ class RankContext:
         self._structure = None
         self._row_sum_error = None
         self._sums = None
-        self._condition = None
 
     @classmethod
     def from_graph(
@@ -348,7 +340,7 @@ class RankContext:
             for start in range(0, self.n, RESIDUAL_BLOCK):
                 self._check_column_residuals(x[:, start:start + RESIDUAL_BLOCK], start)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
-            self._structure = verify_structure(fm, self.condition)
+            self._structure = verify_structure(fm)
             self._fundamental = fm
             # column sums solved before X existed give way to X's own
             self._sums = None
@@ -379,23 +371,8 @@ class RankContext:
         col = scipy.linalg.lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
         min_entry, margins = _column_margins(col, i)
-        _check_structure(min_entry, self._row_sums(), margins, i, self.condition)
+        _check_structure(min_entry, self._row_sums(), margins, i, self.alpha)
         return col[:, 0]
-
-    def condition(self) -> float:
-        """1-norm condition estimate of the rank system A_t, from LAPACK
-        dgecon on the LU the context holds; computed once."""
-        if self._condition is None:
-            lu, _ = self._factorization()
-            p_u = self.p_u
-            diag = p_u.p.diagonal()
-            diag[p_u.dangling] += p_u.u[p_u.dangling]
-            # Column j of A_t is e_j - alpha P_u[j, :], and P_u's rows sum
-            # to 1, so its absolute sum is 1 + alpha - 2 alpha P_u[j, j].
-            norm = 1.0 + self.alpha - 2.0 * self.alpha * float(diag.min())
-            rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
-            self._condition = math.inf if rcond == 0.0 else 1.0 / rcond
-        return self._condition
 
     def _column_sums(self) -> np.ndarray:
         """s = X^T 1, the column sums of X: summed off X when it is built,

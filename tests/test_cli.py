@@ -286,7 +286,7 @@ def test_single_node_graph_competitors_print_only_the_header(capsys, tmp_path):
 @pytest.mark.parametrize("name", sorted(path.name for path in GRAPH_DIR.iterdir()))
 def test_golden_graphs_pass_structure_checks_near_alpha_one(capsys, name):
     # Row sums of X drift past the fixed 1e-10 here (up to 2e-8 on g2);
-    # the row-sum check allows the condition estimate times the roundoff.
+    # the row-sum check allows the condition bound times the roundoff.
     code, out, err = invoke(capsys, "intervals", "--alpha", "0.999999999",
                             str(GRAPH_DIR / name))
     assert code == 0, err
@@ -294,7 +294,7 @@ def test_golden_graphs_pass_structure_checks_near_alpha_one(capsys, name):
 
 
 def test_numerical_failure_exits_2_with_json_diagnostic(capsys, monkeypatch):
-    def broken(fm, condition=None):
+    def broken(fm):
         raise StructureError("synthetic breakdown", details={"worst_margin": -1.0})
 
     monkeypatch.setattr(rankreach.localization, "verify_structure", broken)

@@ -28,7 +28,7 @@ from .competition import (
 )
 from .errors import DomainError, NumericalError, ParseError
 from .graph import DirectedGraph, parse_edge_list, parse_graph_json
-from .localization import FundamentalMatrix, RankContext, achieve_value, pr_interval
+from .localization import FundamentalMatrix, RankContext, achieve_value
 from .oracle import monte_carlo_interval
 from .stochastic import StochasticConfig, load_config
 
@@ -174,12 +174,11 @@ def _cmd_xmatrix(model, g, ctx, args):
 
 
 def _cmd_intervals(model, g, ctx, args):
-    x = ctx.fundamental()
     spec = [("node", "label"), ("lo", "f6"), ("hi", "f6"), ("lo_witness", "label")]
-    rows = []
-    for i in range(g.n):
-        iv = pr_interval(x, i)
-        rows.append([g.labels[i], iv.lo, iv.hi, g.labels[iv.lo_witness]])
+    rows = [
+        [g.labels[iv.node], iv.lo, iv.hi, g.labels[iv.lo_witness]]
+        for iv in ctx.intervals()
+    ]
     _emit(args, spec, rows)
 
 

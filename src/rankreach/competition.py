@@ -23,6 +23,7 @@ entries of one column of X.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,8 +40,13 @@ from .stochastic import PageRankVector
 
 # Comparisons of X entries closer than this are ties: they yield neither
 # competitors nor leaders.  Being conservative never fabricates a verdict.
+# The margin does not scale with the conditioning (1 + alpha)/(1 - alpha):
+# at alpha = 1 - 1e-9 X's float error exceeds it, yet on the graphs tested
+# every verdict holds in exact arithmetic, and a scaled margin drops true ones.
 STRICT_MARGIN = 1e-9
+# Certificate searches try epsilon = 1/2, 1/4, ... down to this floor.
 EPSILON_FLOOR = 1e-12
+_HALVINGS = tuple(0.5**k for k in range(1, 1 + int(-math.log2(EPSILON_FLOOR))))
 # Competitor scans compare column i with this many later columns at a time,
 # which bounds the temporaries at n * SCAN_BLOCK floats.
 SCAN_BLOCK = 64
@@ -89,19 +95,19 @@ class WitnessCertificate:
 
 
 def _verdicts(
-    col_i: np.ndarray, cols: np.ndarray, margin: float
+    col_i: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Verdicts of column i against each column of ``cols``: whether the
-    difference changes sign beyond ``margin``, with the first row above
-    and the first row below (meaningful only where the pair competes)."""
+    difference changes sign beyond ``STRICT_MARGIN``, with the first row
+    above and the first row below (meaningful only where the pair competes)."""
     d = col_i[:, None] - cols
-    above = d > margin
-    below = d < -margin
+    above = d > STRICT_MARGIN
+    below = d < -STRICT_MARGIN
     return above.any(0) & below.any(0), above.argmax(0), below.argmax(0)
 
 
 def effective_competitors(
-    fm: FundamentalMatrix | RankContext, i: int, j: int, margin: float = STRICT_MARGIN
+    fm: FundamentalMatrix | RankContext, i: int, j: int
 ) -> CompetitionVerdict:
     """Compare columns i and j of X; a sign change in the difference means
     the pair competes.  Witnesses are the first qualifying rows.
@@ -111,7 +117,7 @@ def effective_competitors(
     if i == j:
         raise DomainError("competitivity is defined for distinct nodes")
     _check_nodes(fm.n, i, j)
-    competes, above, below = _verdicts(fm.column(i), fm.column(j)[:, None], margin)
+    competes, above, below = _verdicts(fm.column(i), fm.column(j)[:, None])
     if competes[0]:
         return CompetitionVerdict(
             i=i, j=j, competes=True,
@@ -121,7 +127,7 @@ def effective_competitors(
 
 
 def competitor_scan(
-    fm: FundamentalMatrix, margin: float = STRICT_MARGIN
+    fm: FundamentalMatrix,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Verdicts of every pair i < j, in row-major order.
 
@@ -133,26 +139,22 @@ def competitor_scan(
     n = fm.n
     for i in range(n - 1):
         blocks = [
-            _verdicts(x[:, i], x[:, start:start + SCAN_BLOCK], margin)
+            _verdicts(x[:, i], x[:, start:start + SCAN_BLOCK])
             for start in range(i + 1, n, SCAN_BLOCK)
         ]
         yield (i, *(np.concatenate(parts) for parts in zip(*blocks)))
 
 
-def competitivity_graph(
-    fm: FundamentalMatrix, margin: float = STRICT_MARGIN
-) -> set[tuple[int, int]]:
+def competitivity_graph(fm: FundamentalMatrix) -> set[tuple[int, int]]:
     """All competing pairs (i, j) with i < j."""
     pairs = set()
-    for i, competes, _, _ in competitor_scan(fm, margin):
+    for i, competes, _, _ in competitor_scan(fm):
         js = np.flatnonzero(competes) + (i + 1)
         pairs.update(zip([i] * js.size, js.tolist()))
     return pairs
 
 
-def leadership_group(
-    fm: FundamentalMatrix, margin: float = STRICT_MARGIN
-) -> LeadershipGroup:
+def leadership_group(fm: FundamentalMatrix) -> LeadershipGroup:
     """Union of strict row maxima of X; tied rows contribute no leader."""
     if fm.n == 1:
         return LeadershipGroup(leaders=frozenset({0}), witness_rows={0: 0})
@@ -164,7 +166,7 @@ def leadership_group(
     # as fast as np.partition, with half the temporaries.
     rest = x.copy(order="K")
     rest[every_row, top] = -np.inf
-    rows = np.flatnonzero(x[every_row, top] - rest.max(1) > margin)
+    rows = np.flatnonzero(x[every_row, top] - rest.max(1) > STRICT_MARGIN)
     leaders, first = np.unique(top[rows], return_index=True)
     return LeadershipGroup(
         leaders=frozenset(leaders.tolist()),
@@ -187,19 +189,7 @@ def competitivity_interval(
     )
 
 
-def _halvings(floor: float) -> Iterator[float]:
-    """epsilon = 1/2, 1/4, ... while it is at least ``floor``."""
-    epsilon = 0.5
-    while epsilon >= floor:
-        yield epsilon
-        epsilon *= 0.5
-
-
-def witness_epsilon(
-    ctx: RankContext,
-    verdict: CompetitionVerdict,
-    floor: float = EPSILON_FLOOR,
-) -> WitnessCertificate:
+def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCertificate:
     """Halve epsilon from 1/2 until the two witness personalizations
     actually swap the rank order of the pair; returns both rank vectors."""
     if not verdict.competes:
@@ -207,7 +197,7 @@ def witness_epsilon(
     i, j = verdict.i, verdict.j
     _check_nodes(ctx.n, i, j)
     witnesses = [verdict.witness_k, verdict.witness_l]
-    for epsilon, ranked in ctx.concentrated(witnesses, _halvings(floor)):
+    for epsilon, ranked in ctx.concentrated(witnesses, _HALVINGS):
         high, low = ranked[:, 0], ranked[:, 1]
         if high[i] > high[j] and low[i] < low[j]:
             return WitnessCertificate(
@@ -217,25 +207,25 @@ def witness_epsilon(
             )
     raise NumericalError(
         f"no rank-swap certificate for pair ({i}, {j}) above epsilon "
-        f"floor {floor:g}",
-        details={"i": i, "j": j, "floor": floor},
+        f"floor {EPSILON_FLOOR:g}",
+        details={"i": i, "j": j, "floor": EPSILON_FLOOR},
     )
 
 
 def leadership_certificate(
-    ctx: RankContext, leader: int, witness_row: int, floor: float = EPSILON_FLOOR
+    ctx: RankContext, leader: int, witness_row: int
 ) -> tuple[float, PageRankVector]:
     """Epsilon and rank vector making ``leader`` strictly top-ranked, found
     by halving from 1/2 with the personalization concentrated on the
     witness row."""
     _check_nodes(ctx.n, leader)
-    for epsilon, ranked in ctx.concentrated([witness_row], _halvings(floor)):
+    for epsilon, ranked in ctx.concentrated([witness_row], _HALVINGS):
         ranked = ranked[:, 0]
         rest = np.delete(ranked, leader)
         if (ranked[leader] > rest).all():
             return epsilon, PageRankVector(pi=ranked)
     raise NumericalError(
         f"no leadership certificate for node {leader} from row {witness_row} "
-        f"above epsilon floor {floor:g}",
-        details={"leader": leader, "witness_row": witness_row, "floor": floor},
+        f"above epsilon floor {EPSILON_FLOOR:g}",
+        details={"leader": leader, "witness_row": witness_row, "floor": EPSILON_FLOOR},
     )

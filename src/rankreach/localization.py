@@ -29,6 +29,7 @@ from .stochastic import (
     PersonalizationVector,
     RowStochasticMatrix,
     SOLVE_RESIDUAL_TOL,
+    _check_alpha,
     row_stochastic,
 )
 
@@ -36,9 +37,9 @@ ROW_SUM_CHECK_TOL = 1e-10
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
-# Columns of X are checked this many at a time, which bounds the
-# temporaries at n * RESIDUAL_BLOCK floats; narrow blocks stay in cache and
-# measured faster than 256 or 512 columns at n = 300 to 2000.
+# Columns of X, and of rank-vector batches, are checked this many at a time,
+# which bounds the temporaries at n * RESIDUAL_BLOCK floats; narrow blocks
+# stay in cache and measured faster than 256 or 512 columns at n = 300 to 2000.
 RESIDUAL_BLOCK = 64
 
 
@@ -57,8 +58,7 @@ class FundamentalMatrix:
         x = self.x if _adopt else np.array(self.x, dtype=float, order="F")
         if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
@@ -243,8 +243,7 @@ class RankContext:
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         if not p_u.dangling_patched:
             raise DomainError("matrix must be dangling-patched first")
         self.alpha = alpha
@@ -300,28 +299,28 @@ class RankContext:
         r[first + k, k] -= 1.0 - self.alpha
         _check_residual(r, "column", first=first)
 
-    def rank_weights(
-        self, weights: np.ndarray, check_residual: bool = False
-    ) -> np.ndarray:
+    def rank_weights(self, weights: np.ndarray) -> np.ndarray:
         """Rank vector(s) for raw weight vector(s); columns are independent.
 
-        Warm repeated solves skip the residual check; one-off solves whose
-        result is reported (the rank vector itself) pass ``check_residual``.
-        """
+        Every column's residual is checked, ``RESIDUAL_BLOCK`` columns at a
+        time, so checking a large batch holds no second copy of it."""
         w = np.asarray(weights, dtype=float)
         if w.shape[0] != self.n:
             raise DomainError("weight vector must have length n")
         b = (1.0 - self.alpha) * w
         x = scipy.linalg.lu_solve(self._factorization(), b)
-        if check_residual:
-            r = self._system_times(x, 0)
-            r -= b
-            _check_residual(r, "weight column")
+        # views of x and b with one column per vector, a lone vector included
+        cols, rhs = x.reshape(self.n, -1), b.reshape(self.n, -1)
+        for start in range(0, cols.shape[1], RESIDUAL_BLOCK):
+            block = slice(start, start + RESIDUAL_BLOCK)
+            r = self._system_times(cols[:, block], 0)
+            r -= rhs[:, block]
+            _check_residual(r, "weight column", first=start)
         return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:
         """Residual-checked rank vector for personalization v."""
-        return PageRankVector(pi=self.rank_weights(v.v, check_residual=True))
+        return PageRankVector(pi=self.rank_weights(v.v))
 
     def fundamental(self) -> FundamentalMatrix:
         """Structure-verified X, computed once.
@@ -381,7 +380,7 @@ class RankContext:
             if self._fundamental is not None:
                 self._sums = self._fundamental.x.sum(axis=0)
             else:
-                self._sums = self.rank_weights(np.ones(self.n), check_residual=True)
+                self._sums = self.rank_weights(np.ones(self.n))
         return self._sums
 
     def concentrated(
@@ -405,7 +404,7 @@ class RankContext:
         else:
             units = np.zeros((n, len(rows)))
             units[rows, np.arange(len(rows))] = 1.0
-            x_rows = self.rank_weights(units, check_residual=True)
+            x_rows = self.rank_weights(units)
         sums = self._column_sums()[:, None]
 
         def family() -> Iterator[tuple[float, np.ndarray]]:

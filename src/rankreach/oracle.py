@@ -18,12 +18,13 @@ import numpy as np
 
 from .competition import STRICT_MARGIN
 from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
-from .localization import FLOAT_RESOLUTION, RankContext
+from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes
 from .stochastic import (
     ROW_SUM_TOL,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
+    _check_alpha,
 )
 
 POWER_TOL = 1e-12
@@ -148,6 +149,9 @@ def observe_rank_swaps(
     """
     if i == j:
         raise DomainError("rank swaps are defined for distinct nodes")
+    _check_nodes(ctx.n, i, j)
+    if samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
     uniform_half = (samples + 1) // 2
     vertex_half = samples // 2
     batches = [sample_personalization_batch(seed, ctx.n, uniform_half, 1.0, salt=0)]
@@ -170,8 +174,7 @@ class GoogleMatrix:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         g = np.array(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DomainError("matrix must be square")
@@ -193,8 +196,8 @@ def google_matrix(
     """alpha * P_u plus (1 - alpha) times the rank-one teleport to v."""
     if not p_u.dangling_patched:
         raise DomainError("matrix must be dangling-patched first")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    # checked before use: an infinite alpha times P's zeros warns of NaN
+    _check_alpha(alpha)
     if v.v.shape != (p_u.n,):
         raise DomainError("personalization vector must have length n")
     g = alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]

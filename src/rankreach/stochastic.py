@@ -25,6 +25,12 @@ SOLVE_RESIDUAL_TOL = 1e-10
 DEFAULT_ALPHA = 0.85
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise :class:`DomainError` unless the damping factor lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
     v = np.array(raw, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -156,8 +162,7 @@ class StochasticConfig:
     v_spec: str | tuple[float, ...] = "uniform"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         for name, spec in (("u", self.u_spec), ("v", self.v_spec)):
             if isinstance(spec, str):
                 if spec != "uniform":

@@ -388,6 +388,26 @@ def test_solves_are_residual_checked(capsys, monkeypatch, argv):
     assert json.loads(err)["error"] == "NumericalError"
 
 
+def test_sample_batch_solve_is_residual_checked(capsys, monkeypatch):
+    # Skew only the many-column rank solve, the Monte-Carlo batch: the
+    # intervals it is checked against stay correct, the batch must not.
+    real = scipy.linalg.lu_solve
+
+    def skewed(lu_piv, b, trans=0, **kwargs):
+        x = real(lu_piv, b, trans=trans, **kwargs)
+        if trans == 0 and b.ndim == 2 and b.shape[1] > 1:
+            x = x + 1e-6
+        return x
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    code, out, err = invoke(capsys, "verify", "--seed", "7", "--samples", "50", G1)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericalError"
+    assert "weight column" in diagnostic["details"]
+
+
 # Documents and flag values for the error-contract property.  Each one is
 # well formed three times in four, so runs get past parsing and reach the
 # solvers; otherwise it takes one of the malformed forms a parser must

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,7 @@ from rankreach import (
     witness_epsilon,
 )
 
-from .conftest import GRAPH_DIR
+from .conftest import GRAPH_DIR, load_graph
 from .golden import (
     COMPETING_G1,
     COMPETING_G2,
@@ -345,9 +347,9 @@ def test_every_verdict_goes_through_one_kernel(ctx2, monkeypatch):
     calls = []
     real = rankreach.competition._verdicts
 
-    def counting(col_i, cols, margin):
+    def counting(col_i, cols):
         calls.append(cols.shape[1])
-        return real(col_i, cols, margin)
+        return real(col_i, cols)
 
     monkeypatch.setattr(rankreach.competition, "_verdicts", counting)
     fm = ctx2.fundamental()
@@ -413,3 +415,49 @@ def test_leadership_group_matches_row_sort():
     group = leadership_group(matrices[-2])
     assert group.leaders == {0, 1, 3}
     assert group.witness_rows == {0: 6, 1: 5, 3: 1}
+
+
+def _exact_x(g, alpha: Fraction) -> list[list[Fraction]]:
+    """X = (1 - alpha)(I - alpha P_u)^{-1} in rational arithmetic, by
+    Gauss-Jordan elimination, with P_u built from the edges and a uniform
+    dangling distribution."""
+    n = g.n
+    a = [[Fraction(int(r == c)) for c in range(2 * n)] for r in range(n)]
+    for r in range(n):
+        # a dangling row follows the uniform u
+        targets = [t for s, t in g.edges if s == r] or range(n)
+        for t in targets:
+            a[r][t] -= alpha / len(targets)
+        a[r][n + r] = 1 - alpha
+    for c in range(n):
+        # I - alpha P_u is strictly diagonally dominant: no pivoting needed
+        a[c] = [entry / a[c][c] for entry in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                factor = a[r][c]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+@pytest.mark.parametrize("alpha", [1 - 1e-8, 1 - 1e-9])
+def test_no_fabricated_verdicts_near_alpha_one(alpha):
+    # Near alpha = 1 the float error in X exceeds STRICT_MARGIN, which stays
+    # constant all the same: every reported verdict must hold in exact X.
+    rng = rng_for(4242)
+    graphs = [load_graph(name) for name in
+              ("g1.edges", "g2.edges", "g3.edges", "two_cycle.edges", "isolated.json")]
+    graphs += [random_graph(rng, int(rng.integers(2, 8)), 0.35, 0.2) for _ in range(15)]
+    checked = 0
+    for g in graphs:
+        x = _exact_x(g, Fraction(alpha))
+        fm = RankContext.from_graph(g, alpha=alpha).fundamental()
+        for i, competes, above, below in competitor_scan(fm):
+            for offset in np.flatnonzero(competes).tolist():
+                j, k, l = i + 1 + offset, int(above[offset]), int(below[offset])
+                assert x[k][i] > x[k][j] and x[l][i] < x[l][j], (g, i, j)
+                checked += 1
+        group = leadership_group(fm)
+        for leader, row in group.witness_rows.items():
+            assert all(x[row][leader] > v for m, v in enumerate(x[row]) if m != leader)
+            checked += 1
+    assert checked >= 20

@@ -13,6 +13,7 @@ from rankreach import (
     DegenerateIntervalError,
     DomainError,
     FundamentalMatrix,
+    NumericalError,
     PersonalizationVector,
     RankContext,
     RowStochasticMatrix,
@@ -27,6 +28,7 @@ from rankreach import (
     verify_structure,
     witness_epsilon,
 )
+from rankreach.localization import RESIDUAL_BLOCK
 
 from .golden import (
     BASIS_LIMIT_G1,
@@ -460,3 +462,22 @@ def test_point_query_checks_row_sums(ctx1, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
     with pytest.raises(StructureError, match="row_sum_error"):
         RankContext(ctx1.alpha, ctx1.p_u).interval(0)
+
+
+def test_every_column_of_a_rank_batch_is_residual_checked(ctx1, monkeypatch):
+    # The batch is checked in blocks of columns; a column past the first
+    # block must be caught, and reported by its own index.
+    real = scipy.linalg.lu_solve
+    bad = RESIDUAL_BLOCK + 6
+
+    def skewed(lu_piv, b, trans=0, **kwargs):
+        x = real(lu_piv, b, trans=trans, **kwargs)
+        if trans == 0 and b.ndim == 2:
+            x[:, bad] += 1e-6
+        return x
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    weights = np.ones((3, 2 * RESIDUAL_BLOCK))
+    with pytest.raises(NumericalError) as failure:
+        ctx1.rank_weights(weights)
+    assert failure.value.details["weight column"] == bad

@@ -112,6 +112,12 @@ def test_rank_swaps_reference_pairs(ctx1, ctx_cycle):
     assert observe_rank_swaps(ctx_cycle, 0, 1, 1_000, seed=3)
     with pytest.raises(DomainError, match="distinct"):
         observe_rank_swaps(ctx1, 1, 1, 10, seed=3)
+    # a negative index would wrap round to the last node
+    for j in (5, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            observe_rank_swaps(ctx1, 0, j, 10, seed=3)
+    with pytest.raises(DomainError, match="sample count"):
+        observe_rank_swaps(ctx1, 0, 2, 0, seed=3)
 
 
 def test_observed_swaps_imply_analytic_verdict():

@@ -98,7 +98,7 @@ def test_google_matrix_two_cycle(cycle2):
 def test_google_matrix_alpha_domain(g1):
     p_u = _patched(g1)
     v = PersonalizationVector.uniform(3)
-    for alpha in (0.0, 1.0, 1.5, -0.2):
+    for alpha in (0.0, 1.0, 1.5, -0.2, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="alpha"):
             google_matrix(alpha, p_u, v)
 

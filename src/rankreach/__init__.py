@@ -57,7 +57,6 @@ from .oracle import (
     monte_carlo_interval,
     observe_rank_swaps,
     pagerank_power,
-    sample_personalization,
     sample_personalization_batch,
 )
 from .stochastic import (
@@ -116,7 +115,6 @@ __all__ = [
     "parse_graph_json",
     "pr_interval",
     "row_stochastic",
-    "sample_personalization",
     "sample_personalization_batch",
     "verify_structure",
     "witness_epsilon",

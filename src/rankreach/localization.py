@@ -203,10 +203,18 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers, False for bools and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_nodes(n: int, *nodes: int) -> None:
-    """Raise :class:`DomainError` unless every node index lies in [0, n);
-    checked before X is indexed, which would wrap negative indices."""
+    """Raise :class:`DomainError` unless every node index is an integer in
+    [0, n); checked before X is indexed, which would wrap negative indices,
+    truncate floats and read bools as 0 and 1."""
     for i in nodes:
+        if not _is_integer(i):
+            raise DomainError(f"node index must be an integer, got {i!r}")
         if not 0 <= i < n:
             raise DomainError(f"node index {i} out of range")
 
@@ -244,8 +252,6 @@ class RankContext:
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
         _check_alpha(alpha)
-        if not p_u.dangling_patched:
-            raise DomainError("matrix must be dangling-patched first")
         self.alpha = alpha
         self.p_u = p_u
         self._lu = None
@@ -262,8 +268,6 @@ class RankContext:
         u: np.ndarray | None = None,
     ) -> "RankContext":
         """Context of graph g; the dangling distribution u is uniform unless given."""
-        if u is None:
-            u = np.full(g.n, 1.0 / g.n)
         return cls(alpha=alpha, p_u=row_stochastic(g, u))
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 
 from .competition import STRICT_MARGIN
 from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
-from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes
+from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes, _is_integer
 from .stochastic import (
     ROW_SUM_TOL,
     PageRankVector,
@@ -66,6 +66,11 @@ def sample_personalization_batch(
     below 1 biases samples toward simplex vertices and row k never depends
     on ``count`` (prefixes of a longer batch are identical).
     """
+    if not all(map(_is_integer, (seed, n, count))):
+        raise DomainError(
+            f"seed, node count and sample count must be integers, "
+            f"got {seed!r}, {n!r}, {count!r}"
+        )
     if n < 1:
         raise DomainError("need at least one node")
     if not concentration > 0.0:  # NaN fails it too
@@ -83,14 +88,6 @@ def sample_personalization_batch(
     w = np.exp(z)
     w /= w.sum(axis=1, keepdims=True)
     return w
-
-
-def sample_personalization(
-    seed: int, n: int, concentration: float = 1.0
-) -> PersonalizationVector:
-    """Single deterministic simplex sample."""
-    row = sample_personalization_batch(seed, n, 1, concentration)[0]
-    return PersonalizationVector(v=row)
 
 
 def monte_carlo_interval(
@@ -194,8 +191,6 @@ def google_matrix(
     alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
 ) -> GoogleMatrix:
     """alpha * P_u plus (1 - alpha) times the rank-one teleport to v."""
-    if not p_u.dangling_patched:
-        raise DomainError("matrix must be dangling-patched first")
     # checked before use: an infinite alpha times P's zeros warns of NaN
     _check_alpha(alpha)
     if v.v.shape != (p_u.n,):
@@ -204,32 +199,30 @@ def google_matrix(
     return GoogleMatrix(g=g, alpha=alpha)
 
 
-def default_power_iterations(alpha: float, tol: float) -> int:
+def default_power_iterations(alpha: float) -> int:
     # alpha bounds the contraction rate of the iteration, hence the cap.
-    return 10 * math.ceil(math.log(tol) / math.log(alpha))
+    return 10 * math.ceil(math.log(POWER_TOL) / math.log(alpha))
 
 
-def pagerank_power(
-    gm: GoogleMatrix, tol: float = POWER_TOL, max_iter: int | None = None
-) -> PageRankVector:
+def pagerank_power(gm: GoogleMatrix) -> PageRankVector:
     """Left fixed point of gm by power iteration from the uniform start.
 
-    Returns x with ``||x G - x||_1 <= tol``; raises :class:`ConvergenceError`
-    carrying the last residual when the cap is hit first.
+    Returns x with ``||x G - x||_1 <= POWER_TOL``; raises
+    :class:`ConvergenceError` carrying the last residual when
+    ``default_power_iterations`` steps run out first.
     """
-    if max_iter is None:
-        max_iter = default_power_iterations(gm.alpha, tol)
+    max_iter = default_power_iterations(gm.alpha)
     x = np.full(gm.n, 1.0 / gm.n)
     residual = math.inf
     for _ in range(max_iter):
         nxt = x @ gm.g
         residual = float(np.abs(nxt - x).sum())
-        if residual <= tol:
+        if residual <= POWER_TOL:
             return PageRankVector(pi=x)
         x = nxt
     raise ConvergenceError(
-        f"power iteration missed tol={tol:g} after {max_iter} iterations",
-        details={"residual": residual, "tol": tol, "max_iter": max_iter},
+        f"power iteration missed tol={POWER_TOL:g} after {max_iter} iterations",
+        details={"residual": residual, "tol": POWER_TOL, "max_iter": max_iter},
     )
 
 
@@ -254,17 +247,16 @@ def _gauss_jordan_inverse(m: np.ndarray) -> np.ndarray:
     return aug[:, n:]
 
 
-def explicit_inverse_check(
-    alpha: float, p_u: RowStochasticMatrix, n_cap: int = INVERSE_SIZE_CAP
-) -> float:
-    """Recompute X by explicit elimination and compare entrywise.
+def explicit_inverse_check(alpha: float, p_u: RowStochasticMatrix) -> float:
+    """Recompute X by explicit elimination and compare entrywise, for
+    n up to ``INVERSE_SIZE_CAP``.
 
     Returns the max absolute deviation; raises
     :class:`OracleMismatchError` beyond ``INVERSE_DEVIATION_TOL``.
     """
-    if p_u.n > n_cap:
+    if p_u.n > INVERSE_SIZE_CAP:
         raise DomainError(
-            f"explicit inversion capped at n={n_cap}, got n={p_u.n}"
+            f"explicit inversion capped at n={INVERSE_SIZE_CAP}, got n={p_u.n}"
         )
     brute = (1.0 - alpha) * _gauss_jordan_inverse(np.eye(p_u.n) - alpha * p_u.toarray())
     fast = RankContext(alpha, p_u).fundamental().x

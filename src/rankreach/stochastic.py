@@ -61,13 +61,13 @@ class PersonalizationVector:
 
 @dataclass(frozen=True)
 class RowStochasticMatrix:
-    """Transition structure of the graph, kept sparse.
+    """The patched transition matrix P_u = P + d u^T, kept sparse.
 
-    ``p`` is a CSR matrix whose rows each sum to 1, except the all-zero
-    rows of dangling nodes.  Patching does not fill those rows in: it
-    records the dangling distribution ``u``, so the patched matrix is
-    P_u = p + d u^T, a sparse part plus a rank-one term, with ``dangling``
-    the boolean mask d.  Unpatched, ``u`` is None.
+    ``p`` is P, a CSR matrix whose rows each sum to 1, except the all-zero
+    rows of dangling nodes, marked by the boolean mask ``dangling`` (d).
+    Patching does not fill those rows in: the dangling distribution ``u``
+    is kept beside ``p``, so P_u is a sparse part plus a rank-one term.
+    ``u`` is uniform when not given.
     """
 
     p: scipy.sparse.csr_array
@@ -92,39 +92,32 @@ class RowStochasticMatrix:
             arr.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dangling", dangling)
-        if self.u is not None:
-            u = _frozen_vector(self.u, "dangling distribution", sum_tol=ROW_SUM_TOL)
-            if u.shape != (self.n,):
-                raise DomainError("dangling distribution must have length n")
-            object.__setattr__(self, "u", u)
+        u = np.full(self.n, 1.0 / self.n) if self.u is None else self.u
+        u = _frozen_vector(u, "dangling distribution", sum_tol=ROW_SUM_TOL)
+        if u.shape != (self.n,):
+            raise DomainError("dangling distribution must have length n")
+        object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def dangling_patched(self) -> bool:
-        return self.u is not None
-
     def toarray(self) -> np.ndarray:
-        """Dense P_u (dense p before patching), for the oracles and tests."""
+        """Dense P_u, for the oracles and tests."""
         dense = self.p.toarray()
-        if self.dangling_patched:
-            dense[self.dangling] = self.u
+        dense[self.dangling] = self.u
         return dense
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """P_u x for a vector or a matrix of columns."""
         y = self.p @ x
-        if self.dangling_patched:
-            y[self.dangling] += self.u @ x
+        y[self.dangling] += self.u @ x
         return y
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """P_u^T x for a vector or a matrix of columns."""
         y = self.p.T @ x
-        if self.dangling_patched:
-            y += np.multiply.outer(self.u, x[self.dangling].sum(axis=0))
+        y += np.multiply.outer(self.u, x[self.dangling].sum(axis=0))
         return y
 
 
@@ -141,8 +134,8 @@ class PageRankVector:
 
 
 def row_stochastic(g: DirectedGraph, u: np.ndarray | None = None) -> RowStochasticMatrix:
-    """Out-degree-normalized adjacency P, patched to P_u = P + d u^T when a
-    dangling distribution ``u`` is given; unpatched, dangling rows stay zero."""
+    """P_u = P + d u^T of graph g, with P its out-degree-normalized
+    adjacency; the dangling distribution ``u`` is uniform unless given."""
     p = adjacency(g).astype(float)
     kout = np.diff(p.indptr)
     p.data /= np.repeat(kout, kout)

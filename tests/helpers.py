@@ -28,5 +28,4 @@ def random_context(rng, n, density=0.2, dangling_frac=0.3, alpha=0.85) -> RankCo
 
 def random_row_stochastic(rng, n) -> RowStochasticMatrix:
     w = -np.log(rng.random((n, n)))
-    return RowStochasticMatrix(p=w / w.sum(axis=1, keepdims=True),
-                               u=np.full(n, 1.0 / n))
+    return RowStochasticMatrix(p=w / w.sum(axis=1, keepdims=True))

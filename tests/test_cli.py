@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -38,6 +40,38 @@ def test_intervals_csv(capsys):
     assert lines[1] == "1,0.298246,0.403509,2"
     assert lines[2] == "2,0.387196,0.492459,3"
     assert lines[3] == "3,0.177901,0.314558,1"
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """Each ``$ rankreach ...`` line of README's sh blocks that shows output,
+    as (argv without a trailing comment, the non-blank lines under it)."""
+    readme = (GRAPH_DIR.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, *shown = command.splitlines()
+            argv = shlex.split(re.sub(r"\s#.*", "", line))
+            shown = [out for out in shown if out.strip()]
+            if argv[0] == "rankreach" and shown:
+                examples.append((argv[1:], shown))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_shows_cli_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_cli_examples(argv, shown, capsys, monkeypatch):
+    monkeypatch.chdir(GRAPH_DIR.parent)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == shown
 
 
 def test_leaders_csv(capsys):

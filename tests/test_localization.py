@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rankreach
 from rankreach import (
+    CompetitionVerdict,
     DegenerateIntervalError,
     DomainError,
     FundamentalMatrix,
@@ -20,7 +21,10 @@ from rankreach import (
     StructureError,
     achieve_value,
     basis_family,
+    competitivity_interval,
     effective_competitors,
+    leadership_certificate,
+    monte_carlo_interval,
     parse_edge_list,
     parse_graph_json,
     pr_interval,
@@ -64,10 +68,8 @@ def test_fundamental_matrix_two_cycle_closed_form(ctx_cycle):
 
 
 def test_rank_context_preconditions(g1):
-    with pytest.raises(DomainError, match="patched"):
-        RankContext(0.85, row_stochastic(g1))
     with pytest.raises(DomainError, match="alpha"):
-        RankContext(1.0, row_stochastic(g1, np.full(3, 1.0 / 3.0)))
+        RankContext(1.0, row_stochastic(g1))
 
 
 def test_structure_report_g1(ctx1):
@@ -186,6 +188,36 @@ def test_interval_degenerate_and_bad_index(ctx1):
         single.interval(0)
     with pytest.raises(DomainError, match="out of range"):
         pr_interval(ctx1.fundamental(), 5)
+
+
+NON_INTEGER_INDEX_CALLS = {
+    "witness_epsilon without witness rows": lambda ctx, fm: witness_epsilon(
+        ctx, CompetitionVerdict(0, 2, True)
+    ),
+    "leadership_certificate float row": lambda ctx, fm: leadership_certificate(ctx, 1, 1.5),
+    "leadership_certificate bool leader": lambda ctx, fm: leadership_certificate(ctx, True, 1),
+    "competitivity_interval float node": lambda ctx, fm: competitivity_interval(ctx, 1.5, 0.1),
+    "ctx.interval bool node": lambda ctx, fm: ctx.interval(True),
+    "pr_interval bool node": lambda ctx, fm: pr_interval(fm, True),
+    "effective_competitors float node": lambda ctx, fm: effective_competitors(fm, 0, 1.0),
+    "effective_competitors bool node": lambda ctx, fm: effective_competitors(fm, True, 2),
+    "achieve_value float node": lambda ctx, fm: achieve_value(ctx, 1.5, 0.35),
+    "monte_carlo_interval float node": lambda ctx, fm: monte_carlo_interval(ctx, [0.5], 10, 1),
+    "basis_family float node": lambda ctx, fm: basis_family(1.5, 0.1, 3),
+    "ctx.column None node": lambda ctx, fm: ctx.column(None),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_INDEX_CALLS.values(), ids=NON_INTEGER_INDEX_CALLS)
+def test_node_indices_must_be_integers(call, g1, ctx1):
+    # a fresh context holds no X, so point queries take their solve path
+    with pytest.raises(DomainError):
+        call(RankContext.from_graph(g1), ctx1.fundamental())
+
+
+def test_numpy_integer_node_indices_pass(ctx1):
+    assert ctx1.interval(np.int64(1)) == ctx1.interval(1)
+    assert effective_competitors(ctx1, np.int32(0), np.int64(2)).competes
 
 
 def test_interval_sums_bracket_one(ctx1, ctx2, ctx3):
@@ -344,7 +376,6 @@ def test_from_graph_builds_p_u_once(monkeypatch):
     assert CountingEdges.iterations == 1
     assert len(built) == 1
     assert ctx.p_u is built[0]
-    assert ctx.p_u.dangling_patched
 
 
 def test_context_from_json_graph_with_isolated_node():

@@ -12,7 +12,6 @@ from rankreach import (
     leadership_group,
     monte_carlo_interval,
     observe_rank_swaps,
-    sample_personalization,
     sample_personalization_batch,
 )
 from rankreach.oracle import _gauss_jordan_inverse
@@ -22,11 +21,11 @@ from .helpers import random_context, rng_for
 
 
 def test_sampler_is_deterministic():
-    a = sample_personalization(7, 3)
-    b = sample_personalization(7, 3)
-    assert np.array_equal(a.v, b.v)
-    c = sample_personalization(8, 3)
-    assert not np.array_equal(a.v, c.v)
+    a = sample_personalization_batch(7, 3, 1)[0]
+    b = sample_personalization_batch(7, 3, 1)[0]
+    assert np.array_equal(a, b)
+    c = sample_personalization_batch(8, 3, 1)[0]
+    assert not np.array_equal(a, c)
 
 
 @settings(max_examples=40)
@@ -36,7 +35,7 @@ def test_sampler_is_deterministic():
     concentration=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
 )
 def test_samples_live_on_the_simplex(seed, n, concentration):
-    v = sample_personalization(seed, n, concentration).v
+    v = sample_personalization_batch(seed, n, 1, concentration)[0]
     assert v.min() > 0.0
     assert abs(v.sum() - 1.0) <= 1e-12
 
@@ -45,7 +44,7 @@ def test_batches_are_prefix_stable():
     long = sample_personalization_batch(3, 4, 200)
     short = sample_personalization_batch(3, 4, 50)
     assert np.array_equal(long[:50], short)
-    assert np.array_equal(sample_personalization(3, 4).v, long[0])
+    assert np.array_equal(sample_personalization_batch(3, 4, 1)[0], long[0])
 
 
 def test_low_concentration_biases_to_vertices():
@@ -58,13 +57,22 @@ def test_low_concentration_biases_to_vertices():
 def test_sampler_domain_errors(ctx1):
     for concentration in (0.0, 5e-324):
         with pytest.raises(DomainError, match="concentration"):
-            sample_personalization(1, 3, concentration)
+            sample_personalization_batch(1, 3, 1, concentration)
     with pytest.raises(DomainError, match="node"):
-        sample_personalization(1, 0)
+        sample_personalization_batch(1, 0, 1)
     with pytest.raises(DomainError, match="seed"):
-        sample_personalization(-1, 3)
+        sample_personalization_batch(-1, 3, 1)
     with pytest.raises(DomainError, match="sample count"):
         monte_carlo_interval(ctx1, [0], 0, 1)
+    for call in (
+        lambda: sample_personalization_batch(1.5, 3, 2),
+        lambda: sample_personalization_batch(1, 3, 2.5),
+        lambda: sample_personalization_batch(True, 3, 2),
+        lambda: monte_carlo_interval(ctx1, [0], 2.5, 1),
+        lambda: observe_rank_swaps(ctx1, 0, 1, 4, 1.5),
+    ):
+        with pytest.raises(DomainError, match="integers"):
+            call()
 
 
 def test_monte_carlo_containment_g1(ctx1):
@@ -163,7 +171,6 @@ def test_explicit_inverse_check_size_cap():
     ctx = random_context(rng, 12)
     with pytest.raises(DomainError, match="capped"):
         explicit_inverse_check(0.85, ctx.p_u)
-    assert explicit_inverse_check(0.85, ctx.p_u, n_cap=12) <= 1e-10
 
 
 def test_gauss_jordan_matches_library_inverse():

@@ -384,10 +384,16 @@ def run(argv: list[str] | None = None) -> int:
         )
         args.handler(model, g, ctx, args)
     except NumericalError as exc:
+        # a NaN or inf figure is spelled out: JSON has no literal for it
+        details = {
+            key: value if not isinstance(value, float) or math.isfinite(value)
+            else repr(value)
+            for key, value in exc.details.items()
+        }
         diagnostic = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "details": exc.details,
+            "details": details,
         }
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True, default=str) + "\n")
         return 2

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, ParseError
 
@@ -135,10 +134,63 @@ def parse_graph_json(text: str) -> DirectedGraph:
     return DirectedGraph(labels=labels, edges=frozenset(edges))
 
 
-def adjacency(g: DirectedGraph) -> scipy.sparse.csr_array:
+@dataclass(frozen=True)
+class CSRMatrix:
+    """Square sparse matrix in compressed sparse row form.
+
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``.  Built by :meth:`from_entries`,
+    the form is canonical: columns ascend within each row, no entry is
+    repeated and none is an explicit zero.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_entries(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+    ) -> "CSRMatrix":
+        """n x n matrix with entry data[k] at (rows[k], cols[k]); repeated
+        positions are summed.  The arrays are frozen, ``data`` is float."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size and not (
+            0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < n
+        ):
+            raise DomainError(f"matrix entry out of range for {n} rows")
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        sums = np.bincount(slot.reshape(-1), weights=data, minlength=keys.size)
+        sums = sums.astype(float, copy=False)  # bincount of nothing is int
+        # NaN compares unequal to 0, so it stays for validation to see
+        keep = sums != 0
+        keys, sums = keys[keep], sums[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        csr = cls(indptr=indptr, indices=keys % n, data=sums)
+        for arr in (csr.indptr, csr.indices, csr.data):
+            arr.flags.writeable = False
+        return csr
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.n, self.n), dtype=self.data.dtype)
+        dense[self.rows(), self.indices] = self.data
+        return dense
+
+
+def adjacency(g: DirectedGraph) -> CSRMatrix:
     """Binary adjacency matrix in CSR form; row i's entry count is node i's
     out-degree, so dangling nodes are its empty rows."""
     e = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    return scipy.sparse.csr_array(
-        (np.ones(len(e), dtype=np.int64), (e[:, 0], e[:, 1])), shape=(g.n, g.n)
+    return CSRMatrix.from_entries(
+        g.n, e[:, 0], e[:, 1], np.ones(len(e))
     )

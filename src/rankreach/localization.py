@@ -14,7 +14,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateIntervalError,
@@ -30,6 +29,8 @@ from .stochastic import (
     RowStochasticMatrix,
     SOLVE_RESIDUAL_TOL,
     _check_alpha,
+    _is_integer,
+    _is_real,
     row_stochastic,
 )
 
@@ -38,9 +39,17 @@ ROW_SUM_CHECK_TOL = 1e-10
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
 # Columns of X, and of rank-vector batches, are checked this many at a time,
-# which bounds the temporaries at n * RESIDUAL_BLOCK floats; narrow blocks
-# stay in cache and measured faster than 256 or 512 columns at n = 300 to 2000.
+# or fewer above n = 1024: a block holds at most RESIDUAL_FLOATS floats, so
+# the gather-adds of the sparse products stay in cache.  That bounds the
+# temporaries at n * RESIDUAL_BLOCK floats; 32 columns measured 12% faster
+# than 64 on building X at n = 2000 and slower at n <= 1000.
 RESIDUAL_BLOCK = 64
+RESIDUAL_FLOATS = 2**16
+# Diagonal blocks of the block LU this small are inverted outright.
+LU_LEAF = 64
+# Products b -= a @ c in the block LU update this many rows of b at a time,
+# which bounds their temporaries at LU_PANEL * columns floats.
+LU_PANEL = 256
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,20 @@ class AchieveResult:
     v: PersonalizationVector
 
 
+def _block_width(n: int) -> int:
+    """Columns per residual or structure check block at n rows."""
+    return max(1, min(RESIDUAL_BLOCK, RESIDUAL_FLOATS // n))
+
+
 def _check_residual(r: np.ndarray, what: str, first: int = 0) -> None:
     """Raise :class:`NumericalError` when a residual A x - b exceeds
-    SOLVE_RESIDUAL_TOL; column k of ``r`` is ``what`` number first + k."""
+    SOLVE_RESIDUAL_TOL or is NaN; column k of ``r`` is ``what`` number
+    first + k."""
     per_column = np.abs(r, out=r).max(axis=0)
+    # argmax and max both pick out a NaN, which the comparison then fails
     worst = first + int(np.argmax(per_column))
     residual = float(np.max(per_column))
-    if residual > SOLVE_RESIDUAL_TOL:
+    if not residual <= SOLVE_RESIDUAL_TOL:
         raise NumericalError(
             f"{what} {worst}: residual {residual:.3e} exceeds "
             f"{SOLVE_RESIDUAL_TOL:g}",
@@ -136,14 +152,15 @@ def _check_structure(
     condition number of A_t: A_t^{-1} = X^T/(1 - alpha), and X is
     nonnegative with unit row sums, so ||A_t^{-1}||_1 = 1/(1 - alpha), while
     ||A_t||_1 <= 1 + alpha.  A solve can carry that much error, which
-    exceeds the fixed tolerance only near alpha = 1."""
+    exceeds the fixed tolerance only near alpha = 1.  Every test is
+    written so that a NaN fails it."""
     kappa = (1.0 + alpha) / (1.0 - alpha)
     failures = {}
-    if min_entry < -FLOAT_RESOLUTION:
+    if not min_entry >= -FLOAT_RESOLUTION:
         failures["min_entry"] = min_entry
-    if row_sum_error > max(ROW_SUM_CHECK_TOL, kappa * np.finfo(float).eps / 2):
+    if not row_sum_error <= max(ROW_SUM_CHECK_TOL, kappa * np.finfo(float).eps / 2):
         failures["row_sum_error"] = row_sum_error
-    if margins.min() <= 0.0:
+    if not margins.min() > 0.0:
         failures["worst_margin"] = float(margins.min())
         failures["worst_column"] = first_column + int(margins.argmin())
     if failures:
@@ -170,9 +187,10 @@ def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     the per-column dominance margins, raises :class:`StructureError` else.
     """
     x = fm.x
+    width = _block_width(fm.n)
     blocks = [
-        _column_margins(x[:, start:start + RESIDUAL_BLOCK], start)
-        for start in range(0, fm.n, RESIDUAL_BLOCK)
+        _column_margins(x[:, start:start + width], start)
+        for start in range(0, fm.n, width)
     ]
     min_entry = min(block_min for block_min, _ in blocks)
     margins = np.concatenate([block_margins for _, block_margins in blocks])
@@ -203,11 +221,6 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
 
 
-def _is_integer(value) -> bool:
-    """True for Python and NumPy integers, False for bools and the rest."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_nodes(n: int, *nodes: int) -> None:
     """Raise :class:`DomainError` unless every node index is an integer in
     [0, n); checked before X is indexed, which would wrap negative indices,
@@ -224,12 +237,16 @@ def _check_concentration(n: int, epsilon: float) -> None:
     v_k(epsilon) exists: n >= 2 and epsilon in (0, 1)."""
     if n < 2:
         raise DomainError("concentrated family needs at least 2 nodes")
+    if not _is_real(epsilon):
+        raise DomainError(f"epsilon must be a number, got {epsilon!r}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     """Vector with 1 - epsilon at node j and epsilon/(n-1) everywhere else."""
+    if not _is_integer(n):
+        raise DomainError(f"node count must be an integer, got {n!r}")
     _check_concentration(n, epsilon)
     _check_nodes(n, j)
     v = np.full(n, epsilon / (n - 1))
@@ -237,13 +254,125 @@ def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     return PersonalizationVector(v=v)
 
 
+def _split(n: int) -> int:
+    """Size of the leading block when the block LU halves an n x n block:
+    a multiple of LU_LEAF near n/2, so leaves stay aligned."""
+    return max(LU_LEAF, (n // 2 + LU_LEAF // 2) // LU_LEAF * LU_LEAF)
+
+
+def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out -= a @ b, LU_PANEL rows of out at a time."""
+    if out.strides[0] < out.strides[1]:
+        # out is column-major: update out^T -= b^T a^T in its own order
+        out, a, b = out.T, b.T, a.T
+    for start in range(0, out.shape[0], LU_PANEL):
+        rows = slice(start, start + LU_PANEL)
+        out[rows] -= a[rows] @ b
+
+
+def _sweep(f: np.ndarray, b: np.ndarray, upper: bool, trans: bool) -> None:
+    """b <- T^{-1} b in place, T = U or L of the block LU held in f, or
+    its transpose.  L has identity diagonal blocks; f holds the inverses
+    of U's diagonal blocks."""
+    n = f.shape[0]
+    if n <= LU_LEAF:
+        if upper:
+            b[...] = (f.T if trans else f) @ b
+        return
+    h = _split(n)
+    off = f[:h, h:] if upper else f[h:, :h]
+    if trans:
+        off = off.T
+    if upper == trans:  # T is block lower triangular: top block first
+        _sweep(f[:h, :h], b[:h], upper, trans)
+        _subtract_product(b[h:], off, b[:h])
+        _sweep(f[h:, h:], b[h:], upper, trans)
+    else:
+        _sweep(f[h:, h:], b[h:], upper, trans)
+        _subtract_product(b[:h], off, b[h:])
+        _sweep(f[:h, :h], b[:h], upper, trans)
+
+
+def _sweep_lower_rhs(f: np.ndarray, b: np.ndarray) -> None:
+    """b <- L^{-1} b for a square b that is zero above its diagonal
+    blocks, as a multiple of I is.  L^{-1} b is zero there too, so those
+    blocks are never touched: a third of the work of a full sweep."""
+    n = f.shape[0]
+    if n <= LU_LEAF:
+        return
+    h = _split(n)
+    _sweep_lower_rhs(f[:h, :h], b[:h, :h])
+    _subtract_product(b[h:, :h], f[h:, :h], b[:h, :h])
+    _sweep(f[h:, h:], b[h:, :h], upper=False, trans=False)
+    _sweep_lower_rhs(f[h:, h:], b[h:, h:])
+
+
+def _factor(a: np.ndarray) -> None:
+    n = a.shape[0]
+    if n <= LU_LEAF:
+        a[...] = np.linalg.inv(a)
+        return
+    h = _split(n)
+    _factor(a[:h, :h])
+    # U_12 = L_11^{-1} A_12 and L_21 = A_21 U_11^{-1}, i.e. U_11^{-T} A_21^T
+    _sweep(a[:h, :h], a[:h, h:], upper=False, trans=False)
+    _sweep(a[:h, :h], a[h:, :h].T, upper=True, trans=True)
+    _subtract_product(a[h:, h:], a[h:, :h], a[:h, h:])
+    _factor(a[h:, h:])
+
+
+def _lu_factor(a: np.ndarray) -> np.ndarray:
+    """Block LU of a square C-order array without pivoting, in place.
+
+    Halves the matrix recursively; each Schur complement update is one
+    matrix product, and diagonal blocks of at most LU_LEAF rows are
+    inverted outright, so L has identity diagonal blocks and ``a`` ends
+    up holding L and U off the diagonal blocks and the inverses of U's
+    diagonal blocks on them.  Without pivoting this is stable for the
+    strictly column diagonally dominant matrices it is used on: partial
+    pivoting would never swap a row of them, and block LU of such a
+    matrix is stable (Demmel, Higham and Schreiber, 1995).
+    """
+    try:
+        _factor(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"block LU met a singular diagonal block: {exc}",
+            details={"n": a.shape[0]},
+        ) from None
+    return a
+
+
+def _lu_solve(
+    lu: np.ndarray, b: np.ndarray, trans: int = 0, lower_rhs: bool = False
+) -> np.ndarray:
+    """Solve A x = b (trans 0) or A^T x = b (trans 1) with A's block LU,
+    overwriting b, a vector or a matrix of columns, with x; returns it.
+
+    ``lower_rhs`` says b is square and zero above its diagonal blocks, as
+    a multiple of I is, which the forward sweep of a trans 0 solve skips.
+    """
+    cols = b.reshape(lu.shape[0], -1)
+    if trans == 0:
+        if lower_rhs:
+            _sweep_lower_rhs(lu, cols)
+        else:
+            _sweep(lu, cols, upper=False, trans=False)
+        _sweep(lu, cols, upper=True, trans=False)
+    else:
+        _sweep(lu, cols, upper=True, trans=True)
+        _sweep(lu, cols, upper=False, trans=True)
+    return b
+
+
 class RankContext:
     """Fixed damping factor and patched transition matrix.
 
-    Owns the package's only factorization: one LU of the rank system
-    A_t = I - alpha P_u^T, made on first use.  Every solve goes through
-    it: rank vectors solve with A_t, and X, whole or a column at a time,
-    with its transpose A_t^T = I - alpha P_u.  X itself is built and
+    Owns the package's only factorization: one block LU of the rank
+    system A_t = I - alpha P_u^T, made on first use.  Every solve goes
+    through it: rank vectors and the whole of X (its rows) solve with A_t,
+    single columns of X and its row sums with the transpose
+    A_t^T = I - alpha P_u.  X itself is built and
     verified at most once, and point queries (one interval, one pair)
     solve only the columns they read unless X is already built.
     Concentrated-family rank vectors are rows of X and its column sums,
@@ -274,17 +403,16 @@ class RankContext:
     def n(self) -> int:
         return self.p_u.n
 
-    def _factorization(self):
+    def _factorization(self) -> np.ndarray:
         if self._lu is None:
-            a = self.p_u.toarray()
-            a *= self.alpha
-            # 0 - alpha P rather than -alpha P, which would leave -0.0 in
-            # the structural zeros and could sign the zeros of X.
-            np.subtract(0.0, a, out=a)
-            a.flat[:: self.n + 1] += 1.0
-            # a is I - alpha P_u in C order, so a.T is A_t in Fortran order,
-            # which LAPACK factors in place.
-            self._lu = scipy.linalg.lu_factor(a.T, overwrite_a=True)
+            n, p = self.n, self.p_u.p
+            # A_t = I - alpha P_u^T in C order: entry (j, i) is -alpha P_ij,
+            # and a dangling row of P_u, u^T, is a column of A_t
+            a = np.zeros((n, n))
+            a[p.indices, p.rows()] = -self.alpha * p.data
+            a[:, self.p_u.dangling] = -self.alpha * self.p_u.u[:, None]
+            a.reshape(-1)[:: n + 1] += 1.0
+            self._lu = _lu_factor(a)
         return self._lu
 
     def _system_times(self, x: np.ndarray, trans: int) -> np.ndarray:
@@ -306,17 +434,27 @@ class RankContext:
     def rank_weights(self, weights: np.ndarray) -> np.ndarray:
         """Rank vector(s) for raw weight vector(s); columns are independent.
 
-        Every column's residual is checked, ``RESIDUAL_BLOCK`` columns at a
-        time, so checking a large batch holds no second copy of it."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape[0] != self.n:
-            raise DomainError("weight vector must have length n")
-        b = (1.0 - self.alpha) * w
-        x = scipy.linalg.lu_solve(self._factorization(), b)
+        ``weights`` is finite, of shape (n,) or (n, k).  Every column's
+        residual is checked, at most ``RESIDUAL_BLOCK`` columns at a time, so
+        checking a large batch holds no third copy of it."""
+        try:
+            w = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("weights must be an array of numbers") from None
+        if w.ndim not in (1, 2) or w.shape[0] != self.n:
+            raise DomainError(
+                f"weights must have shape (n,) or (n, k) with n = {self.n}, "
+                f"got {w.shape}"
+            )
+        if not np.isfinite(w).all():
+            raise DomainError("weights must be finite")
+        b = np.multiply(w, 1.0 - self.alpha, order="C")
+        x = _lu_solve(self._factorization(), b.copy())
         # views of x and b with one column per vector, a lone vector included
         cols, rhs = x.reshape(self.n, -1), b.reshape(self.n, -1)
-        for start in range(0, cols.shape[1], RESIDUAL_BLOCK):
-            block = slice(start, start + RESIDUAL_BLOCK)
+        width = _block_width(self.n)
+        for start in range(0, cols.shape[1], width):
+            block = slice(start, start + width)
             r = self._system_times(cols[:, block], 0)
             r -= rhs[:, block]
             _check_residual(r, "weight column", first=start)
@@ -330,18 +468,18 @@ class RankContext:
         """Structure-verified X, computed once.
 
         Column i of X solves A_t^T x = (1 - alpha) e_i, as in
-        :meth:`column`; all n columns are one transposed solve, which
-        overwrites the Fortran-order right-hand side with X in place.  Each
-        column's residual is checked.
+        :meth:`column`; all n columns at once are the rows of one solve
+        A_t X^T = (1 - alpha) I.  Each column's residual is checked.
         """
         if self._fundamental is None:
-            x = np.eye(self.n, order="F")
-            x *= 1.0 - self.alpha
-            x = scipy.linalg.lu_solve(
-                self._factorization(), x, trans=1, overwrite_b=True
-            )
-            for start in range(0, self.n, RESIDUAL_BLOCK):
-                self._check_column_residuals(x[:, start:start + RESIDUAL_BLOCK], start)
+            # A_t Y = (1 - alpha) I makes Y = X^T, so the C-order right-hand
+            # side turns into X in Fortran order, in place
+            y = np.eye(self.n)
+            y *= 1.0 - self.alpha
+            x = _lu_solve(self._factorization(), y, lower_rhs=True).T
+            width = _block_width(self.n)
+            for start in range(0, self.n, width):
+                self._check_column_residuals(x[:, start:start + width], start)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             self._structure = verify_structure(fm)
             self._fundamental = fm
@@ -358,7 +496,7 @@ class RankContext:
         solve, made once per context."""
         if self._row_sum_error is None:
             ones = np.full(self.n, 1.0 - self.alpha)
-            sums = scipy.linalg.lu_solve(self._factorization(), ones, trans=1)
+            sums = _lu_solve(self._factorization(), ones, trans=1)
             self._row_sum_error = float(np.abs(sums - 1.0).max())
         return self._row_sum_error
 
@@ -371,7 +509,7 @@ class RankContext:
             return self._fundamental.column(i)
         b = np.zeros((self.n, 1))
         b[i] = 1.0 - self.alpha
-        col = scipy.linalg.lu_solve(self._factorization(), b, trans=1)
+        col = _lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
         min_entry, margins = _column_margins(col, i)
         _check_structure(min_entry, self._row_sums(), margins, i, self.alpha)
@@ -439,6 +577,9 @@ def achieve_value(
     under the two ends, so bisection converges unconditionally and each
     step costs O(1).
     """
+    for name, value in (("tol", tol), ("target", target)):
+        if not _is_real(value):
+            raise DomainError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(tol):
         raise DomainError(f"tol must be finite, got {tol}")
     if tol <= 0.0:

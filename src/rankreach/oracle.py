@@ -18,13 +18,15 @@ import numpy as np
 
 from .competition import STRICT_MARGIN
 from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
-from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes, _is_integer
+from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes
 from .stochastic import (
     ROW_SUM_TOL,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
     _check_alpha,
+    _is_integer,
+    _is_real,
 )
 
 POWER_TOL = 1e-12
@@ -73,6 +75,8 @@ def sample_personalization_batch(
         )
     if n < 1:
         raise DomainError("need at least one node")
+    if not _is_real(concentration):
+        raise DomainError(f"concentration must be a number, got {concentration!r}")
     if not concentration > 0.0:  # NaN fails it too
         raise DomainError(f"concentration must be positive, got {concentration}")
     if concentration < np.finfo(float).tiny:
@@ -90,6 +94,14 @@ def sample_personalization_batch(
     return w
 
 
+def _check_sample_count(samples: int) -> None:
+    """Raise :class:`DomainError` unless ``samples`` is an integer >= 1."""
+    if not _is_integer(samples):
+        raise DomainError(f"sample counts must be integers, got {samples!r}")
+    if samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
+
+
 def monte_carlo_interval(
     ctx: RankContext,
     nodes: list[int],
@@ -105,8 +117,7 @@ def monte_carlo_interval(
     """
     if ctx.n < 2:
         raise DomainError("interval sampling needs at least 2 nodes")
-    if samples < 1:
-        raise DomainError(f"sample count must be at least 1, got {samples}")
+    _check_sample_count(samples)
     intervals = [ctx.interval(i) for i in nodes]
     batch = sample_personalization_batch(seed, ctx.n, samples, concentration)
     ranked = ctx.rank_weights(batch.T)
@@ -147,8 +158,7 @@ def observe_rank_swaps(
     if i == j:
         raise DomainError("rank swaps are defined for distinct nodes")
     _check_nodes(ctx.n, i, j)
-    if samples < 1:
-        raise DomainError(f"sample count must be at least 1, got {samples}")
+    _check_sample_count(samples)
     uniform_half = (samples + 1) // 2
     vertex_half = samples // 2
     batches = [sample_personalization_batch(seed, ctx.n, uniform_half, 1.0, salt=0)]

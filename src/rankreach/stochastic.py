@@ -14,10 +14,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, ParseError
-from .graph import DirectedGraph, adjacency
+from .graph import CSRMatrix, DirectedGraph, adjacency
 
 ROW_SUM_TOL = 1e-12
 RANK_SUM_TOL = 1e-10
@@ -25,8 +24,22 @@ SOLVE_RESIDUAL_TOL = 1e-10
 DEFAULT_ALPHA = 0.85
 
 
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers, False for bools and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for Python and NumPy integers and floats, NaN and inf included;
+    False for bools and the rest, which no comparison should meet."""
+    # a Python float first: certificate searches check every epsilon
+    return type(value) is float or isinstance(value, np.floating) or _is_integer(value)
+
+
 def _check_alpha(alpha: float) -> None:
     """Raise :class:`DomainError` unless the damping factor lies in (0, 1)."""
+    if not _is_real(alpha):
+        raise DomainError(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -59,48 +72,106 @@ class PersonalizationVector:
         return cls(v=np.full(n, 1.0 / n))
 
 
+class _GatherPlan:
+    """y = W x for a sparse W and a C-order matrix of columns x, as gather-adds.
+
+    The rows of W are kept sorted by entry count, longest first, so the
+    rows that hold a k-th entry are a prefix of that order: step k adds
+    w_k * x[cols_k] to that prefix, one whole row of x per row of W.  A
+    step whose weights are all 1 adds without multiplying.
+    """
+
+    def __init__(self, m: CSRMatrix):
+        counts = np.diff(m.indptr)
+        order = np.argsort(-counts, kind="stable")
+        # position of each row of W in the sorted order
+        self.rank = np.argsort(order)
+        starts = m.indptr[order]
+        sorted_counts = counts[order]
+        self.steps = []
+        for k in range(int(sorted_counts[0]) if m.n else 0):
+            at = starts[: np.count_nonzero(sorted_counts > k)] + k
+            w = m.data[at]
+            self.steps.append((m.indices[at], None if (w == 1.0).all() else w[:, None]))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        acc = np.zeros(x.shape)
+        if self.steps:
+            buf = np.empty((self.steps[0][0].size, x.shape[1]))
+            for cols, w in self.steps:
+                part = np.take(x, cols, axis=0, out=buf[: cols.size], mode="clip")
+                if w is not None:
+                    part *= w
+                acc[: cols.size] += part
+        return np.take(acc, self.rank, axis=0)
+
+
 @dataclass(frozen=True)
 class RowStochasticMatrix:
     """The patched transition matrix P_u = P + d u^T, kept sparse.
 
-    ``p`` is P, a CSR matrix whose rows each sum to 1, except the all-zero
-    rows of dangling nodes, marked by the boolean mask ``dangling`` (d).
-    Patching does not fill those rows in: the dangling distribution ``u``
-    is kept beside ``p``, so P_u is a sparse part plus a rank-one term.
-    ``u`` is uniform when not given.
+    ``p`` is P, a :class:`~rankreach.graph.CSRMatrix` whose rows each sum
+    to 1, except the all-zero rows of dangling nodes, marked by the boolean
+    mask ``dangling`` (d); a dense square array is accepted too and stored
+    in CSR form.  Patching does not fill those rows in: the dangling
+    distribution ``u`` is kept beside ``p``, so P_u is a sparse part plus a
+    rank-one term.  ``u`` is uniform when not given.
     """
 
-    p: scipy.sparse.csr_array
+    p: CSRMatrix
     u: np.ndarray | None = None
     dangling: np.ndarray = field(init=False, repr=False)
+    # P = diag(scale) W, scale the first entry of each row, so W is 1 on
+    # every row whose entries are equal, as they are in a graph's P
+    _scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _times: _GatherPlan = field(init=False, repr=False, compare=False)
+    _times_t: _GatherPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = scipy.sparse.csr_array(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+        if isinstance(self.p, CSRMatrix):
+            n, rows, cols, data = self.p.n, self.p.rows(), self.p.indices, self.p.data
+        else:
+            dense = np.asarray(self.p, dtype=float)
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+                raise DomainError("transition matrix must be square and nonempty")
+            n = dense.shape[0]
+            rows, cols = np.nonzero(dense)
+            data = dense[rows, cols]
+        if n == 0:
             raise DomainError("transition matrix must be square and nonempty")
-        p.sum_duplicates()
+        p = CSRMatrix.from_entries(n, rows, cols, data)
         # written so that NaN entries fail it too
-        if p.nnz and not (p.data.min() >= 0.0 and p.data.max() <= 1.0 + ROW_SUM_TOL):
+        if p.data.size and not (p.data.min() >= 0.0 and p.data.max() <= 1.0 + ROW_SUM_TOL):
             raise DomainError("transition entries must lie in [0, 1]")
-        sums = p.sum(axis=1)
-        dangling = sums == 0.0
+        sums = np.bincount(p.rows(), weights=p.data, minlength=n)
+        dangling = np.diff(p.indptr) == 0
         bad = ~dangling & (np.abs(sums - 1.0) > ROW_SUM_TOL)
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise DomainError(f"row {row} sums to {sums[row]!r}, not stochastic")
-        for arr in (p.data, p.indices, p.indptr, dangling):
-            arr.flags.writeable = False
+        dangling.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dangling", dangling)
-        u = np.full(self.n, 1.0 / self.n) if self.u is None else self.u
+        u = np.full(n, 1.0 / n) if self.u is None else self.u
         u = _frozen_vector(u, "dangling distribution", sum_tol=ROW_SUM_TOL)
-        if u.shape != (self.n,):
+        if u.shape != (n,):
             raise DomainError("dangling distribution must have length n")
         object.__setattr__(self, "u", u)
+        scale = np.zeros(n)
+        scale[~dangling] = p.data[p.indptr[:-1][~dangling]]
+        w = CSRMatrix(
+            indptr=p.indptr,
+            indices=p.indices,
+            data=p.data / np.repeat(scale, np.diff(p.indptr)),
+        )
+        object.__setattr__(self, "_scale", scale[:, None])
+        object.__setattr__(self, "_times", _GatherPlan(w))
+        w_t = CSRMatrix.from_entries(n, w.indices, w.rows(), w.data)
+        object.__setattr__(self, "_times_t", _GatherPlan(w_t))
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.n
 
     def toarray(self) -> np.ndarray:
         """Dense P_u, for the oracles and tests."""
@@ -110,15 +181,18 @@ class RowStochasticMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """P_u x for a vector or a matrix of columns."""
-        y = self.p @ x
-        y[self.dangling] += self.u @ x
-        return y
+        cols = x.reshape(self.n, -1)
+        y = self._times(np.ascontiguousarray(cols))
+        y *= self._scale
+        y[self.dangling] += self.u @ cols
+        return y.reshape(x.shape)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """P_u^T x for a vector or a matrix of columns."""
-        y = self.p.T @ x
-        y += np.multiply.outer(self.u, x[self.dangling].sum(axis=0))
-        return y
+        cols = x.reshape(self.n, -1)
+        y = self._times_t(np.multiply(cols, self._scale, order="C"))
+        y += np.multiply.outer(self.u, cols[self.dangling].sum(axis=0))
+        return y.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -136,9 +210,9 @@ class PageRankVector:
 def row_stochastic(g: DirectedGraph, u: np.ndarray | None = None) -> RowStochasticMatrix:
     """P_u = P + d u^T of graph g, with P its out-degree-normalized
     adjacency; the dangling distribution ``u`` is uniform unless given."""
-    p = adjacency(g).astype(float)
-    kout = np.diff(p.indptr)
-    p.data /= np.repeat(kout, kout)
+    a = adjacency(g)
+    kout = np.diff(a.indptr)
+    p = CSRMatrix(indptr=a.indptr, indices=a.indices, data=1.0 / np.repeat(kout, kout))
     return RowStochasticMatrix(p=p, u=u)
 
 

@@ -9,8 +9,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,6 +339,19 @@ def test_numerical_failure_exits_2_with_json_diagnostic(capsys, monkeypatch):
     assert diagnostic["details"]["worst_margin"] == -1.0
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy's import alone used to
+    # cost more than most of the CLI's computations.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, rankreach.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
     # As in `rankreach competitors star.edges | head -1`: about 370 KB of
     # CSV, far past what a pipe buffers, so the writer meets the closed
@@ -410,30 +423,62 @@ def test_nonfinite_float_and_nonpositive_count_flags_exit_1(capsys, argv, flag, 
 def test_solves_are_residual_checked(capsys, monkeypatch, argv):
     # Point queries solve single columns of X, whole-graph queries all of
     # X; either way a broken solve must fail as a numerical error.
-    real = scipy.linalg.lu_solve
+    real = rankreach.localization._lu_solve
 
     def perturbed(*args, **kwargs):
         return real(*args, **kwargs) + 1e-6
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", perturbed)
     code, out, err = invoke(capsys, *argv, G1)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "NumericalError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["achieve", "--node", "1", "--target", "0.35"],
+        ["competitors", "--pair", "1,3"],
+        ["intervals"],
+        ["pagerank"],
+        ["xmatrix"],
+        ["verify", "--seed", "7", "--samples", "50"],
+    ],
+)
+def test_nan_solves_fail_closed(capsys, monkeypatch, argv):
+    # A NaN compares false with every bound: the checks must read that as
+    # a failure, not a pass, and the diagnostic must stay JSON.
+    real = rankreach.localization._lu_solve
+
+    def nan_skewed(*args, **kwargs):
+        x = real(*args, **kwargs)
+        x.reshape(-1)[-1] = np.nan
+        return x
+
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", nan_skewed)
+    code, out, err = invoke(capsys, *argv, G1)
+    assert code == 2
+    assert out == ""
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    diagnostic = json.loads(err, parse_constant=no_constants)
+    assert diagnostic["error"] in ("NumericalError", "StructureError")
+
+
 def test_sample_batch_solve_is_residual_checked(capsys, monkeypatch):
     # Skew only the many-column rank solve, the Monte-Carlo batch: the
     # intervals it is checked against stay correct, the batch must not.
-    real = scipy.linalg.lu_solve
+    real = rankreach.localization._lu_solve
 
-    def skewed(lu_piv, b, trans=0, **kwargs):
-        x = real(lu_piv, b, trans=trans, **kwargs)
-        if trans == 0 and b.ndim == 2 and b.shape[1] > 1:
-            x = x + 1e-6
-        return x
+    def skewed(lu, b, trans=0, **kwargs):
+        batch = trans == 0 and b.ndim == 2 and b.shape[1] > 1
+        x = real(lu, b, trans=trans, **kwargs)
+        return x + 1e-6 if batch and not kwargs.get("lower_rhs") else x
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", skewed)
     code, out, err = invoke(capsys, "verify", "--seed", "7", "--samples", "50", G1)
     assert code == 2
     assert out == ""

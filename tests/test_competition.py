@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import rankreach.cli
 import rankreach.competition
+import rankreach.localization
 from rankreach import (
     STRICT_MARGIN,
     CompetitionVerdict,
@@ -171,13 +171,13 @@ def test_concentrated_family_queries_make_no_solve_once_x_is_held(g2, monkeypatc
     leader = min(group.leaders)
     iv = ctx.interval(0)
     solves = []
-    real = scipy.linalg.lu_solve
+    real = rankreach.localization._lu_solve
 
     def counting(*args, **kwargs):
         solves.append(kwargs.get("trans", 0))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", counting)
     witness_epsilon(ctx, verdict)
     leadership_certificate(ctx, leader, group.witness_rows[leader])
     achieve_value(ctx, 0, 0.5 * (iv.lo + iv.hi))

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +24,7 @@ from rankreach import (
     effective_competitors,
     leadership_certificate,
     monte_carlo_interval,
+    observe_rank_swaps,
     parse_edge_list,
     parse_graph_json,
     pr_interval,
@@ -32,7 +32,7 @@ from rankreach import (
     verify_structure,
     witness_epsilon,
 )
-from rankreach.localization import RESIDUAL_BLOCK
+from rankreach.localization import LU_LEAF, RESIDUAL_BLOCK, _lu_factor, _lu_solve
 
 from .golden import (
     BASIS_LIMIT_G1,
@@ -386,7 +386,7 @@ def test_context_from_json_graph_with_isolated_node():
 
 def test_one_factorization_per_context(g1, monkeypatch):
     factorizations = []
-    real_lu_factor = scipy.linalg.lu_factor
+    real_lu_factor = rankreach.localization._lu_factor
 
     def counting(*args, **kwargs):
         factorizations.append(args[0].shape)
@@ -395,7 +395,7 @@ def test_one_factorization_per_context(g1, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(rankreach.localization, "_lu_factor", counting)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     ctx = RankContext.from_graph(g1)
     ctx.interval(1)  # a point query, before X exists
@@ -405,13 +405,15 @@ def test_one_factorization_per_context(g1, monkeypatch):
     achieve_value(ctx, 0, 0.35)
     witness_epsilon(ctx, effective_competitors(ctx, 0, 2))
     assert factorizations == [(3, 3)]
-    # the production solve path stays the one LU: no dense solver call and
-    # a single factorization site anywhere in the package
-    source = "".join(
-        path.read_text() for path in Path(rankreach.__file__).parent.glob("*.py")
-    )
-    assert "linalg.solve" not in source
-    assert source.count("lu_factor(") == 1
+    # the production solve path stays the one LU: no dense solver call,
+    # no scipy, and a single factorization site anywhere in the package
+    sources = [path.read_text() for path in Path(rankreach.__file__).parent.glob("*.py")]
+    assert not any("linalg.solve" in source or "scipy" in source for source in sources)
+    calls = [
+        node for source in sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lu_factor"
+    ]
+    assert len(calls) == 1
 
 
 def test_oracles_stay_apart_from_production():
@@ -482,15 +484,14 @@ def test_building_x_holds_one_n_squared_buffer():
 def test_point_query_checks_row_sums(ctx1, monkeypatch):
     # X 1 = 1 comes from one transposed solve per context; skewing just that
     # solve must surface as a structure violation on the point path.
-    real = scipy.linalg.lu_solve
+    real = rankreach.localization._lu_solve
 
-    def skewed(lu_piv, b, trans=0, **kwargs):
-        x = real(lu_piv, b, trans=trans, **kwargs)
-        if trans == 1 and np.ptp(b) == 0.0:
-            x = x + 1e-6
-        return x
+    def skewed(lu, b, trans=0, **kwargs):
+        ones = trans == 1 and np.ptp(b) == 0.0  # read before b is overwritten
+        x = real(lu, b, trans=trans, **kwargs)
+        return x + 1e-6 if ones else x
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", skewed)
     with pytest.raises(StructureError, match="row_sum_error"):
         RankContext(ctx1.alpha, ctx1.p_u).interval(0)
 
@@ -498,17 +499,81 @@ def test_point_query_checks_row_sums(ctx1, monkeypatch):
 def test_every_column_of_a_rank_batch_is_residual_checked(ctx1, monkeypatch):
     # The batch is checked in blocks of columns; a column past the first
     # block must be caught, and reported by its own index.
-    real = scipy.linalg.lu_solve
+    real = rankreach.localization._lu_solve
     bad = RESIDUAL_BLOCK + 6
 
-    def skewed(lu_piv, b, trans=0, **kwargs):
-        x = real(lu_piv, b, trans=trans, **kwargs)
+    def skewed(lu, b, trans=0, **kwargs):
+        x = real(lu, b, trans=trans, **kwargs)
         if trans == 0 and b.ndim == 2:
             x[:, bad] += 1e-6
         return x
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", skewed)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", skewed)
     weights = np.ones((3, 2 * RESIDUAL_BLOCK))
     with pytest.raises(NumericalError) as failure:
         ctx1.rank_weights(weights)
     assert failure.value.details["weight column"] == bad
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.85, 1.0 - 1e-9])
+@pytest.mark.parametrize("n", [1, 2, LU_LEAF - 1, LU_LEAF, LU_LEAF + 1, 2 * LU_LEAF + 3])
+def test_block_lu_solves_have_small_residuals(n, alpha):
+    # A_t = I - alpha P_u^T of graphs with dangling rows and self-loops,
+    # sized around the leaf so every split shape is met.  The normwise
+    # backward error of a stable solve is a modest multiple of n u.
+    rng = rng_for(n * 1000 + int(alpha * 100))
+    graph = random_graph(rng, n, density=0.3, dangling_frac=0.3)
+    assert any(s == t for s, t in graph.edges) or n == 1
+    p_u = row_stochastic(graph)
+    a = np.eye(n) - alpha * p_u.toarray().T
+    lu = _lu_factor(a.copy())
+    for trans, system in ((0, a), (1, a.T)):
+        for b in (rng.random(n), rng.random((n, 3))):
+            x = _lu_solve(lu, b.copy(), trans=trans)
+            assert x.shape == b.shape
+            r = np.abs(system @ x - b).max()
+            scale = np.abs(system).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+            assert r <= 4 * n * np.finfo(float).eps * scale
+    # a multiple of I takes the forward sweep that skips its zero blocks
+    inverse = _lu_solve(lu, np.eye(n) * (1.0 - alpha), lower_rhs=True)
+    assert np.abs(inverse - _lu_solve(lu, np.eye(n) * (1.0 - alpha))).max() <= 1e-12
+
+
+def test_singular_leaf_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="singular"):
+        _lu_factor(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        (np.array([np.nan, 1.0, 1.0]), "finite"),
+        (np.array([[1.0, np.inf], [1.0, 1.0], [1.0, 1.0]]), "finite"),
+        (np.ones((3, 2, 2)), "shape"),
+        (np.ones(4), "shape"),
+        (np.float64(1.0), "shape"),
+        ([["a"], ["b"], ["c"]], "numbers"),
+    ],
+)
+def test_rank_weights_rejects_bad_weights(ctx1, weights, match):
+    with pytest.raises(DomainError, match=match):
+        ctx1.rank_weights(weights)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda ctx: monte_carlo_interval(ctx, [0], None, 1), "None"),
+        (lambda ctx: competitivity_interval(ctx, 0, None), "None"),
+        (lambda ctx: achieve_value(ctx, 0, None), "None"),
+        (lambda ctx: achieve_value(ctx, 0, 0.35, tol="1e-6"), "'1e-6'"),
+        (lambda ctx: RankContext(None, ctx.p_u), "None"),
+        (lambda ctx: RankContext(True, ctx.p_u), "True"),
+        (lambda ctx: basis_family(0, 0.1, 3.0), "3.0"),
+        (lambda ctx: observe_rank_swaps(ctx, 0, 1, 2.5, 1), "2.5"),
+    ],
+)
+def test_scalar_arguments_are_type_checked(ctx1, call, named):
+    with pytest.raises(DomainError) as failure:
+        call(ctx1)
+    assert named in str(failure.value)

@@ -19,9 +19,10 @@ from rankreach import (
     parse_graph_json,
     row_stochastic,
 )
+from rankreach.graph import CSRMatrix
 
 from .golden import UNIFORM_PI_G1, X1_EXACT
-from .helpers import random_graph, rng_for
+from .helpers import random_graph, random_row_stochastic, rng_for
 
 
 def _rank(p_u, v):
@@ -81,6 +82,38 @@ def test_patched_rows_sum_to_one(seed, n):
     assert np.abs(p_u.toarray().sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def test_csr_entries_are_canonical():
+    csr = CSRMatrix.from_entries(
+        3, [2, 0, 2, 0, 1], [1, 2, 1, 0, 1], [1.0, 2.0, 3.0, 0.0, -4.0]
+    )
+    # repeated positions sum, explicit zeros go, columns ascend in each row
+    assert csr.indptr.tolist() == [0, 1, 2, 3]
+    assert csr.indices.tolist() == [2, 1, 1]
+    assert csr.data.tolist() == [2.0, -4.0, 4.0]
+    assert csr.toarray().tolist() == [[0, 0, 2], [0, -4, 0], [0, 4, 0]]
+    assert not csr.data.flags.writeable
+    for rows, cols in (([3], [0]), ([0], [-1])):
+        with pytest.raises(DomainError, match="out of range"):
+            CSRMatrix.from_entries(3, rows, cols, [1.0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_products_match_dense(seed):
+    # Graph rows (equal entries, self-loops, dangling rows) take the
+    # products' unweighted steps, random dense rows the weighted ones.
+    rng = rng_for(seed)
+    n = int(rng.integers(1, 40))
+    for p_u in (
+        row_stochastic(random_graph(rng, n, density=0.3, dangling_frac=0.3)),
+        random_row_stochastic(rng, n),
+    ):
+        dense = p_u.toarray()
+        for x in (rng.random(n), rng.random((n, 5)), np.asfortranarray(rng.random((n, 5)))):
+            assert np.abs(p_u.matvec(x) - dense @ x).max() <= 1e-14
+            assert np.abs(p_u.rmatvec(x) - dense.T @ x).max() <= 1e-14
+            assert p_u.matvec(x).shape == x.shape == p_u.rmatvec(x).shape
+
+
 def test_row_stochastic_matrix_validation():
     with pytest.raises(DomainError, match="sums to"):
         RowStochasticMatrix(p=np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -94,6 +127,9 @@ def test_row_stochastic_matrix_validation():
         RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([0.5, 0.4]))
     with pytest.raises(DomainError, match="length n"):
         RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.0]))
+    for shape in ((0, 0), (2, 3), (4,)):
+        with pytest.raises(DomainError, match="square"):
+            RowStochasticMatrix(p=np.zeros(shape))
 
 
 def test_google_matrix_two_cycle(cycle2):

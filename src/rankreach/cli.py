@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,74 +113,125 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     return parse_edge_list(text)
 
 
-def _csv_cell(kind: str, value) -> str:
-    if value is None:
-        return ""
-    if kind == "f6":
-        return f"{value:.6f}"
-    if kind == "g6":
-        return f"{value:.6g}"
-    if kind == "bool":
-        return "true" if value else "false"
-    return str(value)
+# Cells per block of the xmatrix table, which bounds the Python objects a
+# JSON block holds while it is written: a few hundred KB.
+EMIT_CELLS = 4096
+_CSV_FORMATS = {"label": "%s", "bool": "%s", "f6": "%.6f", "g6": "%.6g"}
+_CSV_BOOLS = np.array(["false", "true"], dtype=object)
+_JSON_FLOATS = {
+    "f6": lambda value: round(float(value), 6),
+    "g6": lambda value: float(f"{value:.6g}"),
+}
 
 
-def _json_cell(kind: str, value):
-    if value is None:
-        return None
-    if kind == "f6":
-        return round(float(value), 6)
-    if kind == "g6":
-        return float(f"{value:.6g}")
+def _csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        fields.append(buf.getvalue()[:-2])
+    return fields
+
+
+def _csv_part(name, kind: str, col, cells: np.ndarray) -> list[str]:
+    """One CSV string per row for one column of a block, or for the row
+    segments of a group of float columns."""
+    if kind == "label":
+        return cells[np.asarray(col, dtype=np.intp)].tolist()
     if kind == "bool":
-        return bool(value)
-    return value
+        return _CSV_BOOLS[np.asarray(col, dtype=np.intp)].tolist()
+    if isinstance(name, list):
+        segment = ",".join([_CSV_FORMATS[kind]] * len(name))
+        return list(map(segment.__mod__, map(tuple, col.tolist())))
+    return list(map(_CSV_FORMATS[kind].__mod__, col))
+
+
+def _json_part(name, kind: str, col, cells: np.ndarray) -> Iterable[Sequence]:
+    """The JSON cells of each row for one column of a block, or for a
+    group of float columns."""
+    if kind == "label":
+        return zip(cells[np.asarray(col, dtype=np.intp)].tolist())
+    if kind == "bool":
+        return zip(np.asarray(col, dtype=bool).tolist())
+    value = _JSON_FLOATS[kind]
+    if isinstance(name, list):
+        return [list(map(value, row)) for row in col.tolist()]
+    return zip(map(value, col))
 
 
 def _emit(
-    args: argparse.Namespace, spec: list[tuple[str, str]], rows: Iterable[Sequence]
+    args: argparse.Namespace,
+    spec: list[tuple[str | list[str], str]],
+    labels: Sequence[str],
+    blocks: Iterable[Sequence],
 ) -> None:
-    names = [name for name, _ in spec]
-    # Label cells (str, or None for none) pass through both formats as they
-    # are: csv writes None as an empty field.  Only the other kinds format.
-    formatted = [(k, kind) for k, (_, kind) in enumerate(spec) if kind != "label"]
-    cell = _json_cell if args.output == "json" else _csv_cell
+    """Write a table to stdout as CSV or JSON, each block as it is formatted.
 
-    def cells(row: Sequence) -> list:
-        out = list(row)
-        for k, kind in formatted:
-            out[k] = cell(kind, out[k])
-        return out
-
+    ``spec`` lists the table's columns as (name, kind), kind one of
+    "label", "bool", or floats printed as "f6" or "g6".  A block holds the
+    columns side by side, one sequence of cells per spec entry, all of one
+    length.  A label column holds node indices into ``labels``, -1 for no
+    node (an empty CSV field, a JSON null).  An entry whose name is a list
+    stands for that many float columns, given in the block as a 2-D array
+    with one row per table row.  The first block is written before the
+    next is read, so every check must run before the call: an error never
+    follows partial output.
+    """
+    names = [
+        column for name, _ in spec
+        for column in (name if isinstance(name, list) else [name])
+    ]
     if args.output == "json":
-        payload = [dict(zip(names, cells(row))) for row in rows]
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        # the entry past the last label is what index -1 reads
+        cells = np.array([*labels, None], dtype=object)
+        sys.stdout.write("[")
+        sep = ""
+        for block in blocks:
+            parts = [_json_part(name, kind, col, cells) for (name, kind), col in zip(spec, block)]
+            rows = [dict(zip(names, chain.from_iterable(row))) for row in zip(*parts)]
+            if rows:
+                sys.stdout.write(sep + json.dumps(rows, sort_keys=True)[1:-1])
+                sep = ", "
+        sys.stdout.write("]\n")
         return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(map(cells, rows))
+    cells = np.array([*_csv_fields(labels), ""], dtype=object)
+    line = ",".join(["%s"] * len(spec)) + "\n"
+    sys.stdout.write(",".join(_csv_fields(names)) + "\n")
+    for block in blocks:
+        parts = [_csv_part(name, kind, col, cells) for (name, kind), col in zip(spec, block)]
+        sys.stdout.write("".join(map(line.__mod__, zip(*parts))))
+
+
+def _one_block(rows: list[Sequence]) -> list[list]:
+    """The columns of a short table given row by row, as one block."""
+    return [list(zip(*rows))] if rows else []
 
 
 def _cmd_pagerank(model, g, ctx, args):
     pi = ctx.rank(model.personalization(g.n)).pi
     spec = [("node", "label"), ("pagerank", "f6")]
-    _emit(args, spec, [[g.labels[i], float(pi[i])] for i in range(g.n)])
+    _emit(args, spec, g.labels, [(range(g.n), pi)])
 
 
 def _cmd_xmatrix(model, g, ctx, args):
     x = ctx.fundamental().x
-    spec = [("node", "label")] + [(label, "f6") for label in g.labels]
-    rows = [[g.labels[i], *map(float, x[i])] for i in range(g.n)]
-    _emit(args, spec, rows)
+    spec = [("node", "label"), (list(g.labels), "f6")]
+    step = max(1, EMIT_CELLS // g.n)
+    blocks = (
+        (range(start, min(start + step, g.n)), x[start:start + step])
+        for start in range(0, g.n, step)
+    )
+    _emit(args, spec, g.labels, blocks)
 
 
 def _cmd_intervals(model, g, ctx, args):
     spec = [("node", "label"), ("lo", "f6"), ("hi", "f6"), ("lo_witness", "label")]
-    rows = [
-        [g.labels[iv.node], iv.lo, iv.hi, g.labels[iv.lo_witness]]
-        for iv in ctx.intervals()
-    ]
-    _emit(args, spec, rows)
+    rows = [[iv.node, iv.lo, iv.hi, iv.lo_witness] for iv in ctx.intervals()]
+    _emit(args, spec, g.labels, _one_block(rows))
 
 
 def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
@@ -189,16 +241,16 @@ def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
     return g.index_of(parts[0]), g.index_of(parts[1])
 
 
-def _scan_rows(g: DirectedGraph, fm: FundamentalMatrix) -> Iterator[tuple]:
-    """Rows of the full competitor scan, the pairs i < j in row-major order."""
-    labels = np.array(g.labels, dtype=object)
+def _scan_blocks(fm: FundamentalMatrix) -> Iterator[tuple]:
+    """The full competitor scan as blocks of columns, one per row i of the
+    upper triangle, for the pairs i < j in row-major order."""
     for i, competes, above, below in competitor_scan(fm):
-        yield from zip(
-            repeat(g.labels[i]),
-            g.labels[i + 1:],
-            competes.tolist(),
-            np.where(competes, labels[above], None).tolist(),
-            np.where(competes, labels[below], None).tolist(),
+        yield (
+            np.full(competes.size, i),
+            range(i + 1, fm.n),
+            competes,
+            np.where(competes, above, -1),
+            np.where(competes, below, -1),
         )
 
 
@@ -211,29 +263,26 @@ def _cmd_competitors(model, g, ctx, args):
         ("witness_l", "label"),
     ]
     if not args.pair:
-        _emit(args, spec, _scan_rows(g, ctx.fundamental()))
+        _emit(args, spec, g.labels, _scan_blocks(ctx.fundamental()))
         return
     # one pair reads two columns of X, which the context solves for alone
     i, j = _parse_pair(g, args.pair)
     verdict = effective_competitors(ctx, i, j)
     row = [
-        g.labels[i],
-        g.labels[j],
+        i,
+        j,
         verdict.competes,
-        None if verdict.witness_k is None else g.labels[verdict.witness_k],
-        None if verdict.witness_l is None else g.labels[verdict.witness_l],
+        -1 if verdict.witness_k is None else verdict.witness_k,
+        -1 if verdict.witness_l is None else verdict.witness_l,
     ]
-    _emit(args, spec, [row])
+    _emit(args, spec, g.labels, _one_block([row]))
 
 
 def _cmd_leaders(model, g, ctx, args):
     group = leadership_group(ctx.fundamental())
     spec = [("leader", "label"), ("witness_row", "label")]
-    rows = [
-        [g.labels[i], g.labels[group.witness_rows[i]]]
-        for i in sorted(group.leaders)
-    ]
-    _emit(args, spec, rows)
+    rows = [[i, group.witness_rows[i]] for i in sorted(group.leaders)]
+    _emit(args, spec, g.labels, _one_block(rows))
 
 
 def _cmd_sc_interval(model, g, ctx, args):
@@ -246,8 +295,8 @@ def _cmd_sc_interval(model, g, ctx, args):
     rows = []
     for i in nodes:
         sc = competitivity_interval(ctx, i, args.epsilon)
-        rows.append([g.labels[i], sc.epsilon, sc.lo, sc.hi])
-    _emit(args, spec, rows)
+        rows.append([i, sc.epsilon, sc.lo, sc.hi])
+    _emit(args, spec, g.labels, _one_block(rows))
 
 
 def _cmd_achieve(model, g, ctx, args):
@@ -263,8 +312,8 @@ def _cmd_achieve(model, g, ctx, args):
         ("lambda", "f6"),
         ("epsilon", "g6"),
     ]
-    _emit(args, spec, [[g.labels[i], args.target, result.achieved,
-                       result.lam, result.epsilon]])
+    row = [i, args.target, result.achieved, result.lam, result.epsilon]
+    _emit(args, spec, g.labels, _one_block([row]))
 
 
 def _cmd_verify(model, g, ctx, args):

@@ -32,9 +32,9 @@ from .stochastic import (
     _is_integer,
     _is_real,
     row_stochastic,
+    solve_sum_tol,
 )
 
-ROW_SUM_CHECK_TOL = 1e-10
 # Strict inequalities on X cannot be resolved past solver precision; entries
 # within this guard of each other count as equal (argmin ties, nonnegativity).
 FLOAT_RESOLUTION = 1e-12
@@ -147,18 +147,13 @@ def _check_structure(
     """Raise :class:`StructureError` unless X's guaranteed structure holds;
     ``margins`` covers the columns from ``first_column`` on.
 
-    The row-sum tolerance is max(ROW_SUM_CHECK_TOL, kappa u), u the unit
-    roundoff and kappa = (1 + alpha)/(1 - alpha) a bound on the 1-norm
-    condition number of A_t: A_t^{-1} = X^T/(1 - alpha), and X is
-    nonnegative with unit row sums, so ||A_t^{-1}||_1 = 1/(1 - alpha), while
-    ||A_t||_1 <= 1 + alpha.  A solve can carry that much error, which
-    exceeds the fixed tolerance only near alpha = 1.  Every test is
-    written so that a NaN fails it."""
-    kappa = (1.0 + alpha) / (1.0 - alpha)
+    Each row of X is a rank vector, so its sum may stray from 1 by
+    :func:`~rankreach.stochastic.solve_sum_tol`.  Every test is written so
+    that a NaN fails it."""
     failures = {}
     if not min_entry >= -FLOAT_RESOLUTION:
         failures["min_entry"] = min_entry
-    if not row_sum_error <= max(ROW_SUM_CHECK_TOL, kappa * np.finfo(float).eps / 2):
+    if not row_sum_error <= solve_sum_tol(alpha):
         failures["row_sum_error"] = row_sum_error
     if not margins.min() > 0.0:
         failures["worst_margin"] = float(margins.min())
@@ -462,7 +457,7 @@ class RankContext:
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:
         """Residual-checked rank vector for personalization v."""
-        return PageRankVector(pi=self.rank_weights(v.v))
+        return PageRankVector(pi=self.rank_weights(v.v), alpha=self.alpha)
 
     def fundamental(self) -> FundamentalMatrix:
         """Structure-verified X, computed once.
@@ -590,8 +585,8 @@ def achieve_value(
     interval = ctx.interval(i)
     if not interval.lo < target < interval.hi:
         raise DomainError(
-            f"target {target!r} outside the attainable open interval "
-            f"({interval.lo!r}, {interval.hi!r})"
+            f"target {target:.12g} outside the attainable open interval "
+            f"({interval.lo:.12g}, {interval.hi:.12g})"
         )
     ((_, ends),) = ctx.concentrated([i, interval.lo_witness], [epsilon])
     # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
@@ -603,8 +598,8 @@ def achieve_value(
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1
         raise NumericalError(
-            f"target {target!r} unreachable at epsilon floor {epsilon:g}; "
-            f"closest achieved {closest!r}",
+            f"target {target:.12g} unreachable at epsilon floor {epsilon:g}; "
+            f"closest achieved {closest:.12g}",
             details={"closest_achieved": closest, "epsilon": epsilon},
         )
     increasing = f1 >= f0
@@ -628,6 +623,6 @@ def achieve_value(
         else:
             hi_lam = lam
     raise NumericalError(
-        f"bisection stalled at {val!r} for target {target!r} (tol {tol:g})",
+        f"bisection stalled at {val:.12g} for target {target:.12g} (tol {tol:g})",
         details={"closest_achieved": val, "lambda": lam, "epsilon": epsilon},
     )

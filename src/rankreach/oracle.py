@@ -228,7 +228,7 @@ def pagerank_power(gm: GoogleMatrix) -> PageRankVector:
         nxt = x @ gm.g
         residual = float(np.abs(nxt - x).sum())
         if residual <= POWER_TOL:
-            return PageRankVector(pi=x)
+            return PageRankVector(pi=x, alpha=gm.alpha)
         x = nxt
     raise ConvergenceError(
         f"power iteration missed tol={POWER_TOL:g} after {max_iter} iterations",

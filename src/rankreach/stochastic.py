@@ -20,6 +20,7 @@ from .graph import CSRMatrix, DirectedGraph, adjacency
 
 ROW_SUM_TOL = 1e-12
 RANK_SUM_TOL = 1e-10
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 SOLVE_RESIDUAL_TOL = 1e-10
 DEFAULT_ALPHA = 0.85
 
@@ -44,6 +45,18 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def solve_sum_tol(alpha: float) -> float:
+    """How far from 1 the sum of a probability vector solved at damping
+    factor alpha may stray: max(RANK_SUM_TOL, kappa u), u the unit roundoff.
+
+    kappa = (1 + alpha)/(1 - alpha) bounds the 1-norm condition number of
+    A_t = I - alpha P_u^T: A_t^{-1} = X^T/(1 - alpha), and X is nonnegative
+    with unit row sums, so ||A_t^{-1}||_1 = 1/(1 - alpha), while
+    ||A_t||_1 <= 1 + alpha.  A solve can carry that much error, which
+    exceeds the fixed tolerance only near alpha = 1."""
+    return max(RANK_SUM_TOL, (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
+
+
 def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
     v = np.array(raw, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -51,7 +64,7 @@ def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
     if not (v > 0).all():
         raise DomainError(f"{name} entries must be strictly positive")
     if abs(v.sum() - 1.0) > sum_tol:
-        raise DomainError(f"{name} must sum to 1, got {v.sum()!r}")
+        raise DomainError(f"{name} must sum to 1, got {float(v.sum()):.12g}")
     v.flags.writeable = False
     return v
 
@@ -197,13 +210,16 @@ class RowStochasticMatrix:
 
 @dataclass(frozen=True)
 class PageRankVector:
-    """Strictly positive rank vector summing to 1."""
+    """Strictly positive rank vector summing to 1, solved at damping factor
+    ``alpha``: its sum may stray from 1 by :func:`solve_sum_tol`."""
 
     pi: np.ndarray
+    alpha: float = field(repr=False, compare=False)
 
     def __post_init__(self):
+        _check_alpha(self.alpha)
         object.__setattr__(
-            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=RANK_SUM_TOL)
+            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=solve_sum_tol(self.alpha))
         )
 
 

@@ -29,3 +29,22 @@ def random_context(rng, n, density=0.2, dangling_frac=0.3, alpha=0.85) -> RankCo
 def random_row_stochastic(rng, n) -> RowStochasticMatrix:
     w = -np.log(rng.random((n, n)))
     return RowStochasticMatrix(p=w / w.sum(axis=1, keepdims=True))
+
+
+def preferential_graph(rng, n, links=4, reciprocity=0.3) -> DirectedGraph:
+    """Hub-heavy graph by preferential attachment: node t links to up to
+    ``links`` earlier nodes drawn by in-degree + 1, and each link is
+    reciprocated with probability ``reciprocity``.  Such graphs put many
+    witness rows of the competitor scan deep in the columns of X."""
+    weight = np.zeros(n)
+    edges = set()
+    for t in range(n):
+        weight[t] = 1.0
+        for s in rng.choice(t, size=min(t, links), replace=False,
+                            p=weight[:t] / weight[:t].sum() if t else None).tolist():
+            edges.add((t, s))
+            weight[s] += 1.0
+            if rng.random() < reciprocity:
+                edges.add((s, t))
+                weight[t] += 1.0
+    return DirectedGraph(labels=tuple(str(i + 1) for i in range(n)), edges=frozenset(edges))

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -6,7 +7,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankreach.localization
+from rankreach import (
+    PersonalizationVector,
+    effective_competitors,
+    leadership_group,
+    parse_graph_json,
+)
 from rankreach.cli import run
 from rankreach.errors import StructureError
 from rankreach.localization import RankContext
 
 from .conftest import GRAPH_DIR
+from .helpers import random_graph, rng_for
 
 G1 = str(GRAPH_DIR / "g1.edges")
 G2 = str(GRAPH_DIR / "g2.edges")
@@ -296,6 +306,123 @@ def test_bad_vector_file_exits_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "pagerank", "--v", str(vfile), G1)
     assert code == 1
     assert "one float per line" in err
+
+
+# A comma, a double quote, a newline, a leading space, non-ASCII text, an
+# empty label, and "node", which an xmatrix JSON row holds twice as a key.
+AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", " lead", "naïve ü", "", "ταυ", "node"]
+AWKWARD_EDGES = [[0, 1], [1, 0], [1, 2], [2, 0], [2, 1], [3, 0], [3, 2], [4, 3],
+                 [5, 4], [6, 5], [6, 7], [7, 6]]
+
+
+def _reference_render(output, spec, rows):
+    """A table as csv.writer and one whole-payload json.dumps write it;
+    label cells are label strings or None."""
+    names = [name for name, _ in spec]
+
+    def cell(kind, value):
+        if value is None or kind == "label":
+            return value
+        if output == "json":
+            return {"f6": round(value, 6), "g6": float(f"{value:.6g}"), "bool": value}[kind]
+        if kind == "bool":
+            return "true" if value else "false"
+        return f"{value:.6f}" if kind == "f6" else f"{value:.6g}"
+
+    cells = [[cell(kind, value) for (_, kind), value in zip(spec, row)] for row in rows]
+    if output == "json":
+        return json.dumps([dict(zip(names, row)) for row in cells], sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(cells)
+    return buf.getvalue()
+
+
+def _awkward_tables(g):
+    """The expected table of each whole-graph subcommand, from the library."""
+    ctx = RankContext.from_graph(g)
+    fm = ctx.fundamental()
+    labels = g.labels
+    pi = ctx.rank(PersonalizationVector.uniform(g.n)).pi
+    verdicts = [effective_competitors(fm, i, j) for i, j in combinations(range(g.n), 2)]
+    group = leadership_group(fm)
+
+    def label(k):
+        return None if k is None else labels[k]
+
+    return {
+        "pagerank": ([("node", "label"), ("pagerank", "f6")],
+                     [[labels[i], float(pi[i])] for i in range(g.n)]),
+        "xmatrix": ([("node", "label")] + [(name, "f6") for name in labels],
+                    [[labels[i], *fm.x[i].tolist()] for i in range(g.n)]),
+        "intervals": ([("node", "label"), ("lo", "f6"), ("hi", "f6"), ("lo_witness", "label")],
+                      [[labels[iv.node], iv.lo, iv.hi, labels[iv.lo_witness]]
+                       for iv in ctx.intervals()]),
+        "competitors": ([("i", "label"), ("j", "label"), ("competes", "bool"),
+                         ("witness_k", "label"), ("witness_l", "label")],
+                        [[labels[v.i], labels[v.j], v.competes, label(v.witness_k),
+                          label(v.witness_l)] for v in verdicts]),
+        "leaders": ([("leader", "label"), ("witness_row", "label")],
+                    [[labels[i], labels[group.witness_rows[i]]]
+                     for i in sorted(group.leaders)]),
+    }
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_streamed_output_matches_csv_writer_and_json_dumps(capsys, tmp_path, output):
+    path = tmp_path / "awkward.json"
+    path.write_text(json.dumps({"nodes": AWKWARD_LABELS, "edges": AWKWARD_EDGES}))
+    g = parse_graph_json(path.read_text())
+    tables = _awkward_tables(g)
+    # the scan holds competing and non-competing pairs
+    competes = {row[2] for row in tables["competitors"][1]}
+    assert competes == {True, False}
+    for command, (spec, rows) in tables.items():
+        code, out, err = invoke(capsys, command, "--output", output, str(path))
+        assert code == 0, err
+        assert out == _reference_render(output, spec, rows), command
+
+
+def _traced_peak(argv) -> int:
+    """Peak traced memory of one CLI run, its stdout discarded."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_streamed_output_peaks_near_intervals(tmp_path):
+    # No output is held whole: writing every pair or all of X as JSON peaks
+    # within 1.25x of intervals, which holds X and its factors alone.
+    g = random_graph(rng_for(301), 300, density=0.03)
+    path = tmp_path / "g300.edges"
+    path.write_text("".join(f"{g.labels[s]} {g.labels[t]}\n" for s, t in sorted(g.edges)))
+    base = _traced_peak(["intervals", str(path)])
+    for command in ("competitors", "xmatrix"):
+        peak = _traced_peak([command, "--output", "json", str(path)])
+        assert peak <= 1.25 * base, (command, peak, base)
+
+
+def test_pagerank_near_alpha_one_exits_0(capsys):
+    # The solved vector's sum strays from 1 by 2e-8 here, within the bound
+    # (1 + alpha)/(1 - alpha) u that X's row sums use.
+    code, out, err = invoke(capsys, "pagerank", "--alpha", "0.999999999", G2)
+    assert code == 0, err
+    assert out.startswith("node,pagerank\n")
+
+
+def test_error_messages_print_floats_at_twelve_digits(capsys):
+    code, _, err = invoke(capsys, "achieve", "--node", "1", "--target", "0.99",
+                          str(GRAPH_DIR / "two_cycle.edges"))
+    assert code == 1
+    assert err == (
+        "rankreach: error: node '1': target 0.99 outside the attainable open "
+        "interval (0.459459459459, 0.540540540541)\n"
+    )
 
 
 def test_single_node_graph_intervals_exit_1(capsys, tmp_path):

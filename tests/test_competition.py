@@ -9,6 +9,7 @@ import rankreach.localization
 from rankreach import (
     STRICT_MARGIN,
     CompetitionVerdict,
+    DirectedGraph,
     DomainError,
     FundamentalMatrix,
     RankContext,
@@ -34,7 +35,7 @@ from .golden import (
     WITNESS_ROWS_G2,
     WITNESS_ROWS_G3,
 )
-from .helpers import random_context, random_graph, rng_for
+from .helpers import preferential_graph, random_context, random_graph, rng_for
 
 
 def test_g1_outer_pair_competes_with_witness_rows(ctx1):
@@ -343,6 +344,103 @@ def test_scan_of_single_node_has_no_pairs():
     assert competitivity_graph(fm) == set()
 
 
+def _unfiltered_scan(fm):
+    """The scan without the row-head pass: every pair compared over whole
+    columns, written out as the kernel was before it."""
+    x = fm.x
+    for i in range(fm.n - 1):
+        d = x[:, i][:, None] - x[:, i + 1:]
+        above, below = d > STRICT_MARGIN, d < -STRICT_MARGIN
+        yield i, above.any(0) & below.any(0), above.argmax(0), below.argmax(0)
+
+
+def _assert_scan_is_unfiltered(fm):
+    """competitor_scan yields the same arrays as the unfiltered scan, the
+    witness rows of non-competing pairs included."""
+    got, want = list(competitor_scan(fm)), list(_unfiltered_scan(fm))
+    assert len(got) == len(want) == max(fm.n - 1, 0)
+    for row_got, row_want in zip(got, want):
+        assert row_got[0] == row_want[0]
+        for a, b in zip(row_got[1:], row_want[1:]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_row_head_pass_matches_unfiltered_scan_on_golden_graphs(ctx1, ctx2, ctx3, ctx_cycle):
+    # g1 has non-competing pairs, whose arrays must match as well
+    assert len(competitivity_graph(ctx1.fundamental())) < 3
+    for ctx in (ctx1, ctx2, ctx3, ctx_cycle):
+        _assert_scan_is_unfiltered(ctx.fundamental())
+
+
+def _head_pays(fm):
+    head = np.asfortranarray(fm.x[:rankreach.competition.SCAN_HEAD])
+    return rankreach.competition._head_pays(head, fm.n)
+
+
+def test_row_head_pass_matches_unfiltered_scan_where_witnesses_sit_deep():
+    head = rankreach.competition.SCAN_HEAD
+    for seed in (1, 2):
+        fm = RankContext.from_graph(preferential_graph(rng_for(seed), 250)).fundamental()
+        assert _head_pays(fm)
+        _assert_scan_is_unfiltered(fm)
+        deep = sum(int((np.maximum(above, below)[competes] >= head).sum())
+                   for _, competes, above, below in competitor_scan(fm))
+        assert deep > 1000
+    fm = random_context(rng_for(51), 3 * head, density=0.05).fundamental()
+    assert _head_pays(fm)
+    _assert_scan_is_unfiltered(fm)
+
+
+def test_scan_skips_the_row_head_pass_where_it_resolves_little():
+    # On a path and an in-star most witnesses sit below the head.
+    n = 400
+    labels = tuple(str(k) for k in range(n))
+    for edges in ({(k, k + 1) for k in range(n - 1)}, {(k, 0) for k in range(1, n)}):
+        g = DirectedGraph(labels=labels, edges=frozenset(edges))
+        fm = RankContext.from_graph(g).fundamental()
+        assert not _head_pays(fm)
+        _assert_scan_is_unfiltered(fm)
+
+
+def test_row_head_pass_with_one_side_in_the_head():
+    # pairs (0, j): the difference of columns 0 and j is -x[:, j]
+    head = rankreach.competition.SCAN_HEAD
+    n = head + 8
+    x = np.zeros((n, n))
+    x[3, 1], x[head + 2, 1] = -1.0, 1.0    # above in the head, below deep
+    x[5, 2] = -1.0                         # above in the head, no below
+    x[1, 3], x[head + 4, 3] = 1.0, -1.0    # below in the head, above deep
+    x[head, 4], x[head + 1, 4] = 1.0, -1.0  # both deep
+    x[2, 5], x[4, 5] = -1.0, 1.0           # both in the head
+    x[:, 6:] = rng_for(52).choice([0.0, 1.0, -1.0], size=(n, n - 6))
+    fm = FundamentalMatrix(x=x, alpha=0.85)
+    assert _head_pays(fm)
+    _assert_scan_is_unfiltered(fm)
+    _, competes, above, below = next(competitor_scan(fm))
+    assert competes[:5].tolist() == [True, False, True, True, True]
+    assert above[:5].tolist() == [3, 5, head + 4, head + 1, 2]
+    assert below[:5].tolist() == [head + 2, 0, 1, head, 4]
+
+
+def test_competitivity_graph_matches_the_scan():
+    rng = rng_for(53)
+    matrices = [
+        RankContext.from_graph(load_graph(name)).fundamental()
+        for name in ("g1.edges", "g2.edges", "g3.edges", "two_cycle.edges", "isolated.json")
+    ]
+    matrices += [random_context(rng, int(rng.integers(2, 90)), density=float(d)).fundamental()
+                 for d in rng.uniform(0.02, 0.5, size=12)]
+    matrices.append(RankContext.from_graph(preferential_graph(rng, 120)).fundamental())
+    matrices.append(_margin_matrix())
+    for fm in matrices:
+        by_scan = {
+            (i, j)
+            for i, competes, _, _ in competitor_scan(fm)
+            for j in (np.flatnonzero(competes) + i + 1).tolist()
+        }
+        assert competitivity_graph(fm) == by_scan
+
+
 def test_every_verdict_goes_through_one_kernel(ctx2, monkeypatch):
     calls = []
     real = rankreach.competition._verdicts
@@ -357,8 +455,16 @@ def test_every_verdict_goes_through_one_kernel(ctx2, monkeypatch):
     assert calls == [1]
     list(competitor_scan(fm))
     assert calls[1:] == [4, 3, 2, 1]
+    # the graph compares only the pairs the diagonal certificate leaves
+    # open, row by row
     competitivity_graph(fm)
-    assert calls[5:] == [4, 3, 2, 1]
+    x, m = fm.x, STRICT_MARGIN
+    open_per_row = [
+        sum(not (x[i, i] - x[i, j] > m and x[j, j] - x[j, i] > m)
+            for j in range(i + 1, fm.n))
+        for i in range(fm.n)
+    ]
+    assert calls[5:] == [k for k in open_per_row if k] == [1, 1]
 
 
 def test_cli_full_scan_makes_no_pairwise_calls(capsys, monkeypatch):

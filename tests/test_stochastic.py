@@ -7,6 +7,7 @@ import rankreach.oracle
 from rankreach import (
     ConvergenceError,
     DomainError,
+    PageRankVector,
     ParseError,
     PersonalizationVector,
     RankContext,
@@ -260,6 +261,18 @@ def test_vector_validation():
     with pytest.raises(DomainError, match="positive"):
         RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.5, -0.5]))
     assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
+
+
+def test_rank_sum_tolerance_follows_the_solve_bound():
+    # A solve at alpha carries up to (1 + alpha)/(1 - alpha) u of error in
+    # the sum; at alpha = 0.85 that is below the fixed 1e-10 floor.
+    pi = np.array([0.5, 0.5 + 2e-8])
+    assert PageRankVector(pi=pi, alpha=1 - 1e-9).pi.tolist() == pi.tolist()
+    with pytest.raises(DomainError) as info:
+        PageRankVector(pi=pi, alpha=0.85)
+    assert str(info.value) == "rank vector must sum to 1, got 1.00000002"
+    with pytest.raises(DomainError, match="alpha"):
+        PageRankVector(pi=np.array([0.5, 0.5]), alpha=1.0)
 
 
 def test_config_loading():

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +112,9 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     return parse_edge_list(text)
 
 
-# Cells per block of the xmatrix table, which bounds the Python objects a
-# JSON block holds while it is written: a few hundred KB.
-EMIT_CELLS = 4096
+# Rows per block of the xmatrix table, which bounds the Python objects a
+# block holds while it is written at EMIT_ROWS * n cells.
+EMIT_ROWS = 16
 _CSV_FORMATS = {"label": "%s", "bool": "%s", "f6": "%.6f", "g6": "%.6g"}
 _CSV_BOOLS = np.array(["false", "true"], dtype=object)
 _JSON_FLOATS = {
@@ -137,35 +136,27 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return fields
 
 
-def _csv_part(name, kind: str, col, cells: np.ndarray) -> list[str]:
-    """One CSV string per row for one column of a block, or for the row
-    segments of a group of float columns."""
+def _csv_part(kind: str, col, cells: np.ndarray) -> list[str]:
+    """The CSV field of each row for one column of a block."""
     if kind == "label":
         return cells[np.asarray(col, dtype=np.intp)].tolist()
     if kind == "bool":
         return _CSV_BOOLS[np.asarray(col, dtype=np.intp)].tolist()
-    if isinstance(name, list):
-        segment = ",".join([_CSV_FORMATS[kind]] * len(name))
-        return list(map(segment.__mod__, map(tuple, col.tolist())))
-    return list(map(_CSV_FORMATS[kind].__mod__, col))
+    return list(map(_CSV_FORMATS[kind].__mod__, np.asarray(col, dtype=float).tolist()))
 
 
-def _json_part(name, kind: str, col, cells: np.ndarray) -> Iterable[Sequence]:
-    """The JSON cells of each row for one column of a block, or for a
-    group of float columns."""
+def _json_part(kind: str, col, cells: np.ndarray) -> list:
+    """The JSON cell of each row for one column of a block."""
     if kind == "label":
-        return zip(cells[np.asarray(col, dtype=np.intp)].tolist())
+        return cells[np.asarray(col, dtype=np.intp)].tolist()
     if kind == "bool":
-        return zip(np.asarray(col, dtype=bool).tolist())
-    value = _JSON_FLOATS[kind]
-    if isinstance(name, list):
-        return [list(map(value, row)) for row in col.tolist()]
-    return zip(map(value, col))
+        return np.asarray(col, dtype=bool).tolist()
+    return list(map(_JSON_FLOATS[kind], np.asarray(col, dtype=float).tolist()))
 
 
 def _emit(
     args: argparse.Namespace,
-    spec: list[tuple[str | list[str], str]],
+    spec: list[tuple[str, str]],
     labels: Sequence[str],
     blocks: Iterable[Sequence],
 ) -> None:
@@ -175,24 +166,19 @@ def _emit(
     "label", "bool", or floats printed as "f6" or "g6".  A block holds the
     columns side by side, one sequence of cells per spec entry, all of one
     length.  A label column holds node indices into ``labels``, -1 for no
-    node (an empty CSV field, a JSON null).  An entry whose name is a list
-    stands for that many float columns, given in the block as a 2-D array
-    with one row per table row.  The first block is written before the
-    next is read, so every check must run before the call: an error never
-    follows partial output.
+    node (an empty CSV field, a JSON null).  The first block is written
+    before the next is read, so every check must run before the call: an
+    error never follows partial output.
     """
-    names = [
-        column for name, _ in spec
-        for column in (name if isinstance(name, list) else [name])
-    ]
+    names = [name for name, _ in spec]
     if args.output == "json":
         # the entry past the last label is what index -1 reads
         cells = np.array([*labels, None], dtype=object)
         sys.stdout.write("[")
         sep = ""
         for block in blocks:
-            parts = [_json_part(name, kind, col, cells) for (name, kind), col in zip(spec, block)]
-            rows = [dict(zip(names, chain.from_iterable(row))) for row in zip(*parts)]
+            parts = [_json_part(kind, col, cells) for (_, kind), col in zip(spec, block)]
+            rows = [dict(zip(names, row)) for row in zip(*parts)]
             if rows:
                 sys.stdout.write(sep + json.dumps(rows, sort_keys=True)[1:-1])
                 sep = ", "
@@ -202,7 +188,7 @@ def _emit(
     line = ",".join(["%s"] * len(spec)) + "\n"
     sys.stdout.write(",".join(_csv_fields(names)) + "\n")
     for block in blocks:
-        parts = [_csv_part(name, kind, col, cells) for (name, kind), col in zip(spec, block)]
+        parts = [_csv_part(kind, col, cells) for (_, kind), col in zip(spec, block)]
         sys.stdout.write("".join(map(line.__mod__, zip(*parts))))
 
 
@@ -219,11 +205,10 @@ def _cmd_pagerank(model, g, ctx, args):
 
 def _cmd_xmatrix(model, g, ctx, args):
     x = ctx.fundamental().x
-    spec = [("node", "label"), (list(g.labels), "f6")]
-    step = max(1, EMIT_CELLS // g.n)
+    spec = [("node", "label")] + [(label, "f6") for label in g.labels]
     blocks = (
-        (range(start, min(start + step, g.n)), x[start:start + step])
-        for start in range(0, g.n, step)
+        (range(start, min(start + EMIT_ROWS, g.n)), *x[start:start + EMIT_ROWS].T)
+        for start in range(0, g.n, EMIT_ROWS)
     )
     _emit(args, spec, g.labels, blocks)
 

@@ -17,14 +17,7 @@ comparison reports.  Only the pairs the head leaves open go through the
 full columns.  On most graphs the head resolves most pairs, so the scan
 costs little more than SCAN_HEAD * n^2 comparisons instead of n^3.  Where
 it resolves few, as on paths, rings and stars, whose witnesses sit deep,
-the scan compares whole columns from the start: a head pass over every
-``SCAN_BLOCK``-th row decides which.
-
-``competitivity_graph`` needs verdicts but no witnesses, so it first tests
-the diagonal certificate of every pair at once: x_ii - x_ij and
-x_jj - x_ji both above the margin put the difference above it at row i
-and below it at row j.  Only the pairs that fail it are compared column by
-column.
+the pass is wasted and gathering the open columns costs extra.
 
 The certificates read rows of X as well.  The concentrated personalization
 v_k(epsilon) puts 1 - epsilon on node k and epsilon/(n-1) on every other
@@ -44,7 +37,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -151,20 +143,6 @@ def effective_competitors(
     return CompetitionVerdict(i=i, j=j, competes=False)
 
 
-def _head_pays(head: np.ndarray, n: int) -> bool:
-    """Whether the row-head pass resolves at least a third of the pairs of
-    every ``SCAN_BLOCK``-th row of the upper triangle.
-
-    Below that the witnesses sit deep, and gathering the many unresolved
-    columns costs more than the pass saves: on graphs of 600 to 1000 nodes
-    the pass lost at a fifth resolved and won at 0.36 and above."""
-    probes = range(0, n - 1, SCAN_BLOCK)
-    resolved = sum(
-        int(np.count_nonzero(_verdicts(head[:, i], head[:, i + 1:])[0])) for i in probes
-    )
-    return 3 * resolved >= sum(n - 1 - i for i in probes)
-
-
 def competitor_scan(
     fm: FundamentalMatrix,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -180,43 +158,23 @@ def competitor_scan(
     n = fm.n
     # each column's head rows side by side, so a row's later columns are
     # one contiguous slice
-    head = np.asfortranarray(x[:SCAN_HEAD]) if n > SCAN_HEAD else None
-    use_head = head is not None and _head_pays(head, n)
+    head = np.asfortranarray(x[:SCAN_HEAD])
     for i in range(n - 1):
-        if use_head:
-            competes, above, below = _verdicts(head[:, i], head[:, i + 1:])
-            unresolved = np.flatnonzero(~competes)
-            for start in range(0, unresolved.size, SCAN_BLOCK):
-                at = unresolved[start:start + SCAN_BLOCK]
-                competes[at], above[at], below[at] = _verdicts(x[:, i], x[:, at + (i + 1)])
-        else:
-            blocks = [
-                _verdicts(x[:, i], x[:, start:start + SCAN_BLOCK])
-                for start in range(i + 1, n, SCAN_BLOCK)
-            ]
-            competes, above, below = (np.concatenate(parts) for parts in zip(*blocks))
+        competes, above, below = _verdicts(head[:, i], head[:, i + 1:])
+        # a head of all n rows leaves nothing to compare further
+        unresolved = np.flatnonzero(~competes) if n > SCAN_HEAD else ()
+        for start in range(0, len(unresolved), SCAN_BLOCK):
+            at = unresolved[start:start + SCAN_BLOCK]
+            competes[at], above[at], below[at] = _verdicts(x[:, i], x[:, at + (i + 1)])
         yield i, competes, above, below
 
 
 def competitivity_graph(fm: FundamentalMatrix) -> set[tuple[int, int]]:
-    """All competing pairs (i, j) with i < j.
-
-    Pairs whose diagonal certificate holds compete; the others are
-    compared column by column, one row of the upper triangle at a time."""
-    x = fm.x
-    # x_ii - x_ij is the difference of columns i and j at row i; at row j
-    # it is x_ji - x_jj, the exact negative of x_jj - x_ji
-    past = (np.diag(x)[:, None] - x) > STRICT_MARGIN
-    certified = np.triu(past & past.T, 1)
-    pairs = set(zip(*(idx.tolist() for idx in np.nonzero(certified))))
-    open_i, open_j = np.nonzero(np.triu(~certified, 1))
-    bounds = np.searchsorted(open_i, np.arange(fm.n + 1))
-    for i in range(fm.n):
-        js = open_j[bounds[i]:bounds[i + 1]]
-        for start in range(0, js.size, SCAN_BLOCK):
-            block = js[start:start + SCAN_BLOCK]
-            competes, _, _ = _verdicts(x[:, i], x[:, block])
-            pairs.update(zip(repeat(i), block[competes].tolist()))
+    """All competing pairs (i, j) with i < j."""
+    pairs = set()
+    for i, competes, _, _ in competitor_scan(fm):
+        js = np.flatnonzero(competes) + (i + 1)
+        pairs.update(zip([i] * js.size, js.tolist()))
     return pairs
 
 

@@ -24,7 +24,7 @@ from rankreach import (
     leadership_group,
     parse_graph_json,
 )
-from rankreach.cli import run
+from rankreach.cli import EMIT_ROWS, run
 from rankreach.errors import StructureError
 from rankreach.localization import RankContext
 
@@ -371,17 +371,22 @@ def _awkward_tables(g):
 
 @pytest.mark.parametrize("output", ["csv", "json"])
 def test_streamed_output_matches_csv_writer_and_json_dumps(capsys, tmp_path, output):
-    path = tmp_path / "awkward.json"
-    path.write_text(json.dumps({"nodes": AWKWARD_LABELS, "edges": AWKWARD_EDGES}))
-    g = parse_graph_json(path.read_text())
-    tables = _awkward_tables(g)
-    # the scan holds competing and non-competing pairs
-    competes = {row[2] for row in tables["competitors"][1]}
-    assert competes == {True, False}
-    for command, (spec, rows) in tables.items():
-        code, out, err = invoke(capsys, command, "--output", output, str(path))
-        assert code == 0, err
-        assert out == _reference_render(output, spec, rows), command
+    # the awkward labels, and 41 rows of X, which xmatrix writes in three
+    # blocks, the last one short
+    big = random_graph(rng_for(302), 41, density=0.05, dangling_frac=0.1)
+    assert big.n > 2 * EMIT_ROWS
+    path = tmp_path / "graph.json"
+    for nodes, edges in ((AWKWARD_LABELS, AWKWARD_EDGES), (big.labels, sorted(big.edges))):
+        path.write_text(json.dumps({"nodes": list(nodes), "edges": edges}))
+        g = parse_graph_json(path.read_text())
+        tables = _awkward_tables(g)
+        # the scan holds competing and non-competing pairs
+        competes = {row[2] for row in tables["competitors"][1]}
+        assert competes == {True, False}
+        for command, (spec, rows) in tables.items():
+            code, out, err = invoke(capsys, command, "--output", output, str(path))
+            assert code == 0, err
+            assert out == _reference_render(output, spec, rows), command
 
 
 def _traced_peak(argv) -> int:

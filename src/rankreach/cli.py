@@ -434,6 +434,11 @@ def run(argv: list[str] | None = None) -> int:
     except (ParseError, DomainError) as exc:
         sys.stderr.write(f"rankreach: error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        # a request too large to hold, such as a huge --samples
+        reason = str(exc) or "allocation failed"
+        sys.stderr.write(f"rankreach: error: out of memory: {reason}\n")
+        return 1
     return 0
 
 

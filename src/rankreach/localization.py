@@ -45,8 +45,6 @@ FLOAT_RESOLUTION = 1e-12
 # than 64 on building X at n = 2000 and slower at n <= 1000.
 RESIDUAL_BLOCK = 64
 RESIDUAL_FLOATS = 2**16
-# Diagonal blocks of the block LU this small are inverted outright.
-LU_LEAF = 64
 # Products b -= a @ c in the block LU update this many rows of b at a time,
 # which bounds their temporaries at LU_PANEL * columns floats.
 LU_PANEL = 256
@@ -143,9 +141,10 @@ def _check_structure(
     margins: np.ndarray,
     first_column: int,
     alpha: float,
+    n: int,
 ) -> None:
     """Raise :class:`StructureError` unless X's guaranteed structure holds;
-    ``margins`` covers the columns from ``first_column`` on.
+    ``margins`` covers the columns from ``first_column`` on of the n x n X.
 
     Each row of X is a rank vector, so its sum may stray from 1 by
     :func:`~rankreach.stochastic.solve_sum_tol`.  Every test is written so
@@ -153,7 +152,7 @@ def _check_structure(
     failures = {}
     if not min_entry >= -FLOAT_RESOLUTION:
         failures["min_entry"] = min_entry
-    if not row_sum_error <= solve_sum_tol(alpha):
+    if not row_sum_error <= solve_sum_tol(alpha, n):
         failures["row_sum_error"] = row_sum_error
     if not margins.min() > 0.0:
         failures["worst_margin"] = float(margins.min())
@@ -190,7 +189,7 @@ def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     min_entry = min(block_min for block_min, _ in blocks)
     margins = np.concatenate([block_margins for _, block_margins in blocks])
     row_sum_error = float(np.abs(x.sum(axis=1) - 1.0).max())
-    _check_structure(min_entry, row_sum_error, margins, 0, fm.alpha)
+    _check_structure(min_entry, row_sum_error, margins, 0, fm.alpha, fm.n)
     margins.flags.writeable = False
     return StructureReport(
         column_margins=margins,
@@ -249,10 +248,12 @@ def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     return PersonalizationVector(v=v)
 
 
-def _split(n: int) -> int:
-    """Size of the leading block when the block LU halves an n x n block:
-    a multiple of LU_LEAF near n/2, so leaves stay aligned."""
-    return max(LU_LEAF, (n // 2 + LU_LEAF // 2) // LU_LEAF * LU_LEAF)
+def _lu_width(n: int) -> int:
+    """Rows per diagonal block of the block LU of an n x n matrix: the
+    multiple of 64 at or above n/8, clamped to [64, 256].  Inverting a
+    wide block costs more than the whole LU of a small matrix, while at
+    large n narrow blocks split the Schur updates into too many products."""
+    return min(256, max(64, -(-n // 512) * 64))
 
 
 def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -265,71 +266,34 @@ def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         out[rows] -= a[rows] @ b
 
 
-def _sweep(f: np.ndarray, b: np.ndarray, upper: bool, trans: bool) -> None:
-    """b <- T^{-1} b in place, T = U or L of the block LU held in f, or
-    its transpose.  L has identity diagonal blocks; f holds the inverses
-    of U's diagonal blocks."""
-    n = f.shape[0]
-    if n <= LU_LEAF:
-        if upper:
-            b[...] = (f.T if trans else f) @ b
-        return
-    h = _split(n)
-    off = f[:h, h:] if upper else f[h:, :h]
-    if trans:
-        off = off.T
-    if upper == trans:  # T is block lower triangular: top block first
-        _sweep(f[:h, :h], b[:h], upper, trans)
-        _subtract_product(b[h:], off, b[:h])
-        _sweep(f[h:, h:], b[h:], upper, trans)
-    else:
-        _sweep(f[h:, h:], b[h:], upper, trans)
-        _subtract_product(b[:h], off, b[h:])
-        _sweep(f[:h, :h], b[:h], upper, trans)
-
-
-def _sweep_lower_rhs(f: np.ndarray, b: np.ndarray) -> None:
-    """b <- L^{-1} b for a square b that is zero above its diagonal
-    blocks, as a multiple of I is.  L^{-1} b is zero there too, so those
-    blocks are never touched: a third of the work of a full sweep."""
-    n = f.shape[0]
-    if n <= LU_LEAF:
-        return
-    h = _split(n)
-    _sweep_lower_rhs(f[:h, :h], b[:h, :h])
-    _subtract_product(b[h:, :h], f[h:, :h], b[:h, :h])
-    _sweep(f[h:, h:], b[h:, :h], upper=False, trans=False)
-    _sweep_lower_rhs(f[h:, h:], b[h:, h:])
-
-
-def _factor(a: np.ndarray) -> None:
-    n = a.shape[0]
-    if n <= LU_LEAF:
-        a[...] = np.linalg.inv(a)
-        return
-    h = _split(n)
-    _factor(a[:h, :h])
-    # U_12 = L_11^{-1} A_12 and L_21 = A_21 U_11^{-1}, i.e. U_11^{-T} A_21^T
-    _sweep(a[:h, :h], a[:h, h:], upper=False, trans=False)
-    _sweep(a[:h, :h], a[h:, :h].T, upper=True, trans=True)
-    _subtract_product(a[h:, h:], a[h:, :h], a[:h, h:])
-    _factor(a[h:, h:])
+def _lu_blocks(n: int) -> list[tuple[slice, slice]]:
+    """(d, rest) for each diagonal block d of the block LU of an n x n
+    matrix, in order: d's indices and the indices past it."""
+    width = _lu_width(n)
+    return [
+        (slice(start, start + width), slice(start + width, n))
+        for start in range(0, n, width)
+    ]
 
 
 def _lu_factor(a: np.ndarray) -> np.ndarray:
     """Block LU of a square C-order array without pivoting, in place.
 
-    Halves the matrix recursively; each Schur complement update is one
-    matrix product, and diagonal blocks of at most LU_LEAF rows are
-    inverted outright, so L has identity diagonal blocks and ``a`` ends
-    up holding L and U off the diagonal blocks and the inverses of U's
-    diagonal blocks on them.  Without pivoting this is stable for the
-    strictly column diagonally dominant matrices it is used on: partial
-    pivoting would never swap a row of them, and block LU of such a
-    matrix is stable (Demmel, Higham and Schreiber, 1995).
+    A right-looking loop over diagonal blocks of :func:`_lu_width` rows:
+    each block of U is inverted outright, the column of L below it is
+    scaled by that inverse, and the Schur complement update is one matrix
+    product.  So L has identity diagonal blocks, and ``a`` ends up holding
+    L and U off the diagonal blocks and the inverses of U's diagonal
+    blocks on them.  Without pivoting this is stable for the strictly
+    column diagonally dominant matrices it is used on: partial pivoting
+    would never swap a row of them, and block LU of such a matrix is
+    stable (Demmel, Higham and Schreiber, 1995).
     """
     try:
-        _factor(a)
+        for d, rest in _lu_blocks(a.shape[0]):
+            a[d, d] = np.linalg.inv(a[d, d])
+            a[rest, d] = a[rest, d] @ a[d, d]
+            _subtract_product(a[rest, rest], a[rest, d], a[d, rest])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"block LU met a singular diagonal block: {exc}",
@@ -345,18 +309,24 @@ def _lu_solve(
     overwriting b, a vector or a matrix of columns, with x; returns it.
 
     ``lower_rhs`` says b is square and zero above its diagonal blocks, as
-    a multiple of I is, which the forward sweep of a trans 0 solve skips.
+    a multiple of I is.  L^{-1} b is zero there too, so the forward loop
+    of a trans 0 solve updates only the columns up to the current block.
     """
     cols = b.reshape(lu.shape[0], -1)
+    blocks = _lu_blocks(lu.shape[0])
     if trans == 0:
-        if lower_rhs:
-            _sweep_lower_rhs(lu, cols)
-        else:
-            _sweep(lu, cols, upper=False, trans=False)
-        _sweep(lu, cols, upper=True, trans=False)
+        for d, rest in blocks:  # L y = b, L with identity diagonal blocks
+            done = slice(0, d.stop) if lower_rhs else slice(None)
+            _subtract_product(cols[rest, done], lu[rest, d], cols[d, done])
+        for d, rest in reversed(blocks):  # U x = y
+            cols[d] -= lu[d, rest] @ cols[rest]
+            cols[d] = lu[d, d] @ cols[d]
     else:
-        _sweep(lu, cols, upper=True, trans=True)
-        _sweep(lu, cols, upper=False, trans=True)
+        for d, rest in blocks:  # U^T y = b
+            cols[d] = lu[d, d].T @ cols[d]
+            _subtract_product(cols[rest], lu[d, rest].T, cols[d])
+        for d, rest in reversed(blocks):  # L^T x = y
+            cols[d] -= lu[rest, d].T @ cols[rest]
     return b
 
 
@@ -456,8 +426,20 @@ class RankContext:
         return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:
-        """Residual-checked rank vector for personalization v."""
-        return PageRankVector(pi=self.rank_weights(v.v), alpha=self.alpha)
+        """Residual-checked rank vector for personalization v.  A solved
+        vector that is not strictly positive or strays from sum 1 by more
+        than the solve allows is a :class:`NumericalError`."""
+        pi = self.rank_weights(v.v)
+        try:
+            return PageRankVector(pi=pi, alpha=self.alpha)
+        except DomainError as exc:
+            raise NumericalError(
+                f"solved {exc}",
+                details={
+                    "rank_sum_error": float(abs(pi.sum() - 1.0)),
+                    "min_entry": float(pi.min()),
+                },
+            ) from None
 
     def fundamental(self) -> FundamentalMatrix:
         """Structure-verified X, computed once.
@@ -507,7 +489,7 @@ class RankContext:
         col = _lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
         min_entry, margins = _column_margins(col, i)
-        _check_structure(min_entry, self._row_sums(), margins, i, self.alpha)
+        _check_structure(min_entry, self._row_sums(), margins, i, self.alpha, self.n)
         return col[:, 0]
 
     def _column_sums(self) -> np.ndarray:

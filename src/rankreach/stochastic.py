@@ -45,16 +45,26 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def solve_sum_tol(alpha: float) -> float:
-    """How far from 1 the sum of a probability vector solved at damping
-    factor alpha may stray: max(RANK_SUM_TOL, kappa u), u the unit roundoff.
+def solve_sum_tol(alpha: float, n: int) -> float:
+    """How far from 1 the sum of a probability vector of length n solved
+    at damping factor alpha may stray: max(RANK_SUM_TOL, n kappa u), u the
+    unit roundoff.
 
     kappa = (1 + alpha)/(1 - alpha) bounds the 1-norm condition number of
     A_t = I - alpha P_u^T: A_t^{-1} = X^T/(1 - alpha), and X is nonnegative
     with unit row sums, so ||A_t^{-1}||_1 = 1/(1 - alpha), while
-    ||A_t||_1 <= 1 + alpha.  A solve can carry that much error, which
-    exceeds the fixed tolerance only near alpha = 1."""
-    return max(RANK_SUM_TOL, (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
+    ||A_t||_1 <= 1 + alpha.  A backward stable solve returns the exact
+    solution of (A_t + E) x = b with ||E||_1 <= c_n u ||A_t||_1, so to first
+    order ||x - pi||_1 <= kappa c_n u ||pi||_1, and the sum of x strays
+    from 1 by at most that.  The dimension factor c_n comes from rounding:
+    every entry of the LU and of its triangular solves is a sum of up to n
+    rounded terms, a length-n inner product errs by at most
+    gamma_n = n u / (1 - n u) relative to |x|^T |y| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Lemma 3.1), and the factors of the
+    diagonally dominant A_t stay within a small multiple of its norm.  So
+    c_n = n, to first order.  The bound exceeds the fixed tolerance only
+    near alpha = 1 or at very large n."""
+    return max(RANK_SUM_TOL, n * (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
 
 
 def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
@@ -211,15 +221,19 @@ class RowStochasticMatrix:
 @dataclass(frozen=True)
 class PageRankVector:
     """Strictly positive rank vector summing to 1, solved at damping factor
-    ``alpha``: its sum may stray from 1 by :func:`solve_sum_tol`."""
+    ``alpha``: its sum may stray from 1 by :func:`solve_sum_tol`.  A vector
+    that fails these checks is a :class:`DomainError` here; one that
+    :meth:`~rankreach.localization.RankContext.rank` solved is a
+    :class:`NumericalError` there."""
 
     pi: np.ndarray
     alpha: float = field(repr=False, compare=False)
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        sum_tol = solve_sum_tol(self.alpha, np.size(self.pi))
         object.__setattr__(
-            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=solve_sum_tol(self.alpha))
+            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=sum_tol)
         )
 
 

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankreach.localization
+import rankreach.oracle
+import rankreach.stochastic
 from rankreach import (
     PersonalizationVector,
     effective_competitors,
@@ -414,10 +416,51 @@ def test_streamed_output_peaks_near_intervals(tmp_path):
 
 def test_pagerank_near_alpha_one_exits_0(capsys):
     # The solved vector's sum strays from 1 by 2e-8 here, within the bound
-    # (1 + alpha)/(1 - alpha) u that X's row sums use.
+    # n (1 + alpha)/(1 - alpha) u that X's row sums use.
     code, out, err = invoke(capsys, "pagerank", "--alpha", "0.999999999", G2)
     assert code == 0, err
     assert out.startswith("node,pagerank\n")
+
+
+@pytest.mark.parametrize("alpha", ["0.999999", "0.999999999"])
+@pytest.mark.parametrize("command", ["intervals", "pagerank"])
+def test_hub_heavy_input_near_alpha_one_exits_0(capsys, tmp_path, command, alpha):
+    # A 300-node in-star (k -> 1): at alpha = 1 - 1e-6 the row sums of X
+    # stray from 1 by 5.1e-10, past (1 + alpha)/(1 - alpha) u = 2.2e-10
+    # but within n times that.
+    path = tmp_path / "in_star.edges"
+    path.write_text("".join(f"{k} 1\n" for k in range(2, 301)))
+    code, out, err = invoke(capsys, command, "--alpha", alpha, str(path))
+    assert code == 0, err
+    assert out.count("\n") == 301
+
+
+@pytest.mark.parametrize("command", ["intervals", "pagerank"])
+def test_solved_sum_failure_is_numerical(capsys, monkeypatch, command):
+    # X's row sums and a solved rank vector's sum fail the same way: a
+    # numerical error, exit 2 with a JSON diagnostic.
+    def unmeetable(alpha, n):
+        return -1.0
+
+    monkeypatch.setattr(rankreach.localization, "solve_sum_tol", unmeetable)
+    monkeypatch.setattr(rankreach.stochastic, "solve_sum_tol", unmeetable)
+    code, out, err = invoke(capsys, command, G1)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] in ("NumericalError", "StructureError")
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # As `verify --samples 100000000000` meets it: numpy cannot allocate
+    # the batch.  No real allocation is made here.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+    monkeypatch.setattr(rankreach.oracle, "sample_personalization_batch", too_large)
+    code, out, err = invoke(capsys, "verify", "--seed", "1", "--samples", "5", G1)
+    assert code == 1
+    assert out == ""
+    assert err == "rankreach: error: out of memory: Unable to allocate 2.18 TiB for an array\n"
 
 
 def test_error_messages_print_floats_at_twelve_digits(capsys):

@@ -32,7 +32,7 @@ from rankreach import (
     verify_structure,
     witness_epsilon,
 )
-from rankreach.localization import LU_LEAF, RESIDUAL_BLOCK, _lu_factor, _lu_solve
+from rankreach.localization import RESIDUAL_BLOCK, _lu_factor, _lu_solve, _lu_width
 
 from .golden import (
     BASIS_LIMIT_G1,
@@ -112,10 +112,10 @@ def test_structure_holds_at_extreme_alpha(alpha, g1, g2, g3, cycle2):
 
 @pytest.mark.parametrize("alpha,breaks", [(0.85, True), (1.0 - 1e-9, False)])
 def test_row_sum_tolerance_follows_the_condition_bound(g1, alpha, breaks):
-    # A row-sum error of 1e-9 is a breakdown at alpha 0.85, where the
-    # condition bound (1 + alpha)/(1 - alpha) times the unit roundoff is
-    # about 1.4e-15, but lies within what a solve can carry at alpha
-    # = 1 - 1e-9 (about 2.2e-7).
+    # A row-sum error of 1e-9 is a breakdown at alpha 0.85, where n times
+    # the condition bound (1 + alpha)/(1 - alpha) times the unit roundoff
+    # is about 4e-15 at n = 3, but lies within what a solve can carry at
+    # alpha = 1 - 1e-9 (about 6.7e-7).
     x = RankContext.from_graph(g1, alpha=0.85).fundamental().x.copy()
     x[0, 1] += 1e-9
     tampered = FundamentalMatrix(x=x, alpha=alpha)
@@ -515,14 +515,25 @@ def test_every_column_of_a_rank_batch_is_residual_checked(ctx1, monkeypatch):
     assert failure.value.details["weight column"] == bad
 
 
+# Sizes around the diagonal blocks of the block LU: n = 1 and 2, one short
+# block (63), an exact multiple of the width (64, 1024), one row past a
+# multiple (65, 1537), a short last block (131, 1025), and n in each width
+# that _lu_width produces.
+LU_SIZES = [1, 2, 63, 64, 65, 131, 1024, 1025, 1537]
+
+
+def test_lu_sizes_meet_every_block_width():
+    assert [_lu_width(n) for n in LU_SIZES] == [64] * 6 + [128, 192, 256]
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.85, 1.0 - 1e-9])
-@pytest.mark.parametrize("n", [1, 2, LU_LEAF - 1, LU_LEAF, LU_LEAF + 1, 2 * LU_LEAF + 3])
+@pytest.mark.parametrize("n", LU_SIZES)
 def test_block_lu_solves_have_small_residuals(n, alpha):
-    # A_t = I - alpha P_u^T of graphs with dangling rows and self-loops,
-    # sized around the leaf so every split shape is met.  The normwise
+    # A_t = I - alpha P_u^T of graphs with dangling rows and self-loops;
+    # sparse at large n, so the dense checks stay quick.  The normwise
     # backward error of a stable solve is a modest multiple of n u.
     rng = rng_for(n * 1000 + int(alpha * 100))
-    graph = random_graph(rng, n, density=0.3, dangling_frac=0.3)
+    graph = random_graph(rng, n, density=min(0.3, 16 / n), dangling_frac=0.3)
     assert any(s == t for s, t in graph.edges) or n == 1
     p_u = row_stochastic(graph)
     a = np.eye(n) - alpha * p_u.toarray().T
@@ -534,7 +545,7 @@ def test_block_lu_solves_have_small_residuals(n, alpha):
             r = np.abs(system @ x - b).max()
             scale = np.abs(system).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
             assert r <= 4 * n * np.finfo(float).eps * scale
-    # a multiple of I takes the forward sweep that skips its zero blocks
+    # a multiple of I takes the forward loop that skips its zero blocks
     inverse = _lu_solve(lu, np.eye(n) * (1.0 - alpha), lower_rhs=True)
     assert np.abs(inverse - _lu_solve(lu, np.eye(n) * (1.0 - alpha))).max() <= 1e-12
 

@@ -21,6 +21,7 @@ from rankreach import (
     row_stochastic,
 )
 from rankreach.graph import CSRMatrix
+from rankreach.stochastic import solve_sum_tol
 
 from .golden import UNIFORM_PI_G1, X1_EXACT
 from .helpers import random_graph, random_row_stochastic, rng_for
@@ -264,8 +265,8 @@ def test_vector_validation():
 
 
 def test_rank_sum_tolerance_follows_the_solve_bound():
-    # A solve at alpha carries up to (1 + alpha)/(1 - alpha) u of error in
-    # the sum; at alpha = 0.85 that is below the fixed 1e-10 floor.
+    # A solve at alpha carries up to n (1 + alpha)/(1 - alpha) u of error
+    # in the sum; at alpha = 0.85 that is below the fixed 1e-10 floor.
     pi = np.array([0.5, 0.5 + 2e-8])
     assert PageRankVector(pi=pi, alpha=1 - 1e-9).pi.tolist() == pi.tolist()
     with pytest.raises(DomainError) as info:
@@ -273,6 +274,18 @@ def test_rank_sum_tolerance_follows_the_solve_bound():
     assert str(info.value) == "rank vector must sum to 1, got 1.00000002"
     with pytest.raises(DomainError, match="alpha"):
         PageRankVector(pi=np.array([0.5, 0.5]), alpha=1.0)
+
+
+def test_rank_sum_tolerance_grows_with_the_dimension():
+    # At alpha = 1 - 1e-6, kappa u is 2.2e-10: a sum error of 5e-10 is
+    # within what a 300-node solve carries, not what a 2-node one does.
+    alpha = 1.0 - 1e-6
+    assert solve_sum_tol(alpha, 300) == pytest.approx(300 * solve_sum_tol(alpha, 1))
+    long = np.full(300, (1.0 + 5e-10) / 300)
+    assert PageRankVector(pi=long, alpha=alpha).pi.size == 300
+    with pytest.raises(DomainError, match="must sum to 1"):
+        PageRankVector(pi=np.array([0.5, 0.5 + 5e-10]), alpha=alpha)
+    assert solve_sum_tol(0.99, 3000) == solve_sum_tol(0.85, 2) == 1e-10
 
 
 def test_config_loading():

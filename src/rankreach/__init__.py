@@ -50,7 +50,6 @@ from .localization import (
     verify_structure,
 )
 from .oracle import (
-    GoogleMatrix,
     SampleReport,
     explicit_inverse_check,
     google_matrix,
@@ -79,7 +78,6 @@ __all__ = [
     "DirectedGraph",
     "DomainError",
     "FundamentalMatrix",
-    "GoogleMatrix",
     "LeadershipGroup",
     "NumericalError",
     "OracleMismatchError",

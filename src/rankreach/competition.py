@@ -180,8 +180,6 @@ def competitivity_graph(fm: FundamentalMatrix) -> set[tuple[int, int]]:
 
 def leadership_group(fm: FundamentalMatrix) -> LeadershipGroup:
     """Union of strict row maxima of X; tied rows contribute no leader."""
-    if fm.n == 1:
-        return LeadershipGroup(leaders=frozenset({0}), witness_rows={0: 0})
     x = fm.x
     every_row = np.arange(fm.n)
     top = x.argmax(1)
@@ -226,8 +224,8 @@ def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCer
         if high[i] > high[j] and low[i] < low[j]:
             return WitnessCertificate(
                 epsilon=epsilon,
-                rank_high=PageRankVector(pi=high, alpha=ctx.alpha),
-                rank_low=PageRankVector(pi=low, alpha=ctx.alpha),
+                rank_high=ctx._rank_vector(high),
+                rank_low=ctx._rank_vector(low),
             )
     raise NumericalError(
         f"no rank-swap certificate for pair ({i}, {j}) above epsilon "
@@ -247,7 +245,7 @@ def leadership_certificate(
         ranked = ranked[:, 0]
         rest = np.delete(ranked, leader)
         if (ranked[leader] > rest).all():
-            return epsilon, PageRankVector(pi=ranked, alpha=ctx.alpha)
+            return epsilon, ctx._rank_vector(ranked)
     raise NumericalError(
         f"no leadership certificate for node {leader} from row {witness_row} "
         f"above epsilon floor {EPSILON_FLOOR:g}",

@@ -257,10 +257,7 @@ def _lu_width(n: int) -> int:
 
 
 def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """out -= a @ b, LU_PANEL rows of out at a time."""
-    if out.strides[0] < out.strides[1]:
-        # out is column-major: update out^T -= b^T a^T in its own order
-        out, a, b = out.T, b.T, a.T
+    """out -= a @ b, LU_PANEL rows of out at a time; out is row-major."""
     for start in range(0, out.shape[0], LU_PANEL):
         rows = slice(start, start + LU_PANEL)
         out[rows] -= a[rows] @ b
@@ -426,10 +423,13 @@ class RankContext:
         return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:
-        """Residual-checked rank vector for personalization v.  A solved
-        vector that is not strictly positive or strays from sum 1 by more
-        than the solve allows is a :class:`NumericalError`."""
-        pi = self.rank_weights(v.v)
+        """Residual-checked rank vector for personalization v."""
+        return self._rank_vector(self.rank_weights(v.v))
+
+    def _rank_vector(self, pi: np.ndarray) -> PageRankVector:
+        """A rank vector this context computed, as a :class:`PageRankVector`.
+        One that is not strictly positive or strays from sum 1 by more than
+        the solve allows is a :class:`NumericalError`, not a bad input."""
         try:
             return PageRankVector(pi=pi, alpha=self.alpha)
         except DomainError as exc:
@@ -573,10 +573,6 @@ def achieve_value(
     ((_, ends),) = ctx.concentrated([i, interval.lo_witness], [epsilon])
     # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
     f1, f0 = (float(value) for value in ends[i])
-
-    def at(lam: float) -> float:
-        return lam * f1 + (1.0 - lam) * f0
-
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1
         raise NumericalError(
@@ -586,11 +582,9 @@ def achieve_value(
         )
     increasing = f1 >= f0
     lo_lam, hi_lam = 0.0, 1.0
-    val = f0
-    lam = 0.0
     for _ in range(200):
         lam = 0.5 * (lo_lam + hi_lam)
-        val = at(lam)
+        val = lam * f1 + (1.0 - lam) * f0
         if abs(val - target) <= tol:
             v_top = basis_family(i, epsilon, ctx.n).v
             v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v

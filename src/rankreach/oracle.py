@@ -20,7 +20,6 @@ from .competition import STRICT_MARGIN
 from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
 from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes
 from .stochastic import (
-    ROW_SUM_TOL,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
@@ -173,40 +172,16 @@ def observe_rank_swaps(
     return bool((diff > STRICT_MARGIN).any() and (diff < -STRICT_MARGIN).any())
 
 
-@dataclass(frozen=True)
-class GoogleMatrix:
-    """Strictly positive, row-stochastic matrix driving the power iteration."""
-
-    g: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        g = np.array(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DomainError("matrix must be square")
-        if not (g > 0.0).all():
-            raise DomainError("entries must be strictly positive")
-        if np.abs(g.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise DomainError("rows must sum to 1")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
-
 def google_matrix(
     alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
-) -> GoogleMatrix:
-    """alpha * P_u plus (1 - alpha) times the rank-one teleport to v."""
+) -> np.ndarray:
+    """Dense G = alpha * P_u + (1 - alpha) 1 v^T, P_u plus the rank-one
+    teleport to v: row-stochastic and strictly positive by construction."""
     # checked before use: an infinite alpha times P's zeros warns of NaN
     _check_alpha(alpha)
     if v.v.shape != (p_u.n,):
         raise DomainError("personalization vector must have length n")
-    g = alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]
-    return GoogleMatrix(g=g, alpha=alpha)
+    return alpha * p_u.toarray() + (1.0 - alpha) * v.v[None, :]
 
 
 def default_power_iterations(alpha: float) -> int:
@@ -214,21 +189,25 @@ def default_power_iterations(alpha: float) -> int:
     return 10 * math.ceil(math.log(POWER_TOL) / math.log(alpha))
 
 
-def pagerank_power(gm: GoogleMatrix) -> PageRankVector:
-    """Left fixed point of gm by power iteration from the uniform start.
+def pagerank_power(
+    alpha: float, p_u: RowStochasticMatrix, v: PersonalizationVector
+) -> PageRankVector:
+    """Left fixed point of :func:`google_matrix` by power iteration from
+    the uniform start.
 
     Returns x with ``||x G - x||_1 <= POWER_TOL``; raises
     :class:`ConvergenceError` carrying the last residual when
     ``default_power_iterations`` steps run out first.
     """
-    max_iter = default_power_iterations(gm.alpha)
-    x = np.full(gm.n, 1.0 / gm.n)
+    g = google_matrix(alpha, p_u, v)
+    max_iter = default_power_iterations(alpha)
+    x = np.full(p_u.n, 1.0 / p_u.n)
     residual = math.inf
     for _ in range(max_iter):
-        nxt = x @ gm.g
+        nxt = x @ g
         residual = float(np.abs(nxt - x).sum())
         if residual <= POWER_TOL:
-            return PageRankVector(pi=x, alpha=gm.alpha)
+            return PageRankVector(pi=x, alpha=alpha)
         x = nxt
     raise ConvergenceError(
         f"power iteration missed tol={POWER_TOL:g} after {max_iter} iterations",

@@ -171,7 +171,7 @@ class RowStochasticMatrix:
         bad = ~dangling & (np.abs(sums - 1.0) > ROW_SUM_TOL)
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
-            raise DomainError(f"row {row} sums to {sums[row]!r}, not stochastic")
+            raise DomainError(f"row {row} sums to {sums[row]:.12g}, not stochastic")
         dangling.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dangling", dangling)
@@ -222,9 +222,9 @@ class RowStochasticMatrix:
 class PageRankVector:
     """Strictly positive rank vector summing to 1, solved at damping factor
     ``alpha``: its sum may stray from 1 by :func:`solve_sum_tol`.  A vector
-    that fails these checks is a :class:`DomainError` here; one that
-    :meth:`~rankreach.localization.RankContext.rank` solved is a
-    :class:`NumericalError` there."""
+    that fails these checks is a :class:`DomainError` here; one that a
+    :class:`~rankreach.localization.RankContext` computed, for ``rank`` or
+    a certificate, is a :class:`NumericalError` there."""
 
     pi: np.ndarray
     alpha: float = field(repr=False, compare=False)

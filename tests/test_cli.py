@@ -1,4 +1,5 @@
 import csv
+import doctest
 import io
 import json
 import os
@@ -17,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankreach.cli
 import rankreach.localization
 import rankreach.oracle
 import rankreach.stochastic
 from rankreach import (
     PersonalizationVector,
+    SampleReport,
     effective_competitors,
     leadership_group,
     parse_graph_json,
@@ -84,6 +87,24 @@ def test_readme_cli_examples(argv, shown, capsys, monkeypatch):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert out.splitlines() == shown
+
+
+def test_readme_library_example(monkeypatch):
+    # README's python block runs line by line; a commented line's
+    # expression must print what its comment shows, "..." matching any text.
+    readme = (GRAPH_DIR.parent / "README.md").read_text()
+    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    monkeypatch.chdir(GRAPH_DIR.parent)
+    checker, namespace, shown_count = doctest.OutputChecker(), {}, 0
+    for line in block.splitlines():
+        source, _, shown = line.partition("  # ")
+        if not shown:
+            exec(line, namespace)
+            continue
+        got = repr(eval(source, namespace)) + "\n"
+        assert checker.check_output(shown + "\n", got, doctest.ELLIPSIS), (source, got)
+        shown_count += 1
+    assert shown_count == 3
 
 
 def test_leaders_csv(capsys):
@@ -207,6 +228,37 @@ def test_verify_solves_one_sample_batch(capsys, monkeypatch):
     assert shapes == [(3, 50)]
 
 
+def test_verify_node_reports_its_entry_of_the_full_report(capsys):
+    # one seeded batch serves every node, so a one-node run matches the full one
+    _, full, _ = invoke(capsys, "verify", "--seed", "7", "--samples", "200", G1)
+    code, out, _ = invoke(capsys, "verify", "--seed", "7", "--samples", "200",
+                          "--node", "2", G1)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["nodes"] == {"2": json.loads(full)["nodes"]["2"]}
+
+
+def test_verify_violations_print_the_report_then_exit_2(capsys, monkeypatch):
+    def escaping(ctx, nodes, samples, seed, concentration):
+        # node i reports i samples outside its interval
+        return [SampleReport(node=i, samples=samples, observed_min=0.1,
+                             observed_max=0.9, violations=i, lo=0.2, hi=0.8)
+                for i in nodes]
+
+    monkeypatch.setattr(rankreach.cli, "monte_carlo_interval", escaping)
+    code, out, err = invoke(capsys, "verify", "--seed", "7", "--samples", "5", G1)
+    assert code == 2
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert [report["nodes"][label]["violations"] for label in "123"] == [0, 1, 2]
+    assert json.loads(err) == {
+        "error": "NumericalError",
+        "message": "sampled rank values escaped their analytic intervals",
+        "details": {"violating_nodes": ["2", "3"]},
+    }
+
+
 def test_verify_requires_seed(capsys):
     code, _, err = invoke(capsys, "verify", G1)
     assert code == 1
@@ -308,6 +360,42 @@ def test_bad_vector_file_exits_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "pagerank", "--v", str(vfile), G1)
     assert code == 1
     assert "one float per line" in err
+
+
+def test_vector_file_skips_comments_and_blank_lines(capsys, tmp_path):
+    plain, annotated = tmp_path / "plain.txt", tmp_path / "annotated.txt"
+    plain.write_text("0.2\n0.3\n0.5\n")
+    annotated.write_text("# v for g1\n\n0.2\n   \n  # node 2\n0.3\n0.5\n\n")
+    _, expected, _ = invoke(capsys, "pagerank", "--v", str(plain), G1)
+    code, out, _ = invoke(capsys, "pagerank", "--v", str(annotated), G1)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [
+        ("--v", "# no values\n\n", "{path}: empty vector file"),
+        ("--v", "", "{path}: empty vector file"),
+        ("--config", "[0.85]", "config must be a JSON object"),
+        ("--config", '{"alpha": "0.5"}', 'config "alpha" must be a number'),
+        ("--config", '{"u": "zipf"}', 'u spec must be "uniform" or a vector'),
+        ("--config", '{"u": [0.5, 0.5]}', "u vector has length 2, graph has 3 nodes"),
+    ],
+)
+def test_bad_vector_and_config_files_exit_1(capsys, tmp_path, flag, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "pagerank", flag, str(path), G1)
+    assert (code, out) == (1, "")
+    assert err == f"rankreach: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("pair", ["1", "1,2,3"])
+def test_malformed_pair_exits_1(capsys, pair):
+    code, out, err = invoke(capsys, "competitors", "--pair", pair, G1)
+    assert (code, out) == (1, "")
+    assert err == f"rankreach: error: --pair expects 'i,j', got {pair!r}\n"
 
 
 # A comma, a double quote, a newline, a leading space, non-ASCII text, an

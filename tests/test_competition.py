@@ -6,12 +6,15 @@ import pytest
 import rankreach.cli
 import rankreach.competition
 import rankreach.localization
+import rankreach.stochastic
 from rankreach import (
     STRICT_MARGIN,
     CompetitionVerdict,
     DirectedGraph,
     DomainError,
     FundamentalMatrix,
+    NumericalError,
+    PersonalizationVector,
     RankContext,
     achieve_value,
     competitivity_graph,
@@ -234,6 +237,46 @@ def test_witness_certificate_requires_competing_pair(ctx1):
     verdict = effective_competitors(ctx1.fundamental(), 0, 1)
     with pytest.raises(DomainError, match="competing"):
         witness_epsilon(ctx1, verdict)
+
+
+def _ties(self, rows, epsilons):
+    """A stand-in for RankContext.concentrated: every vector is uniform, so
+    no epsilon orders any pair."""
+    return ((epsilon, np.full((self.n, len(rows)), 1.0 / self.n)) for epsilon in epsilons)
+
+
+def test_certificate_searches_report_the_floor(ctx2, monkeypatch):
+    verdict = effective_competitors(ctx2.fundamental(), 0, 2)
+    monkeypatch.setattr(RankContext, "concentrated", _ties)
+    with pytest.raises(NumericalError) as failure:
+        witness_epsilon(ctx2, verdict)
+    assert str(failure.value) == (
+        "no rank-swap certificate for pair (0, 2) above epsilon floor 1e-12"
+    )
+    assert failure.value.details == {"i": 0, "j": 2, "floor": 1e-12}
+    with pytest.raises(NumericalError) as failure:
+        leadership_certificate(ctx2, 0, WITNESS_ROWS_G2[0])
+    assert str(failure.value) == (
+        "no leadership certificate for node 0 from row 0 above epsilon floor 1e-12"
+    )
+    assert failure.value.details == {"leader": 0, "witness_row": 0, "floor": 1e-12}
+
+
+def test_computed_rank_vectors_failing_their_sum_are_numerical(monkeypatch):
+    # A vector the context computed, by a solve or read off X for a
+    # certificate, that fails its sum check is a solver failure, not a bad
+    # input: the sum bound is patched to fail every vector.
+    ctx = RankContext.from_graph(load_graph("g2.edges"))
+    verdict = effective_competitors(ctx.fundamental(), 0, 2)
+    monkeypatch.setattr(rankreach.stochastic, "solve_sum_tol", lambda alpha, n: -1.0)
+    for computed in (
+        lambda: ctx.rank(PersonalizationVector.uniform(ctx.n)),
+        lambda: witness_epsilon(ctx, verdict),
+        lambda: leadership_certificate(ctx, 0, WITNESS_ROWS_G2[0]),
+    ):
+        with pytest.raises(NumericalError, match="solved rank vector must sum to 1") as failure:
+            computed()
+        assert failure.value.details["rank_sum_error"] < 1e-14
 
 
 def test_leadership_certificates_reference_networks(ctx2, ctx3):

@@ -328,6 +328,38 @@ def test_achieve_value_hits_midpoints_on_random_graphs():
         assert abs(result.achieved - target) <= 1e-6
 
 
+def _fixed_ends(f1, f0):
+    """A stand-in for RankContext.concentrated: node rows[0] ranks f1 under
+    the personalization concentrated on it and f0 under the other one."""
+    def concentrated(self, rows, epsilons):
+        ends = np.zeros((self.n, 2))
+        ends[rows[0]] = f1, f0
+        return ((epsilon, ends) for epsilon in epsilons)
+    return concentrated
+
+
+def test_achieve_value_reports_an_unreachable_target(ctx1, monkeypatch):
+    # ends that miss the target on the same side: no mixture reaches it
+    monkeypatch.setattr(RankContext, "concentrated", _fixed_ends(0.3, 0.3))
+    with pytest.raises(NumericalError) as failure:
+        achieve_value(ctx1, 0, 0.35)
+    assert str(failure.value) == (
+        "target 0.35 unreachable at epsilon floor 1e-07; closest achieved 0.3"
+    )
+    assert failure.value.details == {"closest_achieved": 0.3, "epsilon": 1e-7}
+
+
+def test_achieve_value_reports_a_stalled_bisection(ctx1, monkeypatch):
+    # The target sits at lambda of about 5e-302, past the reach of 200
+    # halvings, which stop at lambda = 2**-200.
+    monkeypatch.setattr(RankContext, "concentrated", _fixed_ends(1e300, 0.3))
+    with pytest.raises(NumericalError, match="bisection stalled at .* for target 0.35 "
+                       r"\(tol 1e-06\)") as failure:
+        achieve_value(ctx1, 0, 0.35)
+    assert failure.value.details["lambda"] == 0.5**200
+    assert failure.value.details["closest_achieved"] > 1e200
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_sampled_rank_values_stay_strictly_inside_intervals(ctx1, seed):
@@ -422,7 +454,7 @@ def test_oracles_stay_apart_from_production():
     # imports the context that solves against it.
     package = Path(rankreach.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
-    oracles = {"GoogleMatrix", "google_matrix", "pagerank_power", "_gauss_jordan_inverse"}
+    oracles = {"google_matrix", "pagerank_power", "_gauss_jordan_inverse"}
     for module, tree in trees.items():
         defined = {
             node.name for node in ast.walk(tree)

@@ -247,7 +247,7 @@ def _cmd_competitors(model, g, ctx, args):
         ("witness_k", "label"),
         ("witness_l", "label"),
     ]
-    if not args.pair:
+    if args.pair is None:
         _emit(args, spec, g.labels, _scan_blocks(ctx.fundamental()))
         return
     # one pair reads two columns of X, which the context solves for alone
@@ -270,12 +270,16 @@ def _cmd_leaders(model, g, ctx, args):
     _emit(args, spec, g.labels, _one_block(rows))
 
 
+def _selected_nodes(g: DirectedGraph, ctx: RankContext, node: str | None) -> list[int]:
+    """The node ``--node`` names, an empty label included, else every node."""
+    if node is not None:
+        return [g.index_of(node)]
+    ctx.fundamental()  # every column is read: build X once
+    return list(range(g.n))
+
+
 def _cmd_sc_interval(model, g, ctx, args):
-    if args.node:
-        nodes = [g.index_of(args.node)]
-    else:
-        nodes = list(range(g.n))
-        ctx.fundamental()  # every column is read: build X once
+    nodes = _selected_nodes(g, ctx, args.node)
     spec = [("node", "label"), ("epsilon", "g6"), ("lo", "f6"), ("hi", "f6")]
     rows = []
     for i in nodes:
@@ -302,11 +306,7 @@ def _cmd_achieve(model, g, ctx, args):
 
 
 def _cmd_verify(model, g, ctx, args):
-    if args.node:
-        nodes = [g.index_of(args.node)]
-    else:
-        nodes = list(range(g.n))
-        ctx.fundamental()  # every interval is read: build X once
+    nodes = _selected_nodes(g, ctx, args.node)
     per_node = {}
     bad = []
     for rep in monte_carlo_interval(

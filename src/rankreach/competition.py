@@ -19,17 +19,14 @@ costs little more than SCAN_HEAD * n^2 comparisons instead of n^3.  Where
 it resolves few, as on paths, rings and stars, whose witnesses sit deep,
 the pass is wasted and gathering the open columns costs extra.
 
-The certificates read rows of X as well.  The concentrated personalization
-v_k(epsilon) puts 1 - epsilon on node k and epsilon/(n-1) on every other
-node, so its rank vector is affine in row k of X:
-
-    pi(v_k(epsilon)) = (1 - epsilon) x_k + epsilon/(n-1) (s - x_k),
-
-where s = X^T 1 holds X's column sums.  ``RankContext.concentrated``
-evaluates it, so the halving searches of ``witness_epsilon`` and
-``leadership_certificate`` cost O(n) a step and no solve, and
-``competitivity_interval`` is the hull of the same expression over the
-entries of one column of X.
+The certificates read rows of X as well.  The rank vector of the
+concentrated personalization v_k(epsilon), 1 - epsilon on node k and
+epsilon/(n-1) on every other node, is row k of X mixed with X's column
+sums, by the one expression of ``localization._family_values``.
+``RankContext.concentrated`` evaluates it on rows of X, so the halving
+searches of ``witness_epsilon`` and ``leadership_certificate`` cost O(n) a
+step and no solve, and ``competitivity_interval`` evaluates it on the
+entries of one column of X and takes their hull.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .localization import (
     RankContext,
     _check_concentration,
     _check_nodes,
+    _family_values,
 )
 from .stochastic import PageRankVector
 
@@ -201,11 +199,12 @@ def competitivity_interval(
 ) -> CompetitivityInterval:
     """Hull of node i's rank over all n epsilon-concentrated personalizations.
 
-    Under v_k(epsilon) node i ranks (1 - epsilon) x_ki + epsilon/(n-1)
-    (s_i - x_ki), so the hull reads column i of X alone."""
+    Node i's rank under v_k(epsilon) is affine in x_ki and s_i, the sum of
+    column i (see ``localization._family_values``), so the hull reads
+    column i of X alone."""
     _check_concentration(ctx.n, epsilon)
     col = ctx.column(i)
-    vals = (1.0 - epsilon) * col + epsilon / (ctx.n - 1) * (col.sum() - col)
+    vals = _family_values(col, col.sum(), epsilon, ctx.n)
     return CompetitivityInterval(
         node=i, epsilon=epsilon, lo=float(vals.min()), hi=float(vals.max())
     )

@@ -204,6 +204,11 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     Reads only column i of X, from a dense X or from a context, which
     solves for that one column unless it already holds X.
     """
+    return _interval_and_column(src, i)[0]
+
+
+def _interval_and_column(src, i: int) -> tuple[PRInterval, np.ndarray]:
+    """:func:`pr_interval` of node i and the column of X it was read off."""
     if src.n == 1:
         raise DegenerateIntervalError(
             "single-node graph: the rank is identically 1"
@@ -212,7 +217,7 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     col = src.column(i)
     lo = float(col.min())
     witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
-    return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness)
+    return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness), col
 
 
 def _check_nodes(n: int, *nodes: int) -> None:
@@ -246,6 +251,18 @@ def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     v = np.full(n, epsilon / (n - 1))
     v[j] = 1.0 - epsilon
     return PersonalizationVector(v=v)
+
+
+def _family_values(x: np.ndarray, s, epsilon: float, n: int) -> np.ndarray:
+    """Rank values under the concentrated personalizations v_k(epsilon) of
+    :func:`basis_family`, affine in the entries x_ki of X:
+
+        pi(v_k(epsilon))_i = (1 - epsilon - w) x_ki + w s_i,
+
+    w = epsilon/(n-1) and s = X^T 1.  ``s`` broadcasts against ``x``: a
+    column beside rows of X, or the sum of the one column of X given."""
+    w = epsilon / (n - 1)
+    return (1.0 - epsilon - w) * x + w * s
 
 
 def _lu_width(n: int) -> int:
@@ -331,14 +348,14 @@ class RankContext:
     """Fixed damping factor and patched transition matrix.
 
     Owns the package's only factorization: one block LU of the rank
-    system A_t = I - alpha P_u^T, made on first use.  Every solve goes
-    through it: rank vectors and the whole of X (its rows) solve with A_t,
-    single columns of X and its row sums with the transpose
-    A_t^T = I - alpha P_u.  X itself is built and
-    verified at most once, and point queries (one interval, one pair)
-    solve only the columns they read unless X is already built.
-    Concentrated-family rank vectors are rows of X and its column sums,
-    read off X when it is built and solved for once otherwise.
+    system A_t = I - alpha P_u^T, made on first use.  It answers in three
+    ways.  A personalization's rank vector is a solve with A_t
+    (:meth:`rank`, :meth:`rank_weights`, the Monte-Carlo batches).  A
+    one-node question (one interval, one pair, one hull, ``achieve_value``)
+    reads the columns of X it needs, each one transposed solve with
+    A_t^T = I - alpha P_u unless X is held.  A family or whole-graph
+    question (the concentrated family, intervals, leaders, the scan) reads
+    X, built and verified at most once, on first use.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -460,8 +477,6 @@ class RankContext:
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             self._structure = verify_structure(fm)
             self._fundamental = fm
-            # column sums solved before X existed give way to X's own
-            self._sums = None
         return self._fundamental
 
     def structure(self) -> StructureReport:
@@ -493,44 +508,29 @@ class RankContext:
         return col[:, 0]
 
     def _column_sums(self) -> np.ndarray:
-        """s = X^T 1, the column sums of X: summed off X when it is built,
-        else one residual-checked solve A_t s = (1 - alpha) 1; cached."""
+        """s = X^T 1, the column sums of X, summed off X once."""
         if self._sums is None:
-            if self._fundamental is not None:
-                self._sums = self._fundamental.x.sum(axis=0)
-            else:
-                self._sums = self.rank_weights(np.ones(self.n))
+            self._sums = self.fundamental().x.sum(axis=0)
         return self._sums
 
     def concentrated(
         self, rows: Sequence[int], epsilons: Iterable[float]
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Rank vectors of the concentrated personalizations v_k(epsilon),
-        1 - epsilon on node k and epsilon/(n-1) elsewhere, one column per k
-        in ``rows``, yielded as ``(epsilon, vectors)`` for each epsilon.
-
-        The family is affine in row k of X: with s = X^T 1,
-        pi(v_k(epsilon)) = (1 - epsilon - w) x_k + w s, w = epsilon/(n-1).
-        So each epsilon costs O(n) per row and no solve.  The rows are read
-        off X when it is built, else solved for once, residual-checked, as
-        rank vectors of unit weights.
-        """
+        one column per k in ``rows``, yielded as ``(epsilon, vectors)`` for
+        each epsilon: rows of X mixed with its column sums by
+        :func:`_family_values`, O(n) per row and no solve.  X is built on
+        first use."""
         n = self.n
         rows = list(rows)
         _check_nodes(n, *rows)
-        if self._fundamental is not None:
-            x_rows = self._fundamental.x[rows].T
-        else:
-            units = np.zeros((n, len(rows)))
-            units[rows, np.arange(len(rows))] = 1.0
-            x_rows = self.rank_weights(units)
+        x_rows = self.fundamental().x[rows].T
         sums = self._column_sums()[:, None]
 
         def family() -> Iterator[tuple[float, np.ndarray]]:
             for epsilon in epsilons:
                 _check_concentration(n, epsilon)
-                w = epsilon / (n - 1)
-                yield epsilon, (1.0 - epsilon - w) * x_rows + w * sums
+                yield epsilon, _family_values(x_rows, sums, epsilon, n)
 
         return family()
 
@@ -552,7 +552,7 @@ def achieve_value(
     concentrated on the column-minimum witness.  Node i's rank is affine
     in lambda, lambda * f1 + (1 - lambda) * f0 with f1 and f0 its values
     under the two ends, so bisection converges unconditionally and each
-    step costs O(1).
+    step costs O(1).  The interval, f1 and f0 read column i of X alone.
     """
     for name, value in (("tol", tol), ("target", target)):
         if not _is_real(value):
@@ -564,15 +564,15 @@ def achieve_value(
     epsilon = min(1e-6, tol / 10.0)
     if epsilon == 0.0:
         raise DomainError(f"tol {tol!r} is too small: tol/10 underflows to 0")
-    interval = ctx.interval(i)
+    interval, col = _interval_and_column(ctx, i)
     if not interval.lo < target < interval.hi:
         raise DomainError(
             f"target {target:.12g} outside the attainable open interval "
             f"({interval.lo:.12g}, {interval.hi:.12g})"
         )
-    ((_, ends),) = ctx.concentrated([i, interval.lo_witness], [epsilon])
     # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
-    f1, f0 = (float(value) for value in ends[i])
+    ends = _family_values(col[[i, interval.lo_witness]], col.sum(), epsilon, ctx.n)
+    f1, f0 = ends.tolist()
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1
         raise NumericalError(

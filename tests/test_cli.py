@@ -239,6 +239,48 @@ def test_verify_node_reports_its_entry_of_the_full_report(capsys):
     assert report["nodes"] == {"2": json.loads(full)["nodes"]["2"]}
 
 
+def test_empty_label_flags_name_the_empty_label(capsys, tmp_path):
+    # An empty --node names the node labelled "", and an empty --pair is a
+    # malformed pair; neither is the flag left out.
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"nodes": ["", "b", "c"],
+                                "edges": [[0, 1], [1, 2], [2, 0], [0, 2]]}))
+    code, out, _ = invoke(capsys, "sc-interval", "--node", "", str(path))
+    _, full, _ = invoke(capsys, "sc-interval", str(path))
+    assert code == 0
+    assert out.splitlines() == full.splitlines()[:2]
+    assert out.splitlines()[1].startswith(",0.01,")
+    code, out, _ = invoke(capsys, "verify", "--node", "", "--seed", "1",
+                          "--samples", "10", str(path))
+    assert code == 0
+    assert list(json.loads(out)["nodes"]) == [""]
+    code, out, err = invoke(capsys, "competitors", "--pair", "", G1)
+    assert (code, out) == (1, "")
+    assert err == "rankreach: error: --pair expects 'i,j', got ''\n"
+
+
+@pytest.mark.parametrize("command", ["pagerank", "intervals"])
+def test_dangling_distribution_flag_and_config_agree(capsys, tmp_path, command):
+    # isolated.json has two dangling nodes, b and c, so u moves every value
+    u = [0.2, 0.3, 0.5]
+    u_path, cfg = tmp_path / "u.txt", tmp_path / "run.json"
+    u_path.write_text("".join(f"{value}\n" for value in u))
+    cfg.write_text(json.dumps({"u": u}))
+    _, by_flag, _ = invoke(capsys, command, "--u", str(u_path), ISOLATED)
+    _, by_config, _ = invoke(capsys, command, "--config", str(cfg), ISOLATED)
+    _, uniform, _ = invoke(capsys, command, ISOLATED)
+    assert by_flag == by_config != uniform
+    g = parse_graph_json(Path(ISOLATED).read_text())
+    ctx = RankContext.from_graph(g, u=np.array(u))
+    if command == "pagerank":
+        pi = ctx.rank(PersonalizationVector.uniform(g.n)).pi
+        expected = [f"{g.labels[i]},{pi[i]:.6f}" for i in range(g.n)]
+    else:
+        expected = [f"{g.labels[iv.node]},{iv.lo:.6f},{iv.hi:.6f},{g.labels[iv.lo_witness]}"
+                    for iv in ctx.intervals()]
+    assert by_flag.splitlines()[1:] == expected
+
+
 def test_verify_violations_print_the_report_then_exit_2(capsys, monkeypatch):
     def escaping(ctx, nodes, samples, seed, concentration):
         # node i reports i samples outside its interval

@@ -190,6 +190,33 @@ def test_concentrated_family_queries_make_no_solve_once_x_is_held(g2, monkeypatc
     assert solves == []
 
 
+def test_certificates_do_not_depend_on_whether_x_is_held():
+    # A fresh context builds X for its certificates, so it finds the same
+    # epsilon and bit-identical rank vectors as a context that holds X.
+    for seed in range(2):
+        g = preferential_graph(rng_for(seed), 120)
+        held = RankContext.from_graph(g, alpha=0.99)
+        fm = held.fundamental()
+        verdicts = [
+            effective_competitors(fm, i, j)
+            for i, j in sorted(competitivity_graph(fm))[:5]
+        ]
+        group = leadership_group(fm)
+        for verdict in verdicts:
+            fresh = RankContext.from_graph(g, alpha=0.99)
+            a, b = witness_epsilon(fresh, verdict), witness_epsilon(held, verdict)
+            assert a.epsilon == b.epsilon
+            assert np.array_equal(a.rank_high.pi, b.rank_high.pi)
+            assert np.array_equal(a.rank_low.pi, b.rank_low.pi)
+        for leader, row in sorted(group.witness_rows.items())[:5]:
+            fresh = RankContext.from_graph(g, alpha=0.99)
+            (eps_a, rank_a), (eps_b, rank_b) = (
+                leadership_certificate(ctx, leader, row) for ctx in (fresh, held)
+            )
+            assert eps_a == eps_b
+            assert np.array_equal(rank_a.pi, rank_b.pi)
+
+
 def test_certificates_check_indices_before_reading_rows(ctx1):
     # Indexing X would wrap a negative index around to the last node.
     for leader, row in ((7, 0), (-1, 0), (0, 3), (0, -1)):

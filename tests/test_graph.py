@@ -97,6 +97,8 @@ def test_json_rejects_malformed_documents():
         parse_graph_json('{"edges": []}')
     with pytest.raises(ParseError, match="no nodes"):
         parse_graph_json('{"nodes": [], "edges": []}')
+    with pytest.raises(ParseError, match='"nodes" must be a list'):
+        parse_graph_json('{"nodes": "ab", "edges": []}')
     with pytest.raises(ParseError, match="edge 0"):
         parse_graph_json('{"nodes": ["a", "b"], "edges": [[0, "b"]]}')
     with pytest.raises(ParseError, match="edge 1"):

@@ -128,6 +128,8 @@ def test_row_sum_tolerance_follows_the_condition_bound(g1, alpha, breaks):
 
 
 def test_structure_detects_tampering():
+    with pytest.raises(DomainError, match="square"):
+        FundamentalMatrix(x=np.ones((2, 3)), alpha=0.85)
     with pytest.raises(StructureError, match="margin"):
         verify_structure(FundamentalMatrix(
             x=np.array([[0.4, 0.6], [0.7, 0.3]]), alpha=0.85))
@@ -257,8 +259,8 @@ def test_concentrated_family_limit_is_matrix_row(ctx1):
 
 
 def test_concentrated_rank_vectors_match_solves():
-    # Rows of X and its column sums give every concentrated rank vector,
-    # read off X when it is held and solved for once when it is not.
+    # Rows of X and its column sums give every concentrated rank vector.  A
+    # fresh context builds X for them, so it yields what a held X yields.
     rng = rng_for(5151)
     for _ in range(6):
         n = int(rng.integers(2, 30))
@@ -268,15 +270,19 @@ def test_concentrated_rank_vectors_match_solves():
         fresh = RankContext(base.alpha, base.p_u)
         rows = rng.choice(n, size=min(n, 3), replace=False).tolist()
         epsilons = [0.5, 1e-3, (n - 1) / n, 0.999, 1e-9]
-        for ctx in (held, fresh):
-            yielded = list(ctx.concentrated(rows, epsilons))
-            assert [eps for eps, _ in yielded] == epsilons
-            for eps, ranked in yielded:
-                assert ranked.shape == (n, len(rows))
-                for c, k in enumerate(rows):
-                    expected = ctx.rank(basis_family(k, eps, n)).pi
-                    assert np.abs(ranked[:, c] - expected).max() <= 1e-12
-        assert fresh._fundamental is None
+        yielded = list(held.concentrated(rows, epsilons))
+        assert [eps for eps, _ in yielded] == epsilons
+        for eps, ranked in yielded:
+            assert ranked.shape == (n, len(rows))
+            for c, k in enumerate(rows):
+                expected = held.rank(basis_family(k, eps, n)).pi
+                assert np.abs(ranked[:, c] - expected).max() <= 1e-12
+        for (eps, ranked), (fresh_eps, fresh_ranked) in zip(
+            yielded, fresh.concentrated(rows, epsilons), strict=True
+        ):
+            assert fresh_eps == eps
+            assert np.array_equal(fresh_ranked, ranked)
+        assert fresh._fundamental is not None
 
 
 def test_concentrated_rank_vectors_check_rows_and_epsilon(ctx1):
@@ -328,19 +334,37 @@ def test_achieve_value_hits_midpoints_on_random_graphs():
         assert abs(result.achieved - target) <= 1e-6
 
 
+def test_achieve_value_on_a_fresh_context_solves_one_column(g2, monkeypatch):
+    # The interval and both ends read column i of X: its transposed solve
+    # and the one of X 1 that checks its row sums, and nothing more.
+    iv = RankContext.from_graph(g2).interval(3)
+    ctx = RankContext.from_graph(g2)
+    solves = []
+    real = rankreach.localization._lu_solve
+
+    def counting(lu, b, trans=0, **kwargs):
+        solves.append((trans, b.reshape(lu.shape[0], -1).shape[1]))
+        return real(lu, b, trans=trans, **kwargs)
+
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", counting)
+    result = achieve_value(ctx, 3, 0.5 * (iv.lo + iv.hi))
+    assert abs(result.achieved - 0.5 * (iv.lo + iv.hi)) <= 1e-6
+    assert solves == [(1, 1), (1, 1)]
+    assert ctx._fundamental is None
+
+
 def _fixed_ends(f1, f0):
-    """A stand-in for RankContext.concentrated: node rows[0] ranks f1 under
-    the personalization concentrated on it and f0 under the other one."""
-    def concentrated(self, rows, epsilons):
-        ends = np.zeros((self.n, 2))
-        ends[rows[0]] = f1, f0
-        return ((epsilon, ends) for epsilon in epsilons)
-    return concentrated
+    """A stand-in for the family's values at achieve_value's two ends: the
+    node ranks f1 under the personalization concentrated on it and f0 under
+    the other one."""
+    def family_values(x, s, epsilon, n):
+        return np.array([f1, f0])
+    return family_values
 
 
 def test_achieve_value_reports_an_unreachable_target(ctx1, monkeypatch):
     # ends that miss the target on the same side: no mixture reaches it
-    monkeypatch.setattr(RankContext, "concentrated", _fixed_ends(0.3, 0.3))
+    monkeypatch.setattr(rankreach.localization, "_family_values", _fixed_ends(0.3, 0.3))
     with pytest.raises(NumericalError) as failure:
         achieve_value(ctx1, 0, 0.35)
     assert str(failure.value) == (
@@ -352,7 +376,7 @@ def test_achieve_value_reports_an_unreachable_target(ctx1, monkeypatch):
 def test_achieve_value_reports_a_stalled_bisection(ctx1, monkeypatch):
     # The target sits at lambda of about 5e-302, past the reach of 200
     # halvings, which stop at lambda = 2**-200.
-    monkeypatch.setattr(RankContext, "concentrated", _fixed_ends(1e300, 0.3))
+    monkeypatch.setattr(rankreach.localization, "_family_values", _fixed_ends(1e300, 0.3))
     with pytest.raises(NumericalError, match="bisection stalled at .* for target 0.35 "
                        r"\(tol 1e-06\)") as failure:
         achieve_value(ctx1, 0, 0.35)

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankreach import (
+    DirectedGraph,
     DomainError,
+    NumericalError,
     OracleMismatchError,
     RankContext,
     effective_competitors,
@@ -62,8 +66,15 @@ def test_sampler_domain_errors(ctx1):
         sample_personalization_batch(1, 0, 1)
     with pytest.raises(DomainError, match="seed"):
         sample_personalization_batch(-1, 3, 1)
+    with pytest.raises(DomainError, match="concentration must be a number"):
+        sample_personalization_batch(1, 3, 1, "1.0")
+    with pytest.raises(DomainError, match="nonnegative"):
+        sample_personalization_batch(1, 3, -1)
     with pytest.raises(DomainError, match="sample count"):
         monte_carlo_interval(ctx1, [0], 0, 1)
+    one_node = RankContext.from_graph(DirectedGraph(labels=("a",), edges=frozenset()))
+    with pytest.raises(DomainError, match="at least 2 nodes"):
+        monte_carlo_interval(one_node, [0], 1, 1)
     for call in (
         lambda: sample_personalization_batch(1.5, 3, 2),
         lambda: sample_personalization_batch(1, 3, 2.5),
@@ -73,6 +84,29 @@ def test_sampler_domain_errors(ctx1):
     ):
         with pytest.raises(DomainError, match="integers"):
             call()
+
+
+def test_monte_carlo_reports_the_first_violating_sample(g1, monkeypatch):
+    # Node 1's interval narrowed to its lower half: the report must carry
+    # the first sample above it, and that personalization must reproduce
+    # the recorded value.
+    ctx = RankContext.from_graph(g1)
+    real = RankContext.interval
+
+    def narrowed(self, i):
+        iv = real(self, i)
+        return dataclasses.replace(iv, hi=0.5 * (iv.lo + iv.hi)) if i == 1 else iv
+
+    monkeypatch.setattr(RankContext, "interval", narrowed)
+    kept, cut = monte_carlo_interval(ctx, [0, 1], 200, seed=3)
+    assert kept.first_violation is None
+    assert cut.violations > 0
+    v, value = cut.first_violation
+    batch = sample_personalization_batch(3, 3, 200)
+    first = int(np.flatnonzero(ctx.rank_weights(batch.T)[1] > cut.hi + 1e-12)[0])
+    assert v == tuple(batch[first].tolist())
+    assert value > cut.hi
+    assert abs(ctx.rank_weights(np.array(v))[1] - value) <= 1e-12
 
 
 def test_monte_carlo_containment_g1(ctx1):
@@ -177,6 +211,8 @@ def test_gauss_jordan_matches_library_inverse():
     rng = rng_for(88)
     m = np.eye(6) + 0.5 * rng.random((6, 6))
     assert np.abs(_gauss_jordan_inverse(m) - np.linalg.inv(m)).max() <= 1e-10
+    with pytest.raises(NumericalError, match="singular"):
+        _gauss_jordan_inverse(np.ones((3, 3)))
 
 
 def test_mismatch_raises(ctx1, monkeypatch):

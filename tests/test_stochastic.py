@@ -147,6 +147,8 @@ def test_google_matrix_alpha_domain(g1):
     for alpha in (0.0, 1.0, 1.5, -0.2, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="alpha"):
             google_matrix(alpha, p_u, v)
+    with pytest.raises(DomainError, match="length n"):
+        google_matrix(0.85, p_u, PersonalizationVector.uniform(4))
 
 
 @settings(max_examples=25)
@@ -258,6 +260,8 @@ def test_vector_validation():
         PersonalizationVector(v=np.array([0.5, 0.5, 0.0]))
     with pytest.raises(DomainError, match="sum to 1"):
         PersonalizationVector(v=np.array([0.5, 0.6]))
+    with pytest.raises(DomainError, match="nonempty vector"):
+        PersonalizationVector(v=np.full((2, 2), 0.25))
     with pytest.raises(DomainError, match="positive"):
         RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.5, -0.5]))
     assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4

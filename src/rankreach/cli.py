@@ -73,8 +73,9 @@ def _model(args: argparse.Namespace) -> StochasticConfig:
 
 
 def _read_text(path: str) -> str:
+    # UTF-8 whatever the locale; a leading byte-order mark is dropped
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -220,10 +221,20 @@ def _cmd_intervals(model, g, ctx, args):
 
 
 def _parse_pair(g: DirectedGraph, text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise DomainError(f"--pair expects 'i,j', got {text!r}")
-    return g.index_of(parts[0]), g.index_of(parts[1])
+    """Two labels split at the comma and stripped or, failing that, one CSV
+    record of two fields naming labels exactly, as the output prints them."""
+    try:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise DomainError(f"--pair expects 'i,j', got {text!r}")
+        return g.index_of(parts[0]), g.index_of(parts[1])
+    except DomainError:
+        try:
+            i, j = next(csv.reader([text]))
+            return g.index_of(i), g.index_of(j)
+        except (ValueError, csv.Error, DomainError):
+            pass
+        raise
 
 
 def _scan_blocks(fm: FundamentalMatrix) -> Iterator[tuple]:

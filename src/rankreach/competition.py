@@ -22,11 +22,12 @@ the pass is wasted and gathering the open columns costs extra.
 The certificates read rows of X as well.  The rank vector of the
 concentrated personalization v_k(epsilon), 1 - epsilon on node k and
 epsilon/(n-1) on every other node, is row k of X mixed with X's column
-sums, by the one expression of ``localization._family_values``.
-``RankContext.concentrated`` evaluates it on rows of X, so the halving
-searches of ``witness_epsilon`` and ``leadership_certificate`` cost O(n) a
-step and no solve, and ``competitivity_interval`` evaluates it on the
-entries of one column of X and takes their hull.
+sums, by the one expression of ``localization._family_values``.  The
+halving search of ``witness_epsilon`` evaluates it on four entries of X a
+step and forms its two rank vectors once; ``leadership_certificate``
+evaluates it on its witness row, read once; neither makes a solve.
+``competitivity_interval`` evaluates it on the entries of one column of X
+and takes their hull.
 """
 
 from __future__ import annotations
@@ -212,15 +213,21 @@ def competitivity_interval(
 
 def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCertificate:
     """Halve epsilon from 1/2 until the two witness personalizations
-    actually swap the rank order of the pair; returns both rank vectors."""
+    actually swap the rank order of the pair, comparing four entries of X
+    a step; returns both rank vectors, formed once from the witness rows."""
     if not verdict.competes:
         raise DomainError("certificate requires a competing pair")
     i, j = verdict.i, verdict.j
-    _check_nodes(ctx.n, i, j)
-    witnesses = [verdict.witness_k, verdict.witness_l]
-    for epsilon, ranked in ctx.concentrated(witnesses, _HALVINGS):
-        high, low = ranked[:, 0], ranked[:, 1]
-        if high[i] > high[j] and low[i] < low[j]:
+    k, l = verdict.witness_k, verdict.witness_l
+    n = ctx.n
+    _check_nodes(n, i, j, k, l)
+    x, sums = ctx.fundamental().x, ctx._column_sums()
+    _check_concentration(n, _HALVINGS[0])
+    entries = [(float(x[a, b]), float(sums[b])) for a in (k, l) for b in (i, j)]
+    for epsilon in _HALVINGS:
+        high_i, high_j, low_i, low_j = (_family_values(*e, epsilon, n) for e in entries)
+        if high_i > high_j and low_i < low_j:
+            high, low = _family_values(x[[k, l]], sums, epsilon, n)
             return WitnessCertificate(
                 epsilon=epsilon,
                 rank_high=ctx._rank_vector(high),
@@ -238,10 +245,13 @@ def leadership_certificate(
 ) -> tuple[float, PageRankVector]:
     """Epsilon and rank vector making ``leader`` strictly top-ranked, found
     by halving from 1/2 with the personalization concentrated on the
-    witness row."""
-    _check_nodes(ctx.n, leader)
-    for epsilon, ranked in ctx.concentrated([witness_row], _HALVINGS):
-        ranked = ranked[:, 0]
+    witness row, which is read off X once."""
+    _check_nodes(ctx.n, leader, witness_row)
+    x, sums = ctx.fundamental().x, ctx._column_sums()
+    _check_concentration(ctx.n, _HALVINGS[0])
+    row = np.ascontiguousarray(x[witness_row])
+    for epsilon in _HALVINGS:
+        ranked = _family_values(row, sums, epsilon, ctx.n)
         rest = np.delete(ranked, leader)
         if (ranked[leader] > rest).all():
             return epsilon, ctx._rank_vector(ranked)

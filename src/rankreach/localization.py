@@ -10,7 +10,6 @@ mixing two concentrated personalizations.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -202,7 +201,8 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
     """Open interval (column minimum, diagonal entry) for node i.
 
     Reads only column i of X, from a dense X or from a context, which
-    solves for that one column unless it already holds X.
+    solves for that one column unless it already holds X; then the
+    minimum and its witness come from values computed once per X.
     """
     return _interval_and_column(src, i)[0]
 
@@ -215,8 +215,12 @@ def _interval_and_column(src, i: int) -> tuple[PRInterval, np.ndarray]:
         )
     _check_nodes(src.n, i)
     col = src.column(i)
-    lo = float(col.min())
-    witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
+    lows = src._held_lows() if isinstance(src, RankContext) else None
+    if lows is None:
+        lo = float(col.min())
+        witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
+    else:
+        lo, witness = lows[0][i], lows[1][i]
     return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness), col
 
 
@@ -354,8 +358,9 @@ class RankContext:
     one-node question (one interval, one pair, one hull, ``achieve_value``)
     reads the columns of X it needs, each one transposed solve with
     A_t^T = I - alpha P_u unless X is held.  A family or whole-graph
-    question (the concentrated family, intervals, leaders, the scan) reads
-    X, built and verified at most once, on first use.
+    question (a certificate, intervals, leaders, the scan) reads X, built
+    and verified at most once, on first use, as are X's column sums and
+    every column's minimum and witness row, each read off X once.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -367,6 +372,7 @@ class RankContext:
         self._structure = None
         self._row_sum_error = None
         self._sums = None
+        self._lows = None
 
     @classmethod
     def from_graph(
@@ -513,26 +519,23 @@ class RankContext:
             self._sums = self.fundamental().x.sum(axis=0)
         return self._sums
 
-    def concentrated(
-        self, rows: Sequence[int], epsilons: Iterable[float]
-    ) -> Iterator[tuple[float, np.ndarray]]:
-        """Rank vectors of the concentrated personalizations v_k(epsilon),
-        one column per k in ``rows``, yielded as ``(epsilon, vectors)`` for
-        each epsilon: rows of X mixed with its column sums by
-        :func:`_family_values`, O(n) per row and no solve.  X is built on
-        first use."""
-        n = self.n
-        rows = list(rows)
-        _check_nodes(n, *rows)
-        x_rows = self.fundamental().x[rows].T
-        sums = self._column_sums()[:, None]
-
-        def family() -> Iterator[tuple[float, np.ndarray]]:
-            for epsilon in epsilons:
-                _check_concentration(n, epsilon)
-                yield epsilon, _family_values(x_rows, sums, epsilon, n)
-
-        return family()
+    def _held_lows(self) -> tuple[list[float], list[int]] | None:
+        """Each column's minimum and first witness row, as :func:`pr_interval`
+        reads them off one column, computed once X is held; else None."""
+        if self._fundamental is None:
+            return None
+        if self._lows is None:
+            x = self._fundamental.x
+            lo, witness = [], []
+            width = _block_width(self.n)
+            for start in range(0, self.n, width):
+                cols = x[:, start:start + width]
+                block_lo = cols.min(axis=0)
+                lo += block_lo.tolist()
+                # argmax finds the first True, as flatnonzero(...)[0] does
+                witness += (cols <= block_lo + FLOAT_RESOLUTION).argmax(axis=0).tolist()
+            self._lows = lo, witness
+        return self._lows
 
     def interval(self, i: int) -> PRInterval:
         return pr_interval(self, i)
@@ -586,13 +589,13 @@ def achieve_value(
         lam = 0.5 * (lo_lam + hi_lam)
         val = lam * f1 + (1.0 - lam) * f0
         if abs(val - target) <= tol:
-            v_top = basis_family(i, epsilon, ctx.n).v
-            v_bot = basis_family(interval.lo_witness, epsilon, ctx.n).v
+            # lam * v_i(epsilon) + (1 - lam) * v_w(epsilon), entry by entry
+            far, near = epsilon / (ctx.n - 1), 1.0 - epsilon
+            v = np.full(ctx.n, lam * far + (1.0 - lam) * far)
+            v[interval.lo_witness] = lam * far + (1.0 - lam) * near
+            v[i] = lam * near + (1.0 - lam) * (near if interval.lo_witness == i else far)
             return AchieveResult(
-                lam=lam,
-                epsilon=epsilon,
-                achieved=val,
-                v=PersonalizationVector(v=lam * v_top + (1.0 - lam) * v_bot),
+                lam=lam, epsilon=epsilon, achieved=val, v=PersonalizationVector(v=v)
             )
         if (val < target) == increasing:
             lo_lam = lam

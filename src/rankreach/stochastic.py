@@ -71,7 +71,8 @@ def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
     v = np.array(raw, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError(f"{name} must be a nonempty vector")
-    if not (v > 0).all():
+    # one reduction, written so that a NaN fails it
+    if not v.min() > 0:
         raise DomainError(f"{name} entries must be strictly positive")
     if abs(v.sum() - 1.0) > sum_tol:
         raise DomainError(f"{name} must sum to 1, got {float(v.sum()):.12g}")

@@ -440,6 +440,53 @@ def test_malformed_pair_exits_1(capsys, pair):
     assert err == f"rankreach: error: --pair expects 'i,j', got {pair!r}\n"
 
 
+def test_pair_strips_spaces_around_labels(capsys):
+    code, out, _ = invoke(capsys, "competitors", "--pair", "1, 2", G1)
+    assert code == 0
+    assert out.splitlines()[1] == "1,2,false,,"
+    code, out, err = invoke(capsys, "competitors", "--pair", "1,5", G1)
+    assert (code, out, err) == (1, "", "rankreach: error: unknown node label '5'\n")
+
+
+@pytest.mark.parametrize("pair,row", [('"a,b",c', 1), ("c, d", 3)])
+def test_pair_names_labels_as_the_csv_output_prints_them(capsys, tmp_path, pair, row):
+    # A label with a comma, or with a leading space, cannot be named by
+    # splitting at the comma and stripping; the pair is then read as one
+    # CSV record, and prints the full scan's row.
+    graph = tmp_path / "labels.json"
+    graph.write_text(json.dumps(
+        {"nodes": ["a,b", "c", " d"], "edges": [[0, 1], [1, 2], [2, 0], [0, 2]]}
+    ))
+    _, scan, _ = invoke(capsys, "competitors", str(graph))
+    code, out, err = invoke(capsys, "competitors", "--pair", pair, str(graph))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [scan.splitlines()[0], scan.splitlines()[row]]
+
+
+@pytest.mark.parametrize(
+    "flag,name,text",
+    [
+        (None, "g.edges", "1 2\n2 3\n3 1\n10 1\n"),
+        (None, "g.json", '{"nodes": ["1", "2", "3"], "edges": [[0, 1], [1, 2], [2, 0]]}'),
+        ("--config", "config.json", '{"alpha": 0.5}'),
+        ("--v", "v.txt", "0.2\n0.3\n0.5\n"),
+    ],
+    ids=["edge-list", "json-graph", "config", "vector"],
+)
+def test_byte_order_mark_is_dropped(capsys, tmp_path, flag, name, text):
+    # Files are read as UTF-8; a leading BOM neither adds to the first
+    # label nor breaks a JSON parse.
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / bom.hex() / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(bom + text.encode())
+        argv = [str(path)] if flag is None else [flag, str(path), G1]
+        results.append(invoke(capsys, "pagerank", *argv))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 # A comma, a double quote, a newline, a leading space, non-ASCII text, an
 # empty label, and "node", which an xmatrix JSON row holds twice as a key.
 AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", " lead", "naïve ü", "", "ταυ", "node"]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from rankreach import (
     leadership_group,
     witness_epsilon,
 )
+from rankreach.competition import _HALVINGS
+from rankreach.localization import _family_values
 
 from .conftest import GRAPH_DIR, load_graph
 from .golden import (
@@ -266,27 +269,110 @@ def test_witness_certificate_requires_competing_pair(ctx1):
         witness_epsilon(ctx1, verdict)
 
 
-def _ties(self, rows, epsilons):
-    """A stand-in for RankContext.concentrated: every vector is uniform, so
-    no epsilon orders any pair."""
-    return ((epsilon, np.full((self.n, len(rows)), 1.0 / self.n)) for epsilon in epsilons)
+def _holding(ctx: RankContext, x: np.ndarray) -> RankContext:
+    """A stand-in for ctx that holds x as its X."""
+    held = RankContext(ctx.alpha, ctx.p_u)
+    held._fundamental = FundamentalMatrix(x=x, alpha=ctx.alpha)
+    return held
 
 
-def test_certificate_searches_report_the_floor(ctx2, monkeypatch):
+def _tied(ctx: RankContext) -> RankContext:
+    """A stand-in for ctx holding an X whose entries are all equal, so no
+    epsilon orders any pair."""
+    return _holding(ctx, np.full((ctx.n, ctx.n), 1.0 / ctx.n))
+
+
+def test_witness_search_takes_a_tie_for_no_swap(ctx1):
+    # Row 2 gives nodes 0 and 1 equal entries and they have equal column
+    # sums, so they tie under v_2(epsilon) at every epsilon: no swap.
+    x = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+    for k, l in ((2, 1), (0, 2)):
+        verdict = CompetitionVerdict(i=0, j=1, competes=True, witness_k=k, witness_l=l)
+        with pytest.raises(NumericalError, match="no rank-swap"):
+            witness_epsilon(_holding(ctx1, x), verdict)
+
+
+def test_certificate_searches_report_the_floor(ctx2):
     verdict = effective_competitors(ctx2.fundamental(), 0, 2)
-    monkeypatch.setattr(RankContext, "concentrated", _ties)
     with pytest.raises(NumericalError) as failure:
-        witness_epsilon(ctx2, verdict)
+        witness_epsilon(_tied(ctx2), verdict)
     assert str(failure.value) == (
         "no rank-swap certificate for pair (0, 2) above epsilon floor 1e-12"
     )
     assert failure.value.details == {"i": 0, "j": 2, "floor": 1e-12}
     with pytest.raises(NumericalError) as failure:
-        leadership_certificate(ctx2, 0, WITNESS_ROWS_G2[0])
+        leadership_certificate(_tied(ctx2), 0, WITNESS_ROWS_G2[0])
     assert str(failure.value) == (
         "no leadership certificate for node 0 from row 0 above epsilon floor 1e-12"
     )
     assert failure.value.details == {"leader": 0, "witness_row": 0, "floor": 1e-12}
+
+
+def _reference_witness(ctx: RankContext, verdict: CompetitionVerdict):
+    """The search witness_epsilon makes, on whole family vectors: both rank
+    vectors of the two witness rows at every halving."""
+    x = ctx.fundamental().x
+    rows = x[[verdict.witness_k, verdict.witness_l]].T
+    sums = x.sum(axis=0)[:, None]
+    for epsilon in _HALVINGS:
+        ranked = _family_values(rows, sums, epsilon, ctx.n)
+        high, low = ranked[:, 0], ranked[:, 1]
+        if high[verdict.i] > high[verdict.j] and low[verdict.i] < low[verdict.j]:
+            return epsilon, high, low
+    return None
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.85, 0.99, 1.0 - 1e-9])
+def test_witness_search_on_four_entries_matches_whole_vectors(alpha):
+    rng = rng_for(int(alpha * 1e4))
+    graphs = [random_graph(rng, int(rng.integers(5, 60)), dangling_frac=0.2) for _ in range(3)]
+    graphs += [preferential_graph(rng, int(rng.integers(20, 120))) for _ in range(3)]
+    searched = 0
+    for g in graphs:
+        ctx = RankContext.from_graph(g, alpha=alpha)
+        fm = ctx.fundamental()
+        verdicts = []
+        for i, j in list(combinations(range(g.n), 2))[:12]:
+            # rows i and j favour their own nodes; the other way round the
+            # search may reach the floor
+            verdicts += [
+                CompetitionVerdict(i=i, j=j, competes=True, witness_k=i, witness_l=j),
+                CompetitionVerdict(i=i, j=j, competes=True, witness_k=j, witness_l=i),
+            ]
+        for i, j in sorted(competitivity_graph(fm))[:12]:
+            found = effective_competitors(fm, i, j)
+            verdicts += [found, CompetitionVerdict(
+                i=j, j=i, competes=True, witness_k=found.witness_l, witness_l=found.witness_k
+            )]
+        for verdict in verdicts:
+            expected = _reference_witness(ctx, verdict)
+            if expected is None:
+                with pytest.raises(NumericalError, match="no rank-swap"):
+                    witness_epsilon(ctx, verdict)
+                continue
+            cert = witness_epsilon(ctx, verdict)
+            assert cert.epsilon == expected[0]
+            assert np.array_equal(cert.rank_high.pi, expected[1])
+            assert np.array_equal(cert.rank_low.pi, expected[2])
+            searched += 1
+    assert searched > 0
+
+
+def test_witness_search_forms_full_rank_vectors_once(ctx_cycle, monkeypatch):
+    # The two-cycle ties at epsilon = 1/2 and certifies at 1/4: both steps
+    # compare four entries, and only the accepted one forms whole vectors.
+    verdict = effective_competitors(ctx_cycle.fundamental(), 0, 1)
+    shapes = []
+    real = rankreach.localization._family_values
+
+    def counting(x, s, epsilon, n):
+        shapes.append(np.shape(x))
+        return real(x, s, epsilon, n)
+
+    monkeypatch.setattr(rankreach.localization, "_family_values", counting)
+    monkeypatch.setattr(rankreach.competition, "_family_values", counting)
+    assert witness_epsilon(ctx_cycle, verdict).epsilon == 0.25
+    assert [shape for shape in shapes if shape] == [(2, 2)]
 
 
 def test_computed_rank_vectors_failing_their_sum_are_numerical(monkeypatch):

@@ -48,6 +48,12 @@ def test_comments_and_blank_lines_ignored():
     assert len(g.edges) == 2
 
 
+def test_comment_after_an_edge_is_a_parse_error():
+    # a comment is a whole line whose first non-blank character is '#'
+    with pytest.raises(ParseError, match=r"^line 2: expected 2 tokens 'src dst', got 4$"):
+        parse_edge_list("1 2\n2 3 # note\n")
+
+
 def test_malformed_line_reports_line_number():
     with pytest.raises(ParseError, match="line 3"):
         parse_edge_list("1 2\n\n1 2 3")

@@ -11,6 +11,7 @@ import rankreach
 from rankreach import (
     CompetitionVerdict,
     DegenerateIntervalError,
+    DirectedGraph,
     DomainError,
     FundamentalMatrix,
     NumericalError,
@@ -23,6 +24,7 @@ from rankreach import (
     competitivity_interval,
     effective_competitors,
     leadership_certificate,
+    leadership_group,
     monte_carlo_interval,
     observe_rank_swaps,
     parse_edge_list,
@@ -32,7 +34,13 @@ from rankreach import (
     verify_structure,
     witness_epsilon,
 )
-from rankreach.localization import RESIDUAL_BLOCK, _lu_factor, _lu_solve, _lu_width
+from rankreach.localization import (
+    RESIDUAL_BLOCK,
+    _family_values,
+    _lu_factor,
+    _lu_solve,
+    _lu_width,
+)
 
 from .golden import (
     BASIS_LIMIT_G1,
@@ -260,38 +268,55 @@ def test_concentrated_family_limit_is_matrix_row(ctx1):
 
 def test_concentrated_rank_vectors_match_solves():
     # Rows of X and its column sums give every concentrated rank vector.  A
-    # fresh context builds X for them, so it yields what a held X yields.
+    # fresh context builds X for a certificate, so it certifies with the
+    # same bits as a context that holds X.
     rng = rng_for(5151)
     for _ in range(6):
         n = int(rng.integers(2, 30))
         base = random_context(rng, n, dangling_frac=0.3)
         held = RankContext(base.alpha, base.p_u)
-        held.fundamental()
-        fresh = RankContext(base.alpha, base.p_u)
+        x = held.fundamental().x
+        sums = held._column_sums()
         rows = rng.choice(n, size=min(n, 3), replace=False).tolist()
-        epsilons = [0.5, 1e-3, (n - 1) / n, 0.999, 1e-9]
-        yielded = list(held.concentrated(rows, epsilons))
-        assert [eps for eps, _ in yielded] == epsilons
-        for eps, ranked in yielded:
-            assert ranked.shape == (n, len(rows))
-            for c, k in enumerate(rows):
+        for eps in (0.5, 1e-3, (n - 1) / n, 0.999, 1e-9):
+            for k in rows:
                 expected = held.rank(basis_family(k, eps, n)).pi
-                assert np.abs(ranked[:, c] - expected).max() <= 1e-12
-        for (eps, ranked), (fresh_eps, fresh_ranked) in zip(
-            yielded, fresh.concentrated(rows, epsilons), strict=True
-        ):
-            assert fresh_eps == eps
-            assert np.array_equal(fresh_ranked, ranked)
-        assert fresh._fundamental is not None
+                values = _family_values(x[k], sums, eps, n)
+                assert np.abs(values - expected).max() <= 1e-12
+        fm = held.fundamental()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][:4]
+        for i, j in pairs:
+            verdict = effective_competitors(fm, i, j)
+            if verdict.competes:
+                a = witness_epsilon(RankContext(base.alpha, base.p_u), verdict)
+                b = witness_epsilon(held, verdict)
+                assert a.epsilon == b.epsilon
+                assert np.array_equal(a.rank_high.pi, b.rank_high.pi)
+                assert np.array_equal(a.rank_low.pi, b.rank_low.pi)
+        for leader, row in leadership_group(fm).witness_rows.items():
+            fresh = RankContext(base.alpha, base.p_u)
+            (eps_a, rank_a), (eps_b, rank_b) = (
+                leadership_certificate(ctx, leader, row) for ctx in (fresh, held)
+            )
+            assert eps_a == eps_b
+            assert np.array_equal(rank_a.pi, rank_b.pi)
+            assert fresh._fundamental is not None
 
 
 def test_concentrated_rank_vectors_check_rows_and_epsilon(ctx1):
+    # Witness rows are checked before X is indexed, where a negative index
+    # would wrap around; the family's epsilon domain is checked where a
+    # caller names epsilon.
     for rows in ([3], [-1], [0, 5]):
         with pytest.raises(DomainError, match="out of range"):
-            ctx1.concentrated(rows, [0.5])
+            leadership_certificate(ctx1, 0, rows[-1])
+        k, l = (rows * 2)[:2]
+        verdict = CompetitionVerdict(i=0, j=2, competes=True, witness_k=k, witness_l=l)
+        with pytest.raises(DomainError, match="out of range"):
+            witness_epsilon(ctx1, verdict)
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(DomainError, match="epsilon"):
-            list(ctx1.concentrated([0], [eps]))
+            competitivity_interval(ctx1, 0, eps)
 
 
 def test_rank_affine_in_mixture_weight(ctx2):
@@ -351,6 +376,52 @@ def test_achieve_value_on_a_fresh_context_solves_one_column(g2, monkeypatch):
     assert abs(result.achieved - 0.5 * (iv.lo + iv.hi)) <= 1e-6
     assert solves == [(1, 1), (1, 1)]
     assert ctx._fundamental is None
+
+
+def test_achieve_value_validates_one_personalization(ctx2, monkeypatch):
+    # The mixture of the two concentrated vectors is written out entry by
+    # entry, so only the vector returned is validated, and it has the bits
+    # of the vector expression.
+    iv = ctx2.interval(3)
+    names = []
+    real = rankreach.stochastic._frozen_vector
+
+    def counting(raw, name, *, sum_tol):
+        names.append(name)
+        return real(raw, name, sum_tol=sum_tol)
+
+    monkeypatch.setattr(rankreach.stochastic, "_frozen_vector", counting)
+    result = achieve_value(ctx2, 3, 0.5 * (iv.lo + iv.hi))
+    assert names == ["personalization vector"]
+    top = basis_family(3, result.epsilon, ctx2.n).v
+    bottom = basis_family(iv.lo_witness, result.epsilon, ctx2.n).v
+    assert np.array_equal(result.v.v, result.lam * top + (1.0 - result.lam) * bottom)
+
+
+def _interval_bits(iv) -> tuple:
+    return iv.node, iv.lo.hex(), iv.hi.hex(), iv.lo_witness
+
+
+def test_held_interval_reads_match_the_column_scan():
+    # With X held, each column's minimum and first witness row are read off
+    # X once; they are the bits that scanning the one column gives.  In the
+    # in-star's columns several rows lie within FLOAT_RESOLUTION of the
+    # minimum, and the first of them is not the argmin.
+    star = DirectedGraph(
+        labels=tuple(map(str, range(300))),
+        edges=frozenset((k, 0) for k in range(1, 300)),
+    )
+    graphs = [star, random_graph(rng_for(808), 150, dangling_frac=0.2)]
+    for g in graphs:
+        for alpha in (0.85, 1.0 - 1e-6):
+            held = RankContext.from_graph(g, alpha=alpha)
+            fm = held.fundamental()
+            scanned = [_interval_bits(pr_interval(fm, i)) for i in range(g.n)]
+            assert [_interval_bits(iv) for iv in held.intervals()] == scanned
+            assert [_interval_bits(held.interval(i)) for i in range(g.n)] == scanned
+            if g is star:
+                witnesses = [w for _, _, _, w in scanned]
+                assert witnesses != fm.x.argmin(axis=0).tolist()
 
 
 def _fixed_ends(f1, f0):

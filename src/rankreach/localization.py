@@ -78,15 +78,21 @@ class FundamentalMatrix:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Verified structural facts about a computed X.
+    """Facts about a computed X, read off it in one pass over column blocks.
 
     ``column_margins[i]`` is the diagonal entry minus the largest
-    off-diagonal entry of column i (inf if it has none), strictly positive.
+    off-diagonal entry of column i (inf if it has none), strictly positive
+    once checked.  ``column_lo[i]`` is column i's minimum and ``lo_witness[i]``
+    its first row within :data:`FLOAT_RESOLUTION` of it, as :func:`pr_interval`
+    reports them; ``column_sums`` is s = X^T 1, as the certificates mix it in.
     """
 
     column_margins: np.ndarray
     min_entry: float
     max_row_sum_error: float
+    column_lo: np.ndarray
+    lo_witness: np.ndarray
+    column_sums: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,39 +168,54 @@ def _check_structure(
         )
 
 
-def _column_margins(cols: np.ndarray, first: int) -> tuple[float, np.ndarray]:
-    """Minimum entry and dominance margins of X's columns first, first + 1,
-    ..., held side by side in ``cols``: each diagonal entry minus the
-    largest other entry of its column."""
+def _column_facts(cols: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
+    """Minimum, first witness row, dominance margin and sum of each of X's
+    columns first, first + 1, ..., held side by side in ``cols``.  The
+    witness is the first row within FLOAT_RESOLUTION of the minimum, and
+    the margin is the diagonal entry minus the largest other entry."""
     k = np.arange(cols.shape[1])
+    lo = cols.min(axis=0)
+    # argmax finds the first True row of each column
+    witness = (cols <= lo + FLOAT_RESOLUTION).argmax(axis=0)
     off_diag = cols.copy()
     off_diag[first + k, k] = -np.inf
-    return float(cols.min()), cols[first + k, k] - off_diag.max(axis=0)
+    margins = cols[first + k, k] - off_diag.max(axis=0)
+    return lo, witness, margins, cols.sum(axis=0)
+
+
+def _summarize(fm: FundamentalMatrix) -> StructureReport:
+    """Every per-column fact of X, read in one pass over blocks of
+    columns, with its row-sum error; checks nothing."""
+    x = fm.x
+    width = _block_width(fm.n)
+    blocks = [
+        _column_facts(x[:, start:start + width], start)
+        for start in range(0, fm.n, width)
+    ]
+    lo, witness, margins, sums = (np.concatenate(facts) for facts in zip(*blocks))
+    for facts in (lo, witness, margins, sums):
+        facts.flags.writeable = False
+    return StructureReport(
+        column_margins=margins,
+        min_entry=float(lo.min()),
+        max_row_sum_error=float(np.abs(x.sum(axis=1) - 1.0).max()),
+        column_lo=lo,
+        lo_witness=witness,
+        column_sums=sums,
+    )
 
 
 def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     """Check the guaranteed structure of X; a violation means solver breakdown.
 
     Asserts entrywise nonnegativity, unit row sums, and that each diagonal
-    entry strictly dominates its column, read in blocks of columns.  Returns
-    the per-column dominance margins, raises :class:`StructureError` else.
+    entry strictly dominates its column.  Returns X's column facts, read
+    in blocks of columns, and raises :class:`StructureError` else.
     """
-    x = fm.x
-    width = _block_width(fm.n)
-    blocks = [
-        _column_margins(x[:, start:start + width], start)
-        for start in range(0, fm.n, width)
-    ]
-    min_entry = min(block_min for block_min, _ in blocks)
-    margins = np.concatenate([block_margins for _, block_margins in blocks])
-    row_sum_error = float(np.abs(x.sum(axis=1) - 1.0).max())
-    _check_structure(min_entry, row_sum_error, margins, 0, fm.alpha, fm.n)
-    margins.flags.writeable = False
-    return StructureReport(
-        column_margins=margins,
-        min_entry=min_entry,
-        max_row_sum_error=row_sum_error,
-    )
+    report = _summarize(fm)
+    _check_structure(report.min_entry, report.max_row_sum_error, report.column_margins,
+                     0, fm.alpha, fm.n)
+    return report
 
 
 def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
@@ -202,7 +223,7 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
 
     Reads only column i of X, from a dense X or from a context, which
     solves for that one column unless it already holds X; then the
-    minimum and its witness come from values computed once per X.
+    minimum and its witness come from the context's structure report.
     """
     return _interval_and_column(src, i)[0]
 
@@ -215,13 +236,11 @@ def _interval_and_column(src, i: int) -> tuple[PRInterval, np.ndarray]:
         )
     _check_nodes(src.n, i)
     col = src.column(i)
-    lows = src._held_lows() if isinstance(src, RankContext) else None
-    if lows is None:
-        lo = float(col.min())
-        witness = int(np.flatnonzero(col <= lo + FLOAT_RESOLUTION)[0])
+    if isinstance(src, RankContext) and src._structure is not None:
+        lo, witness = src._structure.column_lo[i], src._structure.lo_witness[i]
     else:
-        lo, witness = lows[0][i], lows[1][i]
-    return PRInterval(node=i, lo=lo, hi=float(col[i]), lo_witness=witness), col
+        lo, witness, _, _ = (facts[0] for facts in _column_facts(col[:, None], i))
+    return PRInterval(node=i, lo=float(lo), hi=float(col[i]), lo_witness=int(witness)), col
 
 
 def _check_nodes(n: int, *nodes: int) -> None:
@@ -359,8 +378,9 @@ class RankContext:
     reads the columns of X it needs, each one transposed solve with
     A_t^T = I - alpha P_u unless X is held.  A family or whole-graph
     question (a certificate, intervals, leaders, the scan) reads X, built
-    and verified at most once, on first use, as are X's column sums and
-    every column's minimum and witness row, each read off X once.
+    and verified at most once, on first use.  The one pass over X that
+    verifies it also keeps every column's minimum, witness row and sum in
+    the :class:`StructureReport` the context holds beside X.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -371,8 +391,6 @@ class RankContext:
         self._fundamental = None
         self._structure = None
         self._row_sum_error = None
-        self._sums = None
-        self._lows = None
 
     @classmethod
     def from_graph(
@@ -509,33 +527,9 @@ class RankContext:
         b[i] = 1.0 - self.alpha
         col = _lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
-        min_entry, margins = _column_margins(col, i)
-        _check_structure(min_entry, self._row_sums(), margins, i, self.alpha, self.n)
+        lo, _, margins, _ = _column_facts(col, i)
+        _check_structure(float(lo[0]), self._row_sums(), margins, i, self.alpha, self.n)
         return col[:, 0]
-
-    def _column_sums(self) -> np.ndarray:
-        """s = X^T 1, the column sums of X, summed off X once."""
-        if self._sums is None:
-            self._sums = self.fundamental().x.sum(axis=0)
-        return self._sums
-
-    def _held_lows(self) -> tuple[list[float], list[int]] | None:
-        """Each column's minimum and first witness row, as :func:`pr_interval`
-        reads them off one column, computed once X is held; else None."""
-        if self._fundamental is None:
-            return None
-        if self._lows is None:
-            x = self._fundamental.x
-            lo, witness = [], []
-            width = _block_width(self.n)
-            for start in range(0, self.n, width):
-                cols = x[:, start:start + width]
-                block_lo = cols.min(axis=0)
-                lo += block_lo.tolist()
-                # argmax finds the first True, as flatnonzero(...)[0] does
-                witness += (cols <= block_lo + FLOAT_RESOLUTION).argmax(axis=0).tolist()
-            self._lows = lo, witness
-        return self._lows
 
     def interval(self, i: int) -> PRInterval:
         return pr_interval(self, i)

@@ -85,7 +85,10 @@ def sample_personalization_batch(
         raise DomainError("sample count must be nonnegative")
     if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
-    u = _philox(seed, salt).random((count, n))
+    try:
+        u = _philox(seed, salt).random((count, n))
+    except ValueError:  # numpy refuses the shape before allocating anything
+        raise DomainError(f"sample count {count} is too large for {n} nodes") from None
     z = u / concentration
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z)

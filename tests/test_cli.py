@@ -640,6 +640,14 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     assert err == "rankreach: error: out of memory: Unable to allocate 2.18 TiB for an array\n"
 
 
+@pytest.mark.parametrize("samples", ["100000000000000000000", str(2**62)])
+def test_unmakeable_sample_batch_is_one_error_line(capsys, samples):
+    # numpy refuses these batch shapes outright, before allocating anything
+    code, out, err = invoke(capsys, "verify", "--seed", "1", "--samples", samples, G1)
+    assert (code, out) == (1, "")
+    assert err == f"rankreach: error: sample count {samples} is too large for 3 nodes\n"
+
+
 def test_error_messages_print_floats_at_twelve_digits(capsys):
     code, _, err = invoke(capsys, "achieve", "--node", "1", "--target", "0.99",
                           str(GRAPH_DIR / "two_cycle.edges"))
@@ -950,7 +958,9 @@ def _invocation(draw):
     if cmd == "verify":
         maybe("--seed", st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"]),
               required=True)
-        maybe("--samples", st.integers(1, 30).map(str), st.sampled_from(["0", "-1", "abc"]))
+        # 10**20 is a batch shape numpy refuses before allocating anything
+        maybe("--samples", st.integers(1, 30).map(str),
+              st.sampled_from(["0", "-1", "abc", "100000000000000000000"]))
         maybe("--concentration", _unit, _bad_number)
     return argv, files
 

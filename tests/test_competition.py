@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from rankreach import (
     witness_epsilon,
 )
 from rankreach.competition import _HALVINGS
-from rankreach.localization import _family_values
+from rankreach.localization import _family_values, _summarize
 
 from .conftest import GRAPH_DIR, load_graph
 from .golden import (
@@ -273,6 +274,7 @@ def _holding(ctx: RankContext, x: np.ndarray) -> RankContext:
     """A stand-in for ctx that holds x as its X."""
     held = RankContext(ctx.alpha, ctx.p_u)
     held._fundamental = FundamentalMatrix(x=x, alpha=ctx.alpha)
+    held._structure = _summarize(held._fundamental)
     return held
 
 
@@ -633,14 +635,48 @@ def test_leadership_group_matches_row_sort():
     crafted[6, [0, 1]] = 0.25, 0.25 - m - d
     matrices.append(FundamentalMatrix(x=crafted, alpha=0.85))
     matrices.append(FundamentalMatrix(x=np.ones((1, 1)), alpha=0.85))
+    # Rows are masked SCAN_BLOCK (64) at a time: rows 63/64 and 127/128
+    # straddle the edges of the blocks.  Every other row leads on its own
+    # diagonal; at n = 130 the last row leads node 63 from the last block.
+    wide = {}
+    for n in (65, 130):
+        x = 0.5 * rng.random((n, n)) + np.eye(n)
+        odd = [r for r in (63, 64, 127, 128) if r < n]
+        x[odd] = 0.0
+        for r in odd[::2]:
+            x[r, [r, 0]] = 0.5          # exact tie at the top: no leader
+            x[r + 1, r + 1] = m         # gap exactly at the margin: no leader
+        if n - 1 not in odd:
+            x[n - 1, 63] = 2.0
+        wide[n] = FundamentalMatrix(x=x, alpha=0.85)
+        matrices.append(wide[n])
     for fm in matrices:
         group = leadership_group(fm)
         leaders, witness = _leaders_by_row_sort(fm)
         assert group.leaders == leaders
         assert group.witness_rows == witness
-    group = leadership_group(matrices[-2])
+    group = leadership_group(matrices[-4])
     assert group.leaders == {0, 1, 3}
     assert group.witness_rows == {0: 6, 1: 5, 3: 1}
+    for n, fm in wide.items():
+        expected = {r: r for r in range(n) if r not in (63, 64, 127, 128)}
+        if n == 130:
+            expected[63] = expected.pop(129)
+        assert leadership_group(fm).witness_rows == expected
+
+
+def test_leadership_group_copies_no_n_squared_buffer():
+    # Rows are masked in blocks of SCAN_BLOCK, so the leaders of a held X
+    # peak at block-sized temporaries, not at a copy of X.
+    n = 600
+    fm = RankContext.from_graph(random_graph(rng_for(600), n, density=0.02)).fundamental()
+    tracemalloc.start()
+    try:
+        leadership_group(fm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
 
 
 def _exact_x(g, alpha: Fraction) -> list[list[Fraction]]:

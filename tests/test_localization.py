@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -276,7 +277,7 @@ def test_concentrated_rank_vectors_match_solves():
         base = random_context(rng, n, dangling_frac=0.3)
         held = RankContext(base.alpha, base.p_u)
         x = held.fundamental().x
-        sums = held._column_sums()
+        sums = held.structure().column_sums
         rows = rng.choice(n, size=min(n, 3), replace=False).tolist()
         for eps in (0.5, 1e-3, (n - 1) / n, 0.999, 1e-9):
             for k in rows:
@@ -419,6 +420,13 @@ def test_held_interval_reads_match_the_column_scan():
             scanned = [_interval_bits(pr_interval(fm, i)) for i in range(g.n)]
             assert [_interval_bits(iv) for iv in held.intervals()] == scanned
             assert [_interval_bits(held.interval(i)) for i in range(g.n)] == scanned
+            # the report's other facts are X's own, read directly
+            report = held.structure()
+            assert report.column_sums.tobytes() == fm.x.sum(axis=0).tobytes()
+            checked = verify_structure(fm)
+            for field in dataclasses.fields(report):
+                name = field.name
+                assert np.array_equal(getattr(checked, name), getattr(report, name)), name
             if g is star:
                 witnesses = [w for _, _, _, w in scanned]
                 assert witnesses != fm.x.argmin(axis=0).tolist()

@@ -70,6 +70,9 @@ def test_sampler_domain_errors(ctx1):
         sample_personalization_batch(1, 3, 1, "1.0")
     with pytest.raises(DomainError, match="nonnegative"):
         sample_personalization_batch(1, 3, -1)
+    # a shape numpy refuses outright, before allocating anything
+    with pytest.raises(DomainError, match="too large"):
+        sample_personalization_batch(1, 2, 10**20)
     with pytest.raises(DomainError, match="sample count"):
         monte_carlo_interval(ctx1, [0], 0, 1)
     one_node = RankContext.from_graph(DirectedGraph(labels=("a",), edges=frozenset()))

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -169,10 +170,18 @@ def _emit(
     length.  A label column holds node indices into ``labels``, -1 for no
     node (an empty CSV field, a JSON null).  The first block is written
     before the next is read, so every check must run before the call: an
-    error never follows partial output.
+    error never follows partial output.  A JSON row is an object keyed by
+    column name, so a table whose names repeat, as xmatrix's do when a
+    node is labelled "node", is a :class:`DomainError` before any output.
     """
     names = [name for name, _ in spec]
     if args.output == "json":
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise DomainError(
+                f"a node labelled {json.dumps(repeated[0])} repeats a column name, "
+                "so JSON rows cannot hold the table; use --output csv"
+            )
         # the entry past the last label is what index -1 reads
         cells = np.array([*labels, None], dtype=object)
         sys.stdout.write("[")

@@ -217,7 +217,8 @@ def competitivity_interval(
 def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCertificate:
     """Halve epsilon from 1/2 until the two witness personalizations
     actually swap the rank order of the pair, comparing four entries of X
-    a step; returns both rank vectors, formed once from the witness rows."""
+    a step; returns both rank vectors, formed once from the witness rows.
+    They are the two rows of one frozen block, each checked once in place."""
     if not verdict.competes:
         raise DomainError("certificate requires a competing pair")
     i, j = verdict.i, verdict.j
@@ -228,9 +229,12 @@ def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCer
     _check_concentration(n, _HALVINGS[0])
     entries = [(float(x[a, b]), float(sums[b])) for a in (k, l) for b in (i, j)]
     for epsilon in _HALVINGS:
-        high_i, high_j, low_i, low_j = (_family_values(*e, epsilon, n) for e in entries)
+        high_i, high_j, low_i, low_j = [_family_values(a, s, epsilon, n) for a, s in entries]
         if high_i > high_j and low_i < low_j:
-            high, low = _family_values(x[[k, l]], sums, epsilon, n)
+            block = _family_values(x[[k, l]], sums, epsilon, n)
+            # frozen first, so neither adopted row has a writeable base
+            block.setflags(write=False)
+            high, low = block
             return WitnessCertificate(
                 epsilon=epsilon,
                 rank_high=ctx._rank_vector(high),

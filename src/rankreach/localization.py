@@ -229,17 +229,24 @@ def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
 
 
 def _interval_and_column(src, i: int) -> tuple[PRInterval, np.ndarray]:
-    """:func:`pr_interval` of node i and the column of X it was read off."""
+    """:func:`pr_interval` of node i and the column of X it was read off.
+    A context holding X has column i's minimum and witness in its
+    structure report; a solved column comes with the facts its check read."""
     if src.n == 1:
         raise DegenerateIntervalError(
             "single-node graph: the rank is identically 1"
         )
     _check_nodes(src.n, i)
-    col = src.column(i)
-    if isinstance(src, RankContext) and src._structure is not None:
+    if isinstance(src, RankContext) and src._fundamental is not None:
+        col = src._fundamental.x[:, i]
         lo, witness = src._structure.column_lo[i], src._structure.lo_witness[i]
     else:
-        lo, witness, _, _ = (facts[0] for facts in _column_facts(col[:, None], i))
+        if isinstance(src, RankContext):
+            col, facts = src._solved_column(i)
+        else:
+            col = src.column(i)
+            facts = _column_facts(col[:, None], i)
+        lo, witness = facts[0][0], facts[1][0]
     return PRInterval(node=i, lo=float(lo), hi=float(col[i]), lo_witness=int(witness)), col
 
 
@@ -273,7 +280,7 @@ def basis_family(j: int, epsilon: float, n: int) -> PersonalizationVector:
     _check_nodes(n, j)
     v = np.full(n, epsilon / (n - 1))
     v[j] = 1.0 - epsilon
-    return PersonalizationVector(v=v)
+    return PersonalizationVector(v=v, _adopt=True)
 
 
 def _family_values(x: np.ndarray, s, epsilon: float, n: int) -> np.ndarray:
@@ -285,7 +292,10 @@ def _family_values(x: np.ndarray, s, epsilon: float, n: int) -> np.ndarray:
     w = epsilon/(n-1) and s = X^T 1.  ``s`` broadcasts against ``x``: a
     column beside rows of X, or the sum of the one column of X given."""
     w = epsilon / (n - 1)
-    return (1.0 - epsilon - w) * x + w * s
+    # the bits of (1 - epsilon - w) * x + w * s, with one temporary
+    v = (1.0 - epsilon - w) * x
+    v += w * s
+    return v
 
 
 def _lu_width(n: int) -> int:
@@ -468,11 +478,12 @@ class RankContext:
         return self._rank_vector(self.rank_weights(v.v))
 
     def _rank_vector(self, pi: np.ndarray) -> PageRankVector:
-        """A rank vector this context computed, as a :class:`PageRankVector`.
+        """A rank vector this context computed, as a :class:`PageRankVector`
+        that adopts ``pi``: checked once and frozen in place, not copied.
         One that is not strictly positive or strays from sum 1 by more than
         the solve allows is a :class:`NumericalError`, not a bad input."""
         try:
-            return PageRankVector(pi=pi, alpha=self.alpha)
+            return PageRankVector(pi=pi, alpha=self.alpha, _adopt=True)
         except DomainError as exc:
             raise NumericalError(
                 f"solved {exc}",
@@ -523,13 +534,19 @@ class RankContext:
         _check_nodes(self.n, i)
         if self._fundamental is not None:
             return self._fundamental.column(i)
+        return self._solved_column(i)[0]
+
+    def _solved_column(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Column i of X by one transposed solve, checked as :meth:`column`
+        says, with the :func:`_column_facts` its structure check read."""
         b = np.zeros((self.n, 1))
         b[i] = 1.0 - self.alpha
         col = _lu_solve(self._factorization(), b, trans=1)
         self._check_column_residuals(col, i)
-        lo, _, margins, _ = _column_facts(col, i)
+        facts = _column_facts(col, i)
+        lo, _, margins, _ = facts
         _check_structure(float(lo[0]), self._row_sums(), margins, i, self.alpha, self.n)
-        return col[:, 0]
+        return col[:, 0], facts
 
     def interval(self, i: int) -> PRInterval:
         return pr_interval(self, i)
@@ -549,7 +566,10 @@ def achieve_value(
     concentrated on the column-minimum witness.  Node i's rank is affine
     in lambda, lambda * f1 + (1 - lambda) * f0 with f1 and f0 its values
     under the two ends, so bisection converges unconditionally and each
-    step costs O(1).  The interval, f1 and f0 read column i of X alone.
+    step costs O(1).  The interval, f1 and f0 read column i of X alone:
+    on a held X, x_ii, x_wi and s_i, with s_i from the structure report.
+    The personalization returned is written entry by entry and checked
+    once, where it is made.
     """
     for name, value in (("tol", tol), ("target", target)):
         if not _is_real(value):
@@ -568,7 +588,9 @@ def achieve_value(
             f"({interval.lo:.12g}, {interval.hi:.12g})"
         )
     # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
-    ends = _family_values(col[[i, interval.lo_witness]], col.sum(), epsilon, ctx.n)
+    report = ctx._structure
+    s_i = col.sum() if report is None else report.column_sums[i]
+    ends = _family_values(col[[i, interval.lo_witness]], s_i, epsilon, ctx.n)
     f1, f0 = ends.tolist()
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1
@@ -589,7 +611,8 @@ def achieve_value(
             v[interval.lo_witness] = lam * far + (1.0 - lam) * near
             v[i] = lam * near + (1.0 - lam) * (near if interval.lo_witness == i else far)
             return AchieveResult(
-                lam=lam, epsilon=epsilon, achieved=val, v=PersonalizationVector(v=v)
+                lam=lam, epsilon=epsilon, achieved=val,
+                v=PersonalizationVector(v=v, _adopt=True),
             )
         if (val < target) == increasing:
             lo_lam = lam

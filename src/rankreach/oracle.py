@@ -210,7 +210,7 @@ def pagerank_power(
         nxt = x @ g
         residual = float(np.abs(nxt - x).sum())
         if residual <= POWER_TOL:
-            return PageRankVector(pi=x, alpha=alpha)
+            return PageRankVector(pi=x, alpha=alpha, _adopt=True)
         x = nxt
     raise ConvergenceError(
         f"power iteration missed tol={POWER_TOL:g} after {max_iter} iterations",

@@ -11,7 +11,7 @@ inversion) live in :mod:`rankreach.oracle`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -67,33 +67,48 @@ def solve_sum_tol(alpha: float, n: int) -> float:
     return max(RANK_SUM_TOL, n * (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
 
 
-def _frozen_vector(raw, name: str, *, sum_tol: float) -> np.ndarray:
-    v = np.array(raw, dtype=float)
+def _frozen_vector(raw, name: str, *, sum_tol: float, adopt: bool = False) -> np.ndarray:
+    """``raw`` as a read-only probability vector: 1-D, nonempty, strictly
+    positive, summing to 1 within ``sum_tol``; :class:`DomainError` else.
+
+    ``raw`` is copied into a fresh float array, unless ``adopt`` says it is
+    a float array the package has just computed and hands over: that one
+    is checked and frozen where it lies, never copied."""
+    v = raw if adopt else np.array(raw, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError(f"{name} must be a nonempty vector")
-    # one reduction, written so that a NaN fails it
-    if not v.min() > 0:
+    # argmin stops at a NaN, which the comparison then fails; it reads the
+    # minimum at less fixed cost than a ufunc reduction
+    if not v[v.argmin()] > 0:
         raise DomainError(f"{name} entries must be strictly positive")
-    if abs(v.sum() - 1.0) > sum_tol:
-        raise DomainError(f"{name} must sum to 1, got {float(v.sum()):.12g}")
-    v.flags.writeable = False
+    total = np.add.reduce(v)
+    if abs(total - 1.0) > sum_tol:
+        raise DomainError(f"{name} must sum to 1, got {float(total):.12g}")
+    v.setflags(write=False)
     return v
 
 
 @dataclass(frozen=True)
 class PersonalizationVector:
-    """Strictly positive probability vector biasing the teleport step."""
+    """Strictly positive probability vector biasing the teleport step.
+
+    An array passed in is copied before it is checked and frozen, so the
+    caller's array stays writeable; one the package computed is handed
+    over with ``_adopt`` and checked once, in place."""
 
     v: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         object.__setattr__(
-            self, "v", _frozen_vector(self.v, "personalization vector", sum_tol=ROW_SUM_TOL)
+            self,
+            "v",
+            _frozen_vector(self.v, "personalization vector", sum_tol=ROW_SUM_TOL, adopt=_adopt),
         )
 
     @classmethod
     def uniform(cls, n: int) -> "PersonalizationVector":
-        return cls(v=np.full(n, 1.0 / n))
+        return cls(v=np.full(n, 1.0 / n), _adopt=True)
 
 
 class _GatherPlan:
@@ -225,16 +240,21 @@ class PageRankVector:
     ``alpha``: its sum may stray from 1 by :func:`solve_sum_tol`.  A vector
     that fails these checks is a :class:`DomainError` here; one that a
     :class:`~rankreach.localization.RankContext` computed, for ``rank`` or
-    a certificate, is a :class:`NumericalError` there."""
+    a certificate, is a :class:`NumericalError` there.
+
+    An array passed in is copied first, as :class:`PersonalizationVector`
+    copies one; a vector the package computed is handed over with
+    ``_adopt``, checked once where it was made and frozen there."""
 
     pi: np.ndarray
     alpha: float = field(repr=False, compare=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         _check_alpha(self.alpha)
         sum_tol = solve_sum_tol(self.alpha, np.size(self.pi))
         object.__setattr__(
-            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=sum_tol)
+            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=sum_tol, adopt=_adopt)
         )
 
 
@@ -280,7 +300,7 @@ class StochasticConfig:
             return PersonalizationVector.uniform(n)
         if len(self.v_spec) != n:
             raise DomainError(f"v vector has length {len(self.v_spec)}, graph has {n} nodes")
-        return PersonalizationVector(v=np.array(self.v_spec))
+        return PersonalizationVector(v=np.array(self.v_spec, dtype=float), _adopt=True)
 
 
 def load_config(text: str) -> StochasticConfig:

@@ -387,9 +387,9 @@ def test_achieve_value_validates_one_personalization(ctx2, monkeypatch):
     names = []
     real = rankreach.stochastic._frozen_vector
 
-    def counting(raw, name, *, sum_tol):
+    def counting(raw, name, **kwargs):
         names.append(name)
-        return real(raw, name, sum_tol=sum_tol)
+        return real(raw, name, **kwargs)
 
     monkeypatch.setattr(rankreach.stochastic, "_frozen_vector", counting)
     result = achieve_value(ctx2, 3, 0.5 * (iv.lo + iv.hi))
@@ -423,6 +423,9 @@ def test_held_interval_reads_match_the_column_scan():
             # the report's other facts are X's own, read directly
             report = held.structure()
             assert report.column_sums.tobytes() == fm.x.sum(axis=0).tobytes()
+            # achieve_value reads s_i here, where a solved column sums itself
+            for i in range(g.n):
+                assert report.column_sums[i] == fm.x[:, i].sum(), i
             checked = verify_structure(fm)
             for field in dataclasses.fields(report):
                 name = field.name
@@ -430,6 +433,70 @@ def test_held_interval_reads_match_the_column_scan():
             if g is star:
                 witnesses = [w for _, _, _, w in scanned]
                 assert witnesses != fm.x.argmin(axis=0).tolist()
+
+
+def test_point_interval_reads_its_column_facts_once(monkeypatch):
+    # The structure check of the solved column and the interval read the
+    # same facts, made once.
+    g = random_graph(rng_for(909), 120, dangling_frac=0.2)
+    col = RankContext.from_graph(g).column(5)
+    expected = _interval_bits(RankContext.from_graph(g).interval(5))
+    assert expected[1:3] == (col.min().hex(), col[5].hex())
+    shapes = []
+    real = rankreach.localization._column_facts
+
+    def counting(cols, first):
+        shapes.append(cols.shape)
+        return real(cols, first)
+
+    monkeypatch.setattr(rankreach.localization, "_column_facts", counting)
+    assert _interval_bits(RankContext.from_graph(g).interval(5)) == expected
+    assert shapes == [(g.n, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000])
+@pytest.mark.parametrize("epsilon", [0.5, 2.0**-20, 2.0**-40])
+def test_family_values_have_the_bits_of_the_expression(n, epsilon):
+    # the one-temporary evaluation rounds as the written expression does,
+    # on scalars, on rows and on blocks of rows
+    rng = rng_for(n)
+    x = rng.random((2, n)) / n
+    s = rng.random(n) + 0.5
+    w = epsilon / (n - 1)
+    for xs, ss in ((float(x[0, 1]), float(s[1])), (x[0], s), (x[0], float(s[0])), (x, s)):
+        got = _family_values(xs, ss, epsilon, n)
+        want = (1.0 - epsilon - w) * xs + w * ss
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(got) is type(want)
+
+
+def _frozen_through_base(a: np.ndarray) -> bool:
+    return not a.flags.writeable and (a.base is None or not a.base.flags.writeable)
+
+
+def test_computed_vectors_are_frozen_through_their_base(ctx2):
+    # a vector the package computes is adopted where it is made, so
+    # neither it nor an array it views can be written
+    fm = ctx2.fundamental()
+    group = leadership_group(fm)
+    leader = min(group.leaders)
+    _, ranked = leadership_certificate(ctx2, leader, group.witness_rows[leader])
+    iv = ctx2.interval(3)
+    verdict = next(
+        v for i in range(ctx2.n) for j in range(i + 1, ctx2.n)
+        if (v := effective_competitors(fm, i, j)).competes
+    )
+    cert = witness_epsilon(ctx2, verdict)
+    vectors = {
+        "rank": ctx2.rank(PersonalizationVector.uniform(ctx2.n)).pi,
+        "rank_high": cert.rank_high.pi,
+        "rank_low": cert.rank_low.pi,
+        "leadership": ranked.pi,
+        "achieve": achieve_value(ctx2, 3, 0.5 * (iv.lo + iv.hi)).v.v,
+        "basis": basis_family(1, 0.25, ctx2.n).v,
+    }
+    for name, vector in vectors.items():
+        assert _frozen_through_base(vector), name
 
 
 def _fixed_ends(f1, f0):

@@ -267,6 +267,22 @@ def test_vector_validation():
     assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
 
 
+def test_caller_arrays_are_copied():
+    # a vector built from a caller's array holds a frozen copy of it
+    for build, field in (
+        (lambda a: PageRankVector(pi=a, alpha=0.85), "pi"),
+        (lambda a: PersonalizationVector(v=a), "v"),
+    ):
+        a = np.array([0.25, 0.75])
+        held = getattr(build(a), field)
+        assert a.flags.writeable
+        assert a.tolist() == [0.25, 0.75]
+        assert not np.shares_memory(a, held)
+        assert not held.flags.writeable
+        a[0] = 0.5
+        assert held.tolist() == [0.25, 0.75]
+
+
 def test_rank_sum_tolerance_follows_the_solve_bound():
     # A solve at alpha carries up to n (1 + alpha)/(1 - alpha) u of error
     # in the sum; at alpha = 0.85 that is below the fixed 1e-10 floor.

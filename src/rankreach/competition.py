@@ -26,8 +26,8 @@ sums, by the one expression of ``localization._family_values``.  The
 halving search of ``witness_epsilon`` evaluates it on four entries of X a
 step and forms its two rank vectors once; ``leadership_certificate``
 evaluates it on its witness row, read once; neither makes a solve.
-``competitivity_interval`` evaluates it on the entries of one column of X
-and takes their hull.
+``competitivity_interval`` evaluates it on the two ends of column i,
+its minimum and its diagonal entry.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .localization import (
     _check_concentration,
     _check_nodes,
     _family_values,
+    _read_column,
 )
 from .stochastic import PageRankVector
 
@@ -204,11 +205,12 @@ def competitivity_interval(
     """Hull of node i's rank over all n epsilon-concentrated personalizations.
 
     Node i's rank under v_k(epsilon) is affine in x_ki and s_i, the sum of
-    column i (see ``localization._family_values``), so the hull reads
-    column i of X alone."""
+    column i (see ``localization._family_values``), and its computed value
+    is monotone in x_ki, so the hull reads lo_i, x_ii and s_i alone: X's
+    checked column i has minimum lo_i and strict maximum x_ii."""
     _check_concentration(ctx.n, epsilon)
-    col = ctx.column(i)
-    vals = _family_values(col, col.sum(), epsilon, ctx.n)
+    interval, _, s_i = _read_column(ctx, i)
+    vals = _family_values(np.array([interval.lo, interval.hi]), s_i, epsilon, ctx.n)
     return CompetitivityInterval(
         node=i, epsilon=epsilon, lo=float(vals.min()), hi=float(vals.max())
     )
@@ -217,28 +219,25 @@ def competitivity_interval(
 def witness_epsilon(ctx: RankContext, verdict: CompetitionVerdict) -> WitnessCertificate:
     """Halve epsilon from 1/2 until the two witness personalizations
     actually swap the rank order of the pair, comparing four entries of X
-    a step; returns both rank vectors, formed once from the witness rows.
-    They are the two rows of one frozen block, each checked once in place."""
+    a step; returns both rank vectors, each formed once from its witness
+    row and X's column sums and checked once in place."""
     if not verdict.competes:
         raise DomainError("certificate requires a competing pair")
     i, j = verdict.i, verdict.j
     k, l = verdict.witness_k, verdict.witness_l
     n = ctx.n
     _check_nodes(n, i, j, k, l)
-    x, sums = ctx.fundamental().x, ctx.structure().column_sums
+    fm = ctx.fundamental()
+    x, sums = fm.x, fm.report.column_sums
     _check_concentration(n, _HALVINGS[0])
     entries = [(float(x[a, b]), float(sums[b])) for a in (k, l) for b in (i, j)]
     for epsilon in _HALVINGS:
         high_i, high_j, low_i, low_j = [_family_values(a, s, epsilon, n) for a, s in entries]
         if high_i > high_j and low_i < low_j:
-            block = _family_values(x[[k, l]], sums, epsilon, n)
-            # frozen first, so neither adopted row has a writeable base
-            block.setflags(write=False)
-            high, low = block
             return WitnessCertificate(
                 epsilon=epsilon,
-                rank_high=ctx._rank_vector(high),
-                rank_low=ctx._rank_vector(low),
+                rank_high=ctx._rank_vector(_family_values(x[k], sums, epsilon, n)),
+                rank_low=ctx._rank_vector(_family_values(x[l], sums, epsilon, n)),
             )
     raise NumericalError(
         f"no rank-swap certificate for pair ({i}, {j}) above epsilon "
@@ -254,7 +253,8 @@ def leadership_certificate(
     by halving from 1/2 with the personalization concentrated on the
     witness row, which is read off X once."""
     _check_nodes(ctx.n, leader, witness_row)
-    x, sums = ctx.fundamental().x, ctx.structure().column_sums
+    fm = ctx.fundamental()
+    x, sums = fm.x, fm.report.column_sums
     _check_concentration(ctx.n, _HALVINGS[0])
     row = np.ascontiguousarray(x[witness_row])
     for epsilon in _HALVINGS:

@@ -58,10 +58,12 @@ class DirectedGraph:
             raise DomainError(f"unknown node label {label!r}") from None
 
     def to_edge_list(self) -> str:
-        """Serialize as edge-list text; refuses graphs with isolated nodes.
+        """Serialize as edge-list text; refuses graphs it cannot spell.
 
-        An isolated node appears on no line, so re-parsing would drop it;
-        such graphs round-trip through :meth:`to_json` instead.
+        An isolated node appears on no line, and an empty label, one with
+        whitespace or a source starting with '#' (a comment) does not read
+        back as one token, so re-parsing would lose them; such graphs
+        round-trip through :meth:`to_json` instead.
         """
         mentioned = {i for e in self.edges for i in e}
         if len(mentioned) < self.n:
@@ -69,6 +71,10 @@ class DirectedGraph:
             raise DomainError(
                 f"node {self.labels[missing]!r} has no edges; use the JSON form"
             )
+        sources = {s for s, _ in self.edges}
+        for k, label in enumerate(self.labels):
+            if label.split() != [label] or (label.startswith("#") and k in sources):
+                raise DomainError(f"node {label!r} is no edge-list token; use the JSON form")
         lines = [
             f"{self.labels[s]} {self.labels[t]}" for s, t in sorted(self.edges)
         ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ LU_PANEL = 256
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """Dense X together with the damping factor it was built from."""
+    """Dense X together with the damping factor it was built from, and
+    the :class:`StructureReport` of its columns, read on first use."""
 
     x: np.ndarray
     alpha: float
@@ -75,10 +77,34 @@ class FundamentalMatrix:
     def column(self, i: int) -> np.ndarray:
         return self.x[:, i]
 
+    @cached_property
+    def report(self) -> StructureReport:
+        """Every per-column fact of X, read in one pass over blocks of
+        columns, with its row-sum error; checks nothing.  A caller's X read
+        only by the scan or the leaders never pays for the pass."""
+        x = self.x
+        width = _block_width(self.n)
+        blocks = [
+            _column_facts(x[:, start:start + width], start)
+            for start in range(0, self.n, width)
+        ]
+        lo, witness, margins, sums = (np.concatenate(facts) for facts in zip(*blocks))
+        for facts in (lo, witness, margins, sums):
+            facts.flags.writeable = False
+        return StructureReport(
+            column_margins=margins,
+            min_entry=float(lo.min()),
+            max_row_sum_error=float(np.abs(x.sum(axis=1) - 1.0).max()),
+            column_lo=lo,
+            lo_witness=witness,
+            column_sums=sums,
+        )
+
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Facts about a computed X, read off it in one pass over column blocks.
+    """Facts about X, read off it in one pass over column blocks: a
+    :class:`FundamentalMatrix`'s ``report``.
 
     ``column_margins[i]`` is the diagonal entry minus the largest
     off-diagonal entry of column i (inf if it has none), strictly positive
@@ -183,71 +209,43 @@ def _column_facts(cols: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
     return lo, witness, margins, cols.sum(axis=0)
 
 
-def _summarize(fm: FundamentalMatrix) -> StructureReport:
-    """Every per-column fact of X, read in one pass over blocks of
-    columns, with its row-sum error; checks nothing."""
-    x = fm.x
-    width = _block_width(fm.n)
-    blocks = [
-        _column_facts(x[:, start:start + width], start)
-        for start in range(0, fm.n, width)
-    ]
-    lo, witness, margins, sums = (np.concatenate(facts) for facts in zip(*blocks))
-    for facts in (lo, witness, margins, sums):
-        facts.flags.writeable = False
-    return StructureReport(
-        column_margins=margins,
-        min_entry=float(lo.min()),
-        max_row_sum_error=float(np.abs(x.sum(axis=1) - 1.0).max()),
-        column_lo=lo,
-        lo_witness=witness,
-        column_sums=sums,
-    )
-
-
 def verify_structure(fm: FundamentalMatrix) -> StructureReport:
     """Check the guaranteed structure of X; a violation means solver breakdown.
 
     Asserts entrywise nonnegativity, unit row sums, and that each diagonal
-    entry strictly dominates its column.  Returns X's column facts, read
-    in blocks of columns, and raises :class:`StructureError` else.
+    entry strictly dominates its column, on ``fm.report``.  Returns that
+    report, and raises :class:`StructureError` else.
     """
-    report = _summarize(fm)
+    report = fm.report
     _check_structure(report.min_entry, report.max_row_sum_error, report.column_margins,
                      0, fm.alpha, fm.n)
     return report
 
 
 def pr_interval(src: FundamentalMatrix | RankContext, i: int) -> PRInterval:
-    """Open interval (column minimum, diagonal entry) for node i.
-
-    Reads only column i of X, from a dense X or from a context, which
-    solves for that one column unless it already holds X; then the
-    minimum and its witness come from the context's structure report.
-    """
-    return _interval_and_column(src, i)[0]
+    """Open interval (column minimum, diagonal entry) for node i, read off
+    X's ``report`` or, from a context without X, one solved column."""
+    return _read_column(src, i)[0]
 
 
-def _interval_and_column(src, i: int) -> tuple[PRInterval, np.ndarray]:
-    """:func:`pr_interval` of node i and the column of X it was read off.
-    A context holding X has column i's minimum and witness in its
-    structure report; a solved column comes with the facts its check read."""
+def _read_column(src, i: int) -> tuple[PRInterval, float, np.float64]:
+    """Node i's :func:`pr_interval`, x_wi at its witness row w and its
+    column sum s_i, which every one-node question reads: off the report of
+    X, given or held, else off the facts of the one column solved for."""
     if src.n == 1:
         raise DegenerateIntervalError(
             "single-node graph: the rank is identically 1"
         )
     _check_nodes(src.n, i)
-    if isinstance(src, RankContext) and src._fundamental is not None:
-        col = src._fundamental.x[:, i]
-        lo, witness = src._structure.column_lo[i], src._structure.lo_witness[i]
+    fm = src._fundamental if isinstance(src, RankContext) else src
+    if fm is None:
+        col, facts = src._solved_column(i)
+        lo, w, _, s_i = (fact[0] for fact in facts)
     else:
-        if isinstance(src, RankContext):
-            col, facts = src._solved_column(i)
-        else:
-            col = src.column(i)
-            facts = _column_facts(col[:, None], i)
-        lo, witness = facts[0][0], facts[1][0]
-    return PRInterval(node=i, lo=float(lo), hi=float(col[i]), lo_witness=int(witness)), col
+        report, col = fm.report, fm.x[:, i]
+        lo, w, s_i = report.column_lo[i], report.lo_witness[i], report.column_sums[i]
+    interval = PRInterval(node=i, lo=float(lo), hi=float(col[i]), lo_witness=int(w))
+    return interval, float(col[w]), s_i
 
 
 def _check_nodes(n: int, *nodes: int) -> None:
@@ -389,8 +387,8 @@ class RankContext:
     A_t^T = I - alpha P_u unless X is held.  A family or whole-graph
     question (a certificate, intervals, leaders, the scan) reads X, built
     and verified at most once, on first use.  The one pass over X that
-    verifies it also keeps every column's minimum, witness row and sum in
-    the :class:`StructureReport` the context holds beside X.
+    verifies it is X's ``report``, which keeps every column's minimum,
+    witness row and sum for the one-node questions that follow.
     """
 
     def __init__(self, alpha: float, p_u: RowStochasticMatrix):
@@ -399,7 +397,6 @@ class RankContext:
         self.p_u = p_u
         self._lu = None
         self._fundamental = None
-        self._structure = None
         self._row_sum_error = None
 
     @classmethod
@@ -510,13 +507,9 @@ class RankContext:
             for start in range(0, self.n, width):
                 self._check_column_residuals(x[:, start:start + width], start)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
-            self._structure = verify_structure(fm)
+            verify_structure(fm)
             self._fundamental = fm
         return self._fundamental
-
-    def structure(self) -> StructureReport:
-        self.fundamental()
-        return self._structure
 
     def _row_sums(self) -> float:
         """Max deviation of X's row sums from 1: X 1 is one transposed
@@ -566,8 +559,8 @@ def achieve_value(
     concentrated on the column-minimum witness.  Node i's rank is affine
     in lambda, lambda * f1 + (1 - lambda) * f0 with f1 and f0 its values
     under the two ends, so bisection converges unconditionally and each
-    step costs O(1).  The interval, f1 and f0 read column i of X alone:
-    on a held X, x_ii, x_wi and s_i, with s_i from the structure report.
+    step costs O(1).  The interval, f1 and f0 read x_ii, x_wi and s_i
+    of column i alone, from X's report when the context holds X.
     The personalization returned is written entry by entry and checked
     once, where it is made.
     """
@@ -581,16 +574,14 @@ def achieve_value(
     epsilon = min(1e-6, tol / 10.0)
     if epsilon == 0.0:
         raise DomainError(f"tol {tol!r} is too small: tol/10 underflows to 0")
-    interval, col = _interval_and_column(ctx, i)
+    interval, x_wi, s_i = _read_column(ctx, i)
     if not interval.lo < target < interval.hi:
         raise DomainError(
             f"target {target:.12g} outside the attainable open interval "
             f"({interval.lo:.12g}, {interval.hi:.12g})"
         )
     # node i's value at lambda = 1 (concentrated on i) and at lambda = 0
-    report = ctx._structure
-    s_i = col.sum() if report is None else report.column_sums[i]
-    ends = _family_values(col[[i, interval.lo_witness]], s_i, epsilon, ctx.n)
+    ends = _family_values(np.array([interval.hi, x_wi]), s_i, epsilon, ctx.n)
     f1, f0 = ends.tolist()
     if not min(f0, f1) <= target <= max(f0, f1):
         closest = f0 if abs(f0 - target) <= abs(f1 - target) else f1

@@ -129,7 +129,7 @@ def test_criterion_06_structure_suite():
             report = verify_structure(fm)
             assert report.column_margins.min() > 0.0
         for name, _, _ in FIXTURES:
-            report = _fresh_context(name).structure()
+            report = _fresh_context(name).fundamental().report
             assert report.column_margins.min() > 0.0
 
 

@@ -28,7 +28,7 @@ from rankreach import (
     witness_epsilon,
 )
 from rankreach.competition import _HALVINGS
-from rankreach.localization import _family_values, _summarize
+from rankreach.localization import _family_values
 
 from .conftest import GRAPH_DIR, load_graph
 from .golden import (
@@ -170,6 +170,51 @@ def test_concentrated_hull_matches_the_family_solve():
                 assert abs(sc.hi - hi) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.85, 0.99, 1.0 - 1e-9])
+def test_concentrated_hull_is_the_whole_column_hull(alpha):
+    # The hull reads the column's minimum and diagonal entry, and has the
+    # bits of the family evaluated over the whole column: the computed
+    # value is monotone in x_ki for either sign of its slope.
+    graphs = [
+        random_graph(rng_for(4141), 40, dangling_frac=0.2),
+        preferential_graph(rng_for(4242), 60),
+    ]
+    for g in graphs:
+        n = g.n
+        held = RankContext.from_graph(g, alpha=alpha)
+        x = held.fundamental().x
+        fresh = RankContext.from_graph(g, alpha=alpha)
+        for i in range(0, n, 3):
+            col = x[:, i]
+            for eps in (0.01, 0.5, (n - 1) / n, 0.999):
+                vals = _family_values(col, col.sum(), eps, n)
+                want = (float(vals.min()).hex(), float(vals.max()).hex())
+                for ctx in (held, fresh):
+                    sc = competitivity_interval(ctx, i, eps)
+                    assert (sc.lo.hex(), sc.hi.hex()) == want, (i, eps)
+
+
+def test_concentrated_hull_on_a_held_x_reads_two_entries(g2, monkeypatch):
+    ctx = RankContext.from_graph(g2)
+    ctx.fundamental()
+    shapes, solves = [], []
+    real_values, real_solve = _family_values, rankreach.localization._lu_solve
+
+    def counting_values(x, s, epsilon, n):
+        shapes.append(np.shape(x))
+        return real_values(x, s, epsilon, n)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(rankreach.competition, "_family_values", counting_values)
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", counting_solve)
+    competitivity_interval(ctx, 3, 0.01)
+    assert shapes == [(2,)]
+    assert solves == []
+
+
 def test_concentrated_family_queries_make_no_solve_once_x_is_held(g2, monkeypatch):
     ctx = RankContext.from_graph(g2)
     fm = ctx.fundamental()
@@ -247,7 +292,7 @@ def test_small_alpha_makes_every_pair_compete_and_every_node_lead(alpha):
         assert len(competitivity_graph(fm)) == n * (n - 1) // 2
         group = leadership_group(fm)
         assert group.witness_rows == {i: i for i in range(n)}
-        assert ctx.structure().column_margins.min() >= 1.0 - 2.0 * alpha - 1e-12
+        assert fm.report.column_margins.min() >= 1.0 - 2.0 * alpha - 1e-12
 
 
 def test_witness_certificate_g1(ctx1):
@@ -274,7 +319,6 @@ def _holding(ctx: RankContext, x: np.ndarray) -> RankContext:
     """A stand-in for ctx that holds x as its X."""
     held = RankContext(ctx.alpha, ctx.p_u)
     held._fundamental = FundamentalMatrix(x=x, alpha=ctx.alpha)
-    held._structure = _summarize(held._fundamental)
     return held
 
 
@@ -374,7 +418,7 @@ def test_witness_search_forms_full_rank_vectors_once(ctx_cycle, monkeypatch):
     monkeypatch.setattr(rankreach.localization, "_family_values", counting)
     monkeypatch.setattr(rankreach.competition, "_family_values", counting)
     assert witness_epsilon(ctx_cycle, verdict).epsilon == 0.25
-    assert [shape for shape in shapes if shape] == [(2, 2)]
+    assert [shape for shape in shapes if shape] == [(2,), (2,)]
 
 
 def test_computed_rank_vectors_failing_their_sum_are_numerical(monkeypatch):

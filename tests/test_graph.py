@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,6 +128,45 @@ def test_to_edge_list_rejects_isolated_nodes():
     g = parse_graph_json('{"nodes": ["a", "b", "c"], "edges": [[0, 1]]}')
     with pytest.raises(DomainError, match="no edges"):
         g.to_edge_list()
+
+
+def test_to_edge_list_rejects_labels_it_cannot_spell():
+    # "#x y" would be read as a comment, dropping the edge #x -> y
+    g = parse_graph_json('{"nodes": ["#x", "y"], "edges": [[0, 1], [1, 0]]}')
+    with pytest.raises(DomainError, match="'#x'.*JSON form"):
+        g.to_edge_list()
+    # as a target only, '#' starts no comment
+    g = parse_graph_json('{"nodes": ["#x", "y"], "edges": [[1, 0], [1, 1]]}')
+    assert parse_edge_list(g.to_edge_list()).labels == ("#x", "y")
+    for label in ("", "a b", "x y", "a\u2028b"):
+        doc = json.dumps({"nodes": [label, "c"], "edges": [[0, 1], [1, 0]]})
+        with pytest.raises(DomainError, match="JSON form"):
+            parse_graph_json(doc).to_edge_list()
+
+
+def _labelled_edges(g: DirectedGraph) -> set[tuple[str, str]]:
+    return {(g.labels[s], g.labels[t]) for s, t in g.edges}
+
+
+_json_labels = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    min_size=1, max_size=5, unique=True,
+)
+
+
+@given(_json_labels, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12))
+def test_edge_list_of_a_json_graph_reparses_or_is_refused(labels, pairs):
+    # Either the edge-list text reads back as the same labelled edges, or
+    # the graph is refused with a pointer to the JSON form.  Labels are
+    # compared as edges: the parser puts them in its canonical order.
+    edges = [[s, t] for s, t in pairs if s < len(labels) and t < len(labels)]
+    g = parse_graph_json(json.dumps({"nodes": labels, "edges": edges}))
+    try:
+        text = g.to_edge_list()
+    except DomainError as exc:
+        assert "JSON form" in str(exc)
+        return
+    assert _labelled_edges(parse_edge_list(text)) == _labelled_edges(g)
 
 
 def test_index_of_unknown_label(g1):

@@ -37,6 +37,7 @@ from rankreach import (
 )
 from rankreach.localization import (
     RESIDUAL_BLOCK,
+    _block_width,
     _family_values,
     _lu_factor,
     _lu_solve,
@@ -82,7 +83,7 @@ def test_rank_context_preconditions(g1):
 
 
 def test_structure_report_g1(ctx1):
-    report = ctx1.structure()
+    report = ctx1.fundamental().report
     assert report.min_entry >= 0.0
     assert report.max_row_sum_error <= 1e-10
     # column 0 margin: diagonal minus the largest off-diagonal entry
@@ -93,7 +94,7 @@ def test_structure_report_g1(ctx1):
 def test_structure_passes_with_exact_zero_block(ctx3):
     x = ctx3.fundamental().x
     assert np.abs(x[3:, :3]).max() <= 1e-12
-    report = ctx3.structure()
+    report = ctx3.fundamental().report
     assert report.min_entry >= -1e-12
     assert report.column_margins.min() > 0.0
 
@@ -277,7 +278,7 @@ def test_concentrated_rank_vectors_match_solves():
         base = random_context(rng, n, dangling_frac=0.3)
         held = RankContext(base.alpha, base.p_u)
         x = held.fundamental().x
-        sums = held.structure().column_sums
+        sums = held.fundamental().report.column_sums
         rows = rng.choice(n, size=min(n, 3), replace=False).tolist()
         for eps in (0.5, 1e-3, (n - 1) / n, 0.999, 1e-9):
             for k in rows:
@@ -421,7 +422,7 @@ def test_held_interval_reads_match_the_column_scan():
             assert [_interval_bits(iv) for iv in held.intervals()] == scanned
             assert [_interval_bits(held.interval(i)) for i in range(g.n)] == scanned
             # the report's other facts are X's own, read directly
-            report = held.structure()
+            report = fm.report
             assert report.column_sums.tobytes() == fm.x.sum(axis=0).tobytes()
             # achieve_value reads s_i here, where a solved column sums itself
             for i in range(g.n):
@@ -452,6 +453,43 @@ def test_point_interval_reads_its_column_facts_once(monkeypatch):
     monkeypatch.setattr(rankreach.localization, "_column_facts", counting)
     assert _interval_bits(RankContext.from_graph(g).interval(5)) == expected
     assert shapes == [(g.n, 1)]
+
+
+def test_x_owns_its_report(g1, monkeypatch):
+    fm = RankContext.from_graph(g1).fundamental()
+    assert verify_structure(fm) is fm.report
+    # the context keeps the report that verify_structure checked
+    checked = []
+    real = rankreach.localization.verify_structure
+
+    def recording(fm):
+        checked.append(real(fm))
+        return checked[-1]
+
+    monkeypatch.setattr(rankreach.localization, "verify_structure", recording)
+    ctx = RankContext.from_graph(g1)
+    assert ctx.fundamental().report is checked[0]
+    assert len(checked) == 1
+
+
+def test_caller_x_reads_its_column_facts_once(monkeypatch):
+    # Intervals on a caller's X read its report, one pass over column
+    # blocks in all, not one column scan per call.
+    g = random_graph(rng_for(1501), 150, dangling_frac=0.2)
+    x = RankContext.from_graph(g).fundamental().x
+    expected = [_interval_bits(pr_interval(FundamentalMatrix(x=x, alpha=0.85), i))
+                for i in range(g.n)]
+    shapes = []
+    real = rankreach.localization._column_facts
+
+    def counting(cols, first):
+        shapes.append(cols.shape)
+        return real(cols, first)
+
+    monkeypatch.setattr(rankreach.localization, "_column_facts", counting)
+    fm = FundamentalMatrix(x=x, alpha=0.85)
+    assert [_interval_bits(pr_interval(fm, i)) for i in range(g.n)] == expected
+    assert len(shapes) == -(-g.n // _block_width(g.n))
 
 
 @pytest.mark.parametrize("n", [2, 7, 1000])
@@ -583,7 +621,7 @@ def test_from_graph_builds_p_u_once(monkeypatch):
 def test_context_from_json_graph_with_isolated_node():
     g = parse_graph_json('{"nodes": ["a", "b", "c"], "edges": [[0, 1]]}')
     ctx = RankContext.from_graph(g)
-    assert ctx.structure().column_margins.min() > 0.0
+    assert ctx.fundamental().report.column_margins.min() > 0.0
 
 
 def test_one_factorization_per_context(g1, monkeypatch):

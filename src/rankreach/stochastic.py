@@ -67,9 +67,12 @@ def solve_sum_tol(alpha: float, n: int) -> float:
     return max(RANK_SUM_TOL, n * (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
 
 
-def _frozen_vector(raw, name: str, *, sum_tol: float, adopt: bool = False) -> np.ndarray:
+def _frozen_vector(
+    raw, name: str, *, sum_tol: float, adopt: bool = False, zeros: bool = False
+) -> np.ndarray:
     """``raw`` as a read-only probability vector: 1-D, nonempty, strictly
-    positive, summing to 1 within ``sum_tol``; :class:`DomainError` else.
+    positive (nonnegative if ``zeros``), summing to 1 within ``sum_tol``;
+    :class:`DomainError` else.
 
     ``raw`` is copied into a fresh float array, unless ``adopt`` says it is
     a float array the package has just computed and hands over: that one
@@ -79,8 +82,11 @@ def _frozen_vector(raw, name: str, *, sum_tol: float, adopt: bool = False) -> np
         raise DomainError(f"{name} must be a nonempty vector")
     # argmin stops at a NaN, which the comparison then fails; it reads the
     # minimum at less fixed cost than a ufunc reduction
-    if not v[v.argmin()] > 0:
-        raise DomainError(f"{name} entries must be strictly positive")
+    low = v[v.argmin()]
+    if not (low >= 0 if zeros else low > 0):
+        raise DomainError(
+            f"{name} entries must be {'zero or positive' if zeros else 'strictly positive'}"
+        )
     total = np.add.reduce(v)
     if abs(total - 1.0) > sum_tol:
         raise DomainError(f"{name} must sum to 1, got {float(total):.12g}")
@@ -154,7 +160,8 @@ class RowStochasticMatrix:
     mask ``dangling`` (d); a dense square array is accepted too and stored
     in CSR form.  Patching does not fill those rows in: the dangling
     distribution ``u`` is kept beside ``p``, so P_u is a sparse part plus a
-    rank-one term.  ``u`` is uniform when not given.
+    rank-one term.  ``u`` is uniform when not given; it may hold zeros, so
+    a dangling row of P_u links to the support of ``u`` alone.
     """
 
     p: CSRMatrix
@@ -192,7 +199,7 @@ class RowStochasticMatrix:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dangling", dangling)
         u = np.full(n, 1.0 / n) if self.u is None else self.u
-        u = _frozen_vector(u, "dangling distribution", sum_tol=ROW_SUM_TOL)
+        u = _frozen_vector(u, "dangling distribution", sum_tol=ROW_SUM_TOL, zeros=True)
         if u.shape != (n,):
             raise DomainError("dangling distribution must have length n")
         object.__setattr__(self, "u", u)
@@ -272,7 +279,7 @@ class StochasticConfig:
     """Damping factor plus dangling/personalization specs.
 
     A spec is either the string ``"uniform"`` or an explicit tuple of
-    floats, validated on load.
+    floats, validated on load: ``v`` strictly positive, ``u`` nonnegative.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -286,7 +293,7 @@ class StochasticConfig:
                 if spec != "uniform":
                     raise DomainError(f'{name} spec must be "uniform" or a vector')
             else:
-                _frozen_vector(spec, f"{name} vector", sum_tol=ROW_SUM_TOL)
+                _frozen_vector(spec, f"{name} vector", sum_tol=ROW_SUM_TOL, zeros=name == "u")
 
     def dangling_distribution(self, n: int) -> np.ndarray:
         if self.u_spec == "uniform":

@@ -7,7 +7,9 @@ stderr from ``rankreach.cli.run``, in process, hashed with sha256.
 The cases are every ``graphs/`` file at alpha 0.3, 0.85 and 0.99, in CSV
 and JSON, through pagerank, xmatrix, intervals, competitors (all pairs and
 one pair), leaders, sc-interval (all nodes and one node), achieve (one
-target inside the first node's interval, one outside) and verify.  Alpha
+target inside the first node's interval, one outside) and verify; a graph
+named in ``U_FILES`` runs all of these once more with its ``--u`` file, a
+dangling distribution with zeros, kept outside ``graphs/``.  Alpha
 near 1 is left out: there X's error (about 1e-8 at 1 - 1e-9) can flip a
 6-decimal figure between BLAS builds.  Reseal only for a deliberate output
 change, and name it in CHANGES.md.
@@ -17,10 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import numpy as np
 
 from rankreach import RankContext, parse_edge_list, parse_graph_json, pr_interval
 from rankreach.cli import run
@@ -29,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
 ALPHAS = ("0.3", "0.85", "0.99")
 OUTPUTS = ("csv", "json")
+# Graphs also run with a partial-support dangling distribution, so that
+# nodes outside its support can lose every in-link while dangling nodes
+# stay: paths relative to the repo root.
+U_FILES = {"uniform40.edges": "tests/uniform40_partial_u.txt"}
 
 
 def cases() -> list[list[str]]:
@@ -38,12 +47,17 @@ def cases() -> list[list[str]]:
         text = path.read_text(encoding="utf-8")
         g = parse_graph_json(text) if path.suffix == ".json" else parse_edge_list(text)
         first, second = g.labels[:2]
-        for alpha in ALPHAS:
+        variants = [([], None)]
+        if path.name in U_FILES:
+            u_file = U_FILES[path.name]
+            u = np.loadtxt(ROOT / u_file)
+            variants.append((["--u", u_file], u))
+        for (u_flag, u), alpha in itertools.product(variants, ALPHAS):
             # a target inside node 0's interval, printed as the flag is read
-            iv = pr_interval(RankContext.from_graph(g, alpha=float(alpha)), 0)
+            iv = pr_interval(RankContext.from_graph(g, alpha=float(alpha), u=u), 0)
             inside = f"{0.5 * (iv.lo + iv.hi):.6f}"
             for output in OUTPUTS:
-                graph = ["graphs/" + path.name, "--alpha", alpha, "--output", output]
+                graph = ["graphs/" + path.name, *u_flag, "--alpha", alpha, "--output", output]
                 for command in (
                     ["pagerank"],
                     ["xmatrix"],
@@ -64,8 +78,11 @@ def cases() -> list[list[str]]:
 def digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
+    # the graph and any --u file are named relative to the repo root
+    paths = [str(ROOT / arg) if k == 1 or argv[k - 1] == "--u" else arg
+             for k, arg in enumerate(argv)]
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([argv[0], str(ROOT / argv[1]), *argv[2:]])
+        code = run(paths)
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
 

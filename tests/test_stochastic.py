@@ -267,6 +267,21 @@ def test_vector_validation():
     assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
 
 
+def test_dangling_distribution_may_hold_zeros():
+    # A dangling row of P_u links to the support of u alone; v stays
+    # strictly positive, so every rank vector does too.
+    p_u = RowStochasticMatrix(p=np.array([[0.0, 1.0], [0.0, 0.0]]), u=np.array([1.0, 0.0]))
+    assert p_u.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert StochasticConfig(u_spec=(0.0, 1.0)).dangling_distribution(2).tolist() == [0.0, 1.0]
+    for bad in ((np.nan, 1.0), (-0.5, 1.5)):
+        with pytest.raises(DomainError, match="zero or positive"):
+            RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array(bad))
+        with pytest.raises(DomainError, match="zero or positive"):
+            StochasticConfig(u_spec=bad)
+    with pytest.raises(DomainError, match="strictly positive"):
+        StochasticConfig(v_spec=(0.0, 1.0))
+
+
 def test_caller_arrays_are_copied():
     # a vector built from a caller's array holds a frozen copy of it
     for build, field in (

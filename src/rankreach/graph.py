@@ -62,8 +62,10 @@ class DirectedGraph:
 
         An isolated node appears on no line, and an empty label, one with
         whitespace or a source starting with '#' (a comment) does not read
-        back as one token, so re-parsing would lose them; such graphs
-        round-trip through :meth:`to_json` instead.
+        back as one token, so re-parsing would lose them.  A label starting
+        with U+FEFF is refused too: a file is read with a leading byte-order
+        mark dropped, which would cut it from the first line's source.
+        Such graphs round-trip through :meth:`to_json` instead.
         """
         mentioned = {i for e in self.edges for i in e}
         if len(mentioned) < self.n:
@@ -73,7 +75,8 @@ class DirectedGraph:
             )
         sources = {s for s, _ in self.edges}
         for k, label in enumerate(self.labels):
-            if label.split() != [label] or (label.startswith("#") and k in sources):
+            unreadable = label.startswith("\ufeff") or (label.startswith("#") and k in sources)
+            if label.split() != [label] or unreadable:
                 raise DomainError(f"node {label!r} is no edge-list token; use the JSON form")
         lines = [
             f"{self.labels[s]} {self.labels[t]}" for s, t in sorted(self.edges)

@@ -21,13 +21,14 @@ from .errors import (
     NumericalError,
     StructureError,
 )
-from .graph import DirectedGraph
+from .graph import CSRMatrix, DirectedGraph
 from .stochastic import (
     DEFAULT_ALPHA,
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
     SOLVE_RESIDUAL_TOL,
+    _GatherPlan,
     _check_alpha,
     _is_integer,
     _is_real,
@@ -348,20 +349,26 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _lu_solve(
-    lu: np.ndarray, b: np.ndarray, trans: int = 0, lower_rhs: bool = False
+    lu: np.ndarray, b: np.ndarray, trans: int = 0, lower_rhs: bool | list[int] = False
 ) -> np.ndarray:
     """Solve A x = b (trans 0) or A^T x = b (trans 1) with A's block LU,
     overwriting b, a vector or a matrix of columns, with x; returns it.
 
-    ``lower_rhs`` says b is square and zero above its diagonal blocks, as
-    a multiple of I is.  L^{-1} b is zero there too, so the forward loop
-    of a trans 0 solve updates only the columns up to the current block.
+    ``lower_rhs`` says b is zero above a staircase, and L^{-1} b is zero
+    there too, so the forward loop of a trans 0 solve updates, at each
+    diagonal block, only the leading columns that its rows reach.  True
+    says b is square and zero above its diagonal blocks, as a multiple of
+    I is; a list gives, for each row r, how many leading columns of b may
+    be nonzero in rows 0 to r.
     """
     cols = b.reshape(lu.shape[0], -1)
     blocks = _lu_blocks(lu.shape[0])
     if trans == 0:
         for d, rest in blocks:  # L y = b, L with identity diagonal blocks
-            done = slice(0, d.stop) if lower_rhs else slice(None)
+            if lower_rhs is True:
+                done = slice(0, d.stop)
+            else:
+                done = slice(0, lower_rhs[min(d.stop, len(cols)) - 1] if lower_rhs else None)
             _subtract_product(cols[rest, done], lu[rest, d], cols[d, done])
         for d, rest in reversed(blocks):  # U x = y
             cols[d] -= lu[d, rest] @ cols[rest]
@@ -373,6 +380,337 @@ def _lu_solve(
         for d, rest in reversed(blocks):  # L^T x = y
             cols[d] -= lu[rest, d].T @ cols[rest]
     return b
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The indices start, ..., stop - 1 of every range, one after another."""
+    lengths = stops - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(lengths.sum())
+
+
+def _peel_levels(p: CSRMatrix) -> list[np.ndarray]:
+    """The states of the chain p that peel off, level by level in Kahn's
+    order: level 0 has no in-link, and level l + 1 none but from levels 0
+    to l.  A state on a cycle, or fed by one, never peels."""
+    in_links = np.bincount(p.indices, minlength=p.n)
+    levels = []
+    level = np.flatnonzero(in_links == 0)
+    while level.size:
+        levels.append(level)
+        targets, drops = np.unique(
+            p.indices[_ranges(p.indptr[level], p.indptr[level + 1])], return_counts=True
+        )
+        in_links[targets] -= drops
+        level = targets[in_links[targets] == 0]
+    return levels
+
+
+def _rows_of(rows: int, at: np.ndarray, cols: np.ndarray, data: np.ndarray) -> CSRMatrix:
+    """The sparse W with ``rows`` rows and entry data[k] at (at[k],
+    cols[k]), in CSR form; a row keeps its entries in the order given."""
+    order = np.argsort(at, kind="stable")
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=rows), out=indptr[1:])
+    return CSRMatrix(indptr=indptr, indices=cols[order], data=data[order])
+
+
+def _gather(rows: int, at: np.ndarray, cols: np.ndarray, data: np.ndarray) -> _GatherPlan:
+    """W x as gather-adds, W as :func:`_rows_of` gives it."""
+    return _GatherPlan(_rows_of(rows, at, cols, data))
+
+
+def _split(keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """For each key 0, ..., count - 1, the positions in ``keys`` that hold
+    it; negative keys are left out."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(count + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+class _Reduction:
+    """The chain that the block LU factors, and the sparse steps that
+    carry a solve of the n-node system onto it and back.
+
+    Lumping: every dangling row of P_u is u^T, so two or more dangling
+    nodes move alike and merge into one state, delta (Ipsen and Selee,
+    *PageRank computation, with special attention to dangling nodes*,
+    2007).  The lumped chain P_L keeps a state per other node and delta: a
+    link into a dangling node leads to delta, and delta's row is u with
+    its dangling part summed.  A lone dangling node is a state of its own,
+    with row u.  Peeling: a state with no in-link in P_L is entered by no
+    walk that starts elsewhere, and once it goes others may have none;
+    they come off level by level, in Kahn's order.  What stays is the
+    core.  No core state links to a peeled one, so P_L on the core is
+    row-stochastic, and A_C = I - alpha P_CC^T is strictly column
+    diagonally dominant as A_t is.  With at most one dangling node and
+    nothing to peel, the core is every node and A_C is A_t, bit for bit.
+
+    Work arrays have a row per node.  A state's row is its node's, and
+    delta's that of the first dangling node, so the states keep node
+    order; the rows of the other dangling nodes are free.
+    """
+
+    def __init__(self, p_u: RowStochasticMatrix):
+        p, n = p_u.p, p_u.n
+        self.p_u, self.n = p_u, n
+        self.dangling = np.flatnonzero(p_u.dangling)
+        self.kept = np.flatnonzero(~p_u.dangling)
+        self.u_dangling = p_u.u[self.dangling]
+        self.lumped = self.dangling.size > 1
+        if self.dangling.size:
+            # each state's row, and each node's state
+            is_state = np.ones(n, dtype=bool)
+            is_state[self.dangling[1:]] = False
+            row = np.flatnonzero(is_state)
+            state = np.cumsum(is_state) - 1
+            state[self.dangling] = state[self.dangling[0]]
+            source, target = p.rows(), p.indices
+            support = np.flatnonzero(p_u.u)
+            p = CSRMatrix.from_entries(
+                row.size,
+                np.concatenate([state[source], state[np.full(support.size, self.dangling[0])]]),
+                state[np.concatenate([target, support])],
+                np.concatenate([p.data, p_u.u[support]]),
+            )
+            into = p_u.dangling[target]
+            # (P^T y)_j over the kept rows, for the dangling columns j
+            self.in_links = _rows_of(
+                self.dangling.size, np.searchsorted(self.dangling, target[into]),
+                source[into], p_u.p.data[into])
+            self.into_dangling = _GatherPlan(self.in_links)
+        else:
+            row = np.arange(n)
+        self.p_l = p
+        levels = _peel_levels(p)
+        self.trivial = not self.lumped and not levels
+        level_of = np.full(p.n, -1)
+        for k, level in enumerate(levels):
+            level_of[level] = k
+        self.core = np.flatnonzero(level_of < 0)
+        self.position = np.full(p.n, -1)
+        self.position[self.core] = np.arange(self.core.size)
+        self.core_rows = row[self.core]
+        # X's core columns move from the core solve's rows to their nodes'
+        # rows of Y: runs of rows with one shift, from the last run, each
+        # in pieces no longer than the shift, so a piece never overlaps
+        # the rows it goes to; the rows left behind are cleared
+        shift = self.core_rows - np.arange(self.core.size)
+        cuts = np.flatnonzero(np.diff(shift)) + 1
+        runs = zip(np.append(0, cuts)[::-1].tolist(), np.append(cuts, shift.size)[::-1].tolist())
+        self.moves = [
+            (max(lo, top - step), top, step)
+            for lo, hi in runs if (step := int(shift[lo]))
+            for top in range(hi, lo, -step)
+        ]
+        stale = np.ones(self.core.size, dtype=bool)
+        stale[self.core_rows[self.core_rows < self.core.size]] = False
+        self.stale = np.flatnonzero(stale)
+        self.row, self.level_of, self.levels = row, level_of, levels
+        # The back steps go by height, the longest path of out-links from a
+        # peeled state to the core: height 0 links to the core alone.
+        height = np.full(p.n, -1)
+        for level in reversed(levels):
+            starts, stops = p.indptr[level], p.indptr[level + 1]
+            offsets = np.cumsum(stops - starts) - (stops - starts)
+            height[level] = 1 + np.maximum.reduceat(
+                height[p.indices[_ranges(starts, stops)]], offsets)
+        heights = [np.flatnonzero(height == h) for h in range(height.max() + 1)]
+        # each height's rows and, but for height 0 of a chain not lumped,
+        # which reads the product with P_u, P_L's rows of it
+        source, target = p.rows(), p.indices
+        self.back = [
+            (row[states], None if h == 0 and not self.lumped else _gather(
+                states.size, np.searchsorted(states, source[out]), row[target[out]], p.data[out]))
+            for h, (states, out) in enumerate(
+                zip(heights, _split(height[source], len(heights)) if heights else []))
+        ]
+        self.diagonal = row[level_of >= 0]
+        self.delta_peeled = self.lumped and level_of[state[self.dangling[0]]] >= 0
+        self.peeled_rows = np.concatenate(
+            [self.diagonal, self.dangling[1:] if self.delta_peeled else []]).astype(np.int64)
+
+    @cached_property
+    def from_dangling(self) -> _GatherPlan:
+        """(P b)_i over the dangling columns, for each kept row i: what a
+        trans 1 solve adds to the kept rows' right-hand side."""
+        p = self.p_u.p
+        into = self.p_u.dangling[p.indices]
+        return _gather(self.kept.size, np.searchsorted(self.kept, p.rows()[into]),
+                       p.indices[into], p.data[into])
+
+    @cached_property
+    def forward(self) -> tuple[list[tuple[np.ndarray, _GatherPlan]], _GatherPlan]:
+        """Each Kahn level's rows and P_L^T's rows of it, for the forward
+        steps of a trans 0 solve, and P_L^T's rows of the core restricted to
+        peeled columns: what the peeled states feed into it.  Made on first
+        use, as only rank vectors need them."""
+        p, row, level_of, levels = self.p_l, self.row, self.level_of, self.levels
+        source, target = p.rows(), p.indices
+        steps = [
+            (row[level], _gather(level.size, np.searchsorted(level, target[into]),
+                                 row[source[into]], p.data[into]))
+            for level, into in zip(levels, _split(level_of[target], len(levels)))
+        ]
+        feed = (level_of[target] < 0) & (level_of[source] >= 0)
+        return steps, _gather(
+            self.core.size, self.position[target[feed]], row[source[feed]], p.data[feed])
+
+    def core_system(self, alpha: float) -> np.ndarray:
+        """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
+        p, position, c = self.p_l, self.position, self.core.size
+        source, target = p.rows(), p.indices
+        # a core state links to core states alone
+        keep = position[source] >= 0
+        a = np.zeros((c, c))
+        a[position[target[keep]], position[source[keep]]] = -alpha * p.data[keep]
+        a.reshape(-1)[:: c + 1] += 1.0
+        return a
+
+    def solve(self, lu: np.ndarray, b: np.ndarray, trans: int, alpha: float) -> np.ndarray:
+        """x with A_t x = b (trans 0) or A_t^T x = b (trans 1), for b a
+        vector or a matrix of columns, as a fresh array; one
+        :func:`_lu_solve` on the core.
+
+        trans 1 is (I - alpha P_u) x = b.  The lumped right-hand side adds
+        alpha P b over the dangling columns to each kept row and gives delta
+        alpha u^T b over them; delta's value is then alpha u^T x, and a
+        dangling node's x is its b plus that.  A peeled state's x follows
+        from its out-links, so the levels go back from the core.  trans 0
+        is (I - alpha P_u^T) y = b.  Delta's right-hand side and value are
+        the sums over the dangling nodes; a peeled state's y follows from
+        its in-links, so the levels go forward into the core, and a
+        dangling node's y is its b plus alpha times its in-links and u's
+        share of delta.
+        """
+        if self.trivial:
+            return _lu_solve(lu, b.copy(), trans=trans)
+        x = b.copy() if not self.lumped else np.zeros(b.shape)
+        w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
+        kept, dangling = self.kept, self.dangling
+        if self.lumped:
+            w[kept] = b[kept]
+        if trans == 1:
+            if self.lumped:
+                w[kept] += alpha * self.from_dangling(b)
+                w[dangling[0]] = alpha * (self.u_dangling @ b[dangling])
+            self._solve_back(lu, w, b[dangling], alpha)
+            return x
+        if self.lumped:
+            w[dangling[0]] = b[dangling].sum(axis=0)
+        if self.levels:
+            steps, from_peeled = self.forward
+            for rows, forward in steps:
+                w[rows] += alpha * forward(w)
+        core = w[self.core_rows]
+        if self.levels:
+            core += alpha * from_peeled(w)
+        w[self.core_rows] = _lu_solve(lu, core)
+        if self.lumped:
+            delta = self.u_dangling[:, None] * w[dangling[0]]
+            w[dangling] = b[dangling] + alpha * (self.into_dangling(w) + delta)
+        return x
+
+    def _solve_back(self, lu: np.ndarray, w: np.ndarray, b_dangling, alpha: float) -> None:
+        """The trans 1 solve from its lumped right-hand side w, in place:
+        the core, then the levels back from it, then the dangling nodes."""
+        w[self.core_rows] = _lu_solve(lu, w[self.core_rows], trans=1)
+        if self.back:
+            self.peel(w, alpha, None if self.lumped else self.p_u.matvec(w))
+        if self.lumped:
+            w[self.dangling] = b_dangling + w[self.dangling[0]]
+
+    def dangling_column(self, lu: np.ndarray, j: int, alpha: float) -> np.ndarray:
+        """Column j of X for a lumped dangling node j, made as
+        :meth:`dangling_columns` makes it from X: from the columns of j's
+        in-links and delta's column of X_L, all in one trans 1 solve.  So
+        where those columns have the bits of X's, this one does too."""
+        k = int(np.searchsorted(self.dangling, j))
+        links = slice(self.in_links.indptr[k], self.in_links.indptr[k + 1])
+        rows = np.append(self.in_links.indices[links], self.dangling[0])
+        cols = np.zeros((self.n, rows.size))
+        cols[rows, np.arange(rows.size)] = 1.0 - alpha
+        self._solve_back(lu, cols, 0.0, alpha)
+        # the gather-adds of dangling_columns, in their order
+        col = np.zeros(self.n)
+        for weight, source in zip(self.in_links.data[links], cols.T):
+            col += weight * source
+        col += self.u_dangling[k] * cols[:, -1]
+        col *= alpha
+        col[j] += 1.0 - alpha
+        return col
+
+    def identity_rhs(self, alpha: float) -> tuple[np.ndarray, bool | list[int]]:
+        """The right-hand side of the core solve that gives X, in the
+        first rows of an n x n C-order buffer, with its staircase for
+        :func:`_lu_solve`: (1 - alpha) in each core state's row, in the
+        column of its node, so the columns keep node order."""
+        c = self.core.size
+        y = np.zeros((self.n, self.n))
+        y[np.arange(c), self.core_rows] = 1.0 - alpha
+        if self.trivial:
+            return y, True
+        return y, (self.core_rows + 1).tolist()
+
+    def place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Y = X^T from z, the core solve in the first rows of y: each core
+        state's row moves to its node's, and every lumped dangling node's
+        column is delta's.  X's columns of peeled and lumped dangling
+        nodes, and its peeled rows, are left at 0."""
+        c = z.shape[0]
+        if not np.shares_memory(y, z):
+            y[:c] = z
+        # X's dangling rows share their entries outside the dangling
+        # columns: X_L's row delta
+        y[:c, self.dangling[1:]] = y[:c, self.dangling[:1]]
+        for lo, hi, step in self.moves:
+            y[lo + step:hi + step] = y[lo:hi]
+        y[self.stale] = 0.0
+        return y
+
+    def peel(self, w: np.ndarray, alpha: float, product: np.ndarray | None) -> None:
+        """The peeled rows of a trans 1 solve, height by height from the
+        core: w_a += alpha (P_L w)_a, w_a holding the right-hand side.  The
+        first height reads ``product``, P_u w, when the chain is not lumped,
+        and ``product`` takes every other height's rows of P_u w as they
+        are made, so that it ends as the product with the final w."""
+        for rows, back in self.back:
+            if back is None:
+                part = product[rows]
+            else:
+                part = back(w)
+                if product is not None:
+                    product[rows] = part
+            w[rows] += alpha * part
+        if self.delta_peeled:
+            w[self.dangling[1:]] = w[self.dangling[0]]
+
+    def peel_block(self, cols: np.ndarray, first: int, alpha: float):
+        """X's peeled rows in a block of its columns first, first + 1, ...,
+        Fortran order, where they are 0: written there, and returned with
+        a C-order copy of the block and, when the chain is not lumped, the
+        block's product with P_u, which the peeled rows read.  Row a of X_L
+        is (1 - alpha) e_a + alpha P_L[a] X_L."""
+        block = np.ascontiguousarray(cols)
+        product = None if self.lumped else self.p_u.matvec(block)
+        lo, hi = np.searchsorted(self.diagonal, (first, first + block.shape[1]))
+        block[self.diagonal[lo:hi], self.diagonal[lo:hi] - first] = 1.0 - alpha
+        self.peel(block, alpha, product)
+        cols[self.peeled_rows] = block[self.peeled_rows]
+        return block, product
+
+    def dangling_columns(self, y: np.ndarray, alpha: float) -> None:
+        """X's columns of the lumped dangling nodes, rows of Y = X^T.  As
+        X = (1 - alpha) I + alpha X P_u, column j is (1 - alpha) e_j plus
+        alpha times the columns of j's in-links, weighted, and u_j times
+        the sum of the dangling columns, which is delta's column of X_L."""
+        dangling = self.dangling
+        delta = y[dangling[0]].copy()
+        cols = self.into_dangling(y)
+        cols += self.u_dangling[:, None] * delta
+        cols *= alpha
+        cols[np.arange(dangling.size), dangling] += 1.0 - alpha
+        y[dangling] = cols
 
 
 class RankContext:
@@ -396,6 +734,7 @@ class RankContext:
         self.alpha = alpha
         self.p_u = p_u
         self._lu = None
+        self._reduction = None
         self._fundamental = None
         self._row_sum_error = None
 
@@ -414,29 +753,40 @@ class RankContext:
         return self.p_u.n
 
     def _factorization(self) -> np.ndarray:
+        """The block LU of the core system A_C; the reduction that gives
+        the core is worked out here too, on first use."""
         if self._lu is None:
-            n, p = self.n, self.p_u.p
-            # A_t = I - alpha P_u^T in C order: entry (j, i) is -alpha P_ij,
-            # and a dangling row of P_u, u^T, is a column of A_t
-            a = np.zeros((n, n))
-            a[p.indices, p.rows()] = -self.alpha * p.data
-            a[:, self.p_u.dangling] = -self.alpha * self.p_u.u[:, None]
-            a.reshape(-1)[:: n + 1] += 1.0
-            self._lu = _lu_factor(a)
+            self._reduction = _Reduction(self.p_u)
+            self._lu = _lu_factor(self._reduction.core_system(self.alpha))
         return self._lu
 
-    def _system_times(self, x: np.ndarray, trans: int) -> np.ndarray:
-        """A_t x (trans 0) or A_t^T x (trans 1) as a fresh array, applied
-        through the sparse P and its rank-one term, never a dense product."""
-        y = self.p_u.rmatvec(x) if trans == 0 else self.p_u.matvec(x)
+    def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        """x with A_t x = b (trans 0) or A_t^T x = b (trans 1), b a vector
+        or a matrix of columns, as a fresh array; see :meth:`_Reduction.solve`."""
+        lu = self._factorization()
+        return self._reduction.solve(lu, b, trans, self.alpha)
+
+    def _system_times(
+        self, x: np.ndarray, trans: int, product: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A_t x (trans 0) or A_t^T x (trans 1), applied through the sparse
+        P and its rank-one term, never a dense product: in ``product``,
+        P_u x made already for trans 1, or else in a fresh array."""
+        if product is not None:
+            y = product
+        else:
+            y = self.p_u.rmatvec(x) if trans == 0 else self.p_u.matvec(x)
         y *= -self.alpha
         y += x
         return y
 
-    def _check_column_residuals(self, cols: np.ndarray, first: int) -> None:
+    def _check_column_residuals(
+        self, cols: np.ndarray, product: np.ndarray | None, first: int
+    ) -> None:
         """Check A_t^T X = (1 - alpha) I on X's columns first, first + 1,
-        ..., solved into ``cols``: a block of X, or one column of it."""
-        r = self._system_times(cols, 1)
+        ..., solved into ``cols``: a block of X, or one column of it;
+        ``product`` is P_u cols when it is made already."""
+        r = self._system_times(cols, 1, product)
         k = np.arange(cols.shape[1])
         r[first + k, k] -= 1.0 - self.alpha
         _check_residual(r, "column", first=first)
@@ -459,7 +809,7 @@ class RankContext:
         if not np.isfinite(w).all():
             raise DomainError("weights must be finite")
         b = np.multiply(w, 1.0 - self.alpha, order="C")
-        x = _lu_solve(self._factorization(), b.copy())
+        x = self._solve(b, 0)
         # views of x and b with one column per vector, a lone vector included
         cols, rhs = x.reshape(self.n, -1), b.reshape(self.n, -1)
         width = _block_width(self.n)
@@ -500,12 +850,25 @@ class RankContext:
         if self._fundamental is None:
             # A_t Y = (1 - alpha) I makes Y = X^T, so the C-order right-hand
             # side turns into X in Fortran order, in place
-            y = np.eye(self.n)
-            y *= 1.0 - self.alpha
-            x = _lu_solve(self._factorization(), y, lower_rhs=True).T
-            width = _block_width(self.n)
+            lu, red = self._factorization(), self._reduction
+            y, stairs = red.identity_rhs(self.alpha)
+            z = _lu_solve(lu, y[: lu.shape[0]], lower_rhs=stairs)
+            y = z if red.trivial else red.place(y, z)
+            x, width = y.T, _block_width(self.n)
+            if red.lumped:
+                # the dangling columns read every other column, peeled rows
+                # and all, so the peeled rows take a pass of their own
+                if red.back:
+                    for start in range(0, self.n, width):
+                        red.peel_block(x[:, start:start + width], start, self.alpha)
+                red.dangling_columns(y, self.alpha)
             for start in range(0, self.n, width):
-                self._check_column_residuals(x[:, start:start + width], start)
+                cols = x[:, start:start + width]
+                if red.back and not red.lumped:
+                    # the peeled rows and the check read one product with P_u
+                    self._check_column_residuals(*red.peel_block(cols, start, self.alpha), start)
+                else:
+                    self._check_column_residuals(cols, None, start)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             verify_structure(fm)
             self._fundamental = fm
@@ -516,7 +879,7 @@ class RankContext:
         solve, made once per context."""
         if self._row_sum_error is None:
             ones = np.full(self.n, 1.0 - self.alpha)
-            sums = _lu_solve(self._factorization(), ones, trans=1)
+            sums = self._solve(ones, 1)
             self._row_sum_error = float(np.abs(sums - 1.0).max())
         return self._row_sum_error
 
@@ -532,10 +895,14 @@ class RankContext:
     def _solved_column(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Column i of X by one transposed solve, checked as :meth:`column`
         says, with the :func:`_column_facts` its structure check read."""
-        b = np.zeros((self.n, 1))
-        b[i] = 1.0 - self.alpha
-        col = _lu_solve(self._factorization(), b, trans=1)
-        self._check_column_residuals(col, i)
+        lu = self._factorization()
+        if self.p_u.dangling[i] and self._reduction.lumped:
+            col = self._reduction.dangling_column(lu, i, self.alpha)[:, None]
+        else:
+            b = np.zeros((self.n, 1))
+            b[i] = 1.0 - self.alpha
+            col = self._solve(b, 1)
+        self._check_column_residuals(col, None, i)
         facts = _column_facts(col, i)
         lo, _, margins, _ = facts
         _check_structure(float(lo[0]), self._row_sums(), margins, i, self.alpha, self.n)

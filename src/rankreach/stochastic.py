@@ -120,10 +120,12 @@ class PersonalizationVector:
 class _GatherPlan:
     """y = W x for a sparse W and a C-order matrix of columns x, as gather-adds.
 
-    The rows of W are kept sorted by entry count, longest first, so the
-    rows that hold a k-th entry are a prefix of that order: step k adds
-    w_k * x[cols_k] to that prefix, one whole row of x per row of W.  A
-    step whose weights are all 1 adds without multiplying.
+    W is given in CSR form, one row of y per row of W, and its column
+    indices are rows of x; it need not be square.  The rows of W are kept
+    sorted by entry count, longest first, so the rows that hold a k-th
+    entry are a prefix of that order: step k adds w_k * x[cols_k] to that
+    prefix, one whole row of x per row of W.  A step whose weights are all
+    1 adds without multiplying.
     """
 
     def __init__(self, m: CSRMatrix):
@@ -140,7 +142,7 @@ class _GatherPlan:
             self.steps.append((m.indices[at], None if (w == 1.0).all() else w[:, None]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(x.shape)
+        acc = np.zeros((self.rank.size, x.shape[1]))
         if self.steps:
             buf = np.empty((self.steps[0][0].size, x.shape[1]))
             for cols, w in self.steps:

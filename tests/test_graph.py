@@ -138,7 +138,7 @@ def test_to_edge_list_rejects_labels_it_cannot_spell():
     # as a target only, '#' starts no comment
     g = parse_graph_json('{"nodes": ["#x", "y"], "edges": [[1, 0], [1, 1]]}')
     assert parse_edge_list(g.to_edge_list()).labels == ("#x", "y")
-    for label in ("", "a b", "x y", "a\u2028b"):
+    for label in ("", "a b", "x y", "a\u2028b", "\ufeffa"):
         doc = json.dumps({"nodes": [label, "c"], "edges": [[0, 1], [1, 0]]})
         with pytest.raises(DomainError, match="JSON form"):
             parse_graph_json(doc).to_edge_list()
@@ -166,6 +166,8 @@ def test_edge_list_of_a_json_graph_reparses_or_is_refused(labels, pairs):
     except DomainError as exc:
         assert "JSON form" in str(exc)
         return
+    # read back as the CLI reads a file: UTF-8, a leading byte-order mark dropped
+    text = text.encode("utf-8").decode("utf-8-sig")
     assert _labelled_edges(parse_edge_list(text)) == _labelled_edges(g)
 
 

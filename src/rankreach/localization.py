@@ -616,43 +616,71 @@ class _Reduction:
         the core, then the levels back from it, then the dangling nodes."""
         w[self.core_rows] = _lu_solve(lu, w[self.core_rows], trans=1)
         if self.back:
-            self.peel(w, alpha, None if self.lumped else self.p_u.matvec(w))
+            self._peel(w, alpha, None if self.lumped else self.p_u.matvec(w))
         if self.lumped:
             w[self.dangling] = b_dangling + w[self.dangling[0]]
 
-    def dangling_column(self, lu: np.ndarray, j: int, alpha: float) -> np.ndarray:
-        """Column j of X for a lumped dangling node j, made as
-        :meth:`dangling_columns` makes it from X: from the columns of j's
+    def column(self, lu: np.ndarray, j: int, alpha: float) -> np.ndarray:
+        """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
+        e_j, but for a lumped dangling node j, whose column is made as
+        :meth:`_dangling_columns` makes it from X: from the columns of j's
         in-links and delta's column of X_L, all in one trans 1 solve.  So
         where those columns have the bits of X's, this one does too."""
+        if not (self.lumped and self.p_u.dangling[j]):
+            b = np.zeros((self.n, 1))
+            b[j] = 1.0 - alpha
+            return self.solve(lu, b, 1, alpha)
         k = int(np.searchsorted(self.dangling, j))
         links = slice(self.in_links.indptr[k], self.in_links.indptr[k + 1])
         rows = np.append(self.in_links.indices[links], self.dangling[0])
         cols = np.zeros((self.n, rows.size))
         cols[rows, np.arange(rows.size)] = 1.0 - alpha
         self._solve_back(lu, cols, 0.0, alpha)
-        # the gather-adds of dangling_columns, in their order
+        # the gather-adds of _dangling_columns, in their order
         col = np.zeros(self.n)
         for weight, source in zip(self.in_links.data[links], cols.T):
             col += weight * source
         col += self.u_dangling[k] * cols[:, -1]
         col *= alpha
         col[j] += 1.0 - alpha
-        return col
+        return col[:, None]
 
-    def identity_rhs(self, alpha: float) -> tuple[np.ndarray, bool | list[int]]:
-        """The right-hand side of the core solve that gives X, in the
-        first rows of an n x n C-order buffer, with its staircase for
-        :func:`_lu_solve`: (1 - alpha) in each core state's row, in the
-        column of its node, so the columns keep node order."""
-        c = self.core.size
-        y = np.zeros((self.n, self.n))
+    def fundamental(self, lu: np.ndarray, alpha: float, check) -> np.ndarray:
+        """X in Fortran order, each block of its columns handed to
+        ``check(cols, product, first)`` once it is final, with its product
+        with P_u when that is made already.
+
+        A_t Y = (1 - alpha) I makes Y = X^T, so a C-order right-hand side
+        turns into X in Fortran order, in place.  Only the core's columns
+        of X come out of the LU, from (1 - alpha) in each core state's row
+        and its node's column: the columns keep node order, so each solved
+        row is a whole column of X, and :meth:`_place` moves it to its
+        node's row.  Then the peeled rows, and the lumped dangling columns.
+        """
+        c, n = self.core.size, self.n
+        y = np.zeros((n, n))
         y[np.arange(c), self.core_rows] = 1.0 - alpha
-        if self.trivial:
-            return y, True
-        return y, (self.core_rows + 1).tolist()
+        stairs = True if self.trivial else (self.core_rows + 1).tolist()
+        z = _lu_solve(lu, y[:c], lower_rhs=stairs)
+        y = z if self.trivial else self._place(y, z)
+        x, width = y.T, _block_width(n)
+        if self.lumped:
+            # the dangling columns read every other column, peeled rows and
+            # all, so the peeled rows take a pass of their own
+            if self.back:
+                for start in range(0, n, width):
+                    self._peel_block(x[:, start:start + width], start, alpha)
+            self._dangling_columns(y, alpha)
+        for start in range(0, n, width):
+            cols = x[:, start:start + width]
+            if self.back and not self.lumped:
+                # the peeled rows and the check read one product with P_u
+                check(*self._peel_block(cols, start, alpha), start)
+            else:
+                check(cols, None, start)
+        return x
 
-    def place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def _place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Y = X^T from z, the core solve in the first rows of y: each core
         state's row moves to its node's, and every lumped dangling node's
         column is delta's.  X's columns of peeled and lumped dangling
@@ -668,7 +696,7 @@ class _Reduction:
         y[self.stale] = 0.0
         return y
 
-    def peel(self, w: np.ndarray, alpha: float, product: np.ndarray | None) -> None:
+    def _peel(self, w: np.ndarray, alpha: float, product: np.ndarray | None) -> None:
         """The peeled rows of a trans 1 solve, height by height from the
         core: w_a += alpha (P_L w)_a, w_a holding the right-hand side.  The
         first height reads ``product``, P_u w, when the chain is not lumped,
@@ -685,7 +713,7 @@ class _Reduction:
         if self.delta_peeled:
             w[self.dangling[1:]] = w[self.dangling[0]]
 
-    def peel_block(self, cols: np.ndarray, first: int, alpha: float):
+    def _peel_block(self, cols: np.ndarray, first: int, alpha: float):
         """X's peeled rows in a block of its columns first, first + 1, ...,
         Fortran order, where they are 0: written there, and returned with
         a C-order copy of the block and, when the chain is not lumped, the
@@ -695,11 +723,11 @@ class _Reduction:
         product = None if self.lumped else self.p_u.matvec(block)
         lo, hi = np.searchsorted(self.diagonal, (first, first + block.shape[1]))
         block[self.diagonal[lo:hi], self.diagonal[lo:hi] - first] = 1.0 - alpha
-        self.peel(block, alpha, product)
+        self._peel(block, alpha, product)
         cols[self.peeled_rows] = block[self.peeled_rows]
         return block, product
 
-    def dangling_columns(self, y: np.ndarray, alpha: float) -> None:
+    def _dangling_columns(self, y: np.ndarray, alpha: float) -> None:
         """X's columns of the lumped dangling nodes, rows of Y = X^T.  As
         X = (1 - alpha) I + alpha X P_u, column j is (1 - alpha) e_j plus
         alpha times the columns of j's in-links, weighted, and u_j times
@@ -716,9 +744,18 @@ class _Reduction:
 class RankContext:
     """Fixed damping factor and patched transition matrix.
 
-    Owns the package's only factorization: one block LU of the rank
-    system A_t = I - alpha P_u^T, made on first use.  It answers in three
-    ways.  A personalization's rank vector is a solve with A_t
+    Owns the package's only factorization: one block LU, made on first
+    use, of the rank system A_t = I - alpha P_u^T reduced to its core
+    (:class:`_Reduction`).  Two or more dangling nodes leave it as one
+    lumped state, and the nodes that no walk enters, save from where it
+    starts, leave it altogether.  Their part of X has a closed form in
+    the rest: row i of X is (1 - alpha) e_i + alpha P_u[i] X, so a
+    dangling row is (1 - alpha) e_j + alpha u^T X and a peeled row follows
+    from the rows it links to; a peeled node's column is 0 on the core;
+    and as X = (1 - alpha) I + alpha X P_u, a dangling node's column
+    follows from the columns of its in-links.  Every residual and
+    structure check still runs on the full n-node system, through P_u.
+    It answers in three ways.  A personalization's rank vector is a solve with A_t
     (:meth:`rank`, :meth:`rank_weights`, the Monte-Carlo batches).  A
     one-node question (one interval, one pair, one hull, ``achieve_value``)
     reads the columns of X it needs, each one transposed solve with
@@ -845,30 +882,17 @@ class RankContext:
 
         Column i of X solves A_t^T x = (1 - alpha) e_i, as in
         :meth:`column`; all n columns at once are the rows of one solve
-        A_t X^T = (1 - alpha) I.  Each column's residual is checked.
+        A_t X^T = (1 - alpha) I.  Only the core's columns come out of the
+        LU: their right-hand sides keep node order, so each solved row is a
+        whole column of X, moved in place to its node.  Peeled rows then
+        follow, height by height, from each block's product with P_u,
+        which that block's residual check reads too; the columns of lumped
+        dangling nodes follow from their in-links.  Each column's residual
+        is checked on the full system.
         """
         if self._fundamental is None:
-            # A_t Y = (1 - alpha) I makes Y = X^T, so the C-order right-hand
-            # side turns into X in Fortran order, in place
-            lu, red = self._factorization(), self._reduction
-            y, stairs = red.identity_rhs(self.alpha)
-            z = _lu_solve(lu, y[: lu.shape[0]], lower_rhs=stairs)
-            y = z if red.trivial else red.place(y, z)
-            x, width = y.T, _block_width(self.n)
-            if red.lumped:
-                # the dangling columns read every other column, peeled rows
-                # and all, so the peeled rows take a pass of their own
-                if red.back:
-                    for start in range(0, self.n, width):
-                        red.peel_block(x[:, start:start + width], start, self.alpha)
-                red.dangling_columns(y, self.alpha)
-            for start in range(0, self.n, width):
-                cols = x[:, start:start + width]
-                if red.back and not red.lumped:
-                    # the peeled rows and the check read one product with P_u
-                    self._check_column_residuals(*red.peel_block(cols, start, self.alpha), start)
-                else:
-                    self._check_column_residuals(cols, None, start)
+            lu = self._factorization()
+            x = self._reduction.fundamental(lu, self.alpha, self._check_column_residuals)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             verify_structure(fm)
             self._fundamental = fm
@@ -896,12 +920,7 @@ class RankContext:
         """Column i of X by one transposed solve, checked as :meth:`column`
         says, with the :func:`_column_facts` its structure check read."""
         lu = self._factorization()
-        if self.p_u.dangling[i] and self._reduction.lumped:
-            col = self._reduction.dangling_column(lu, i, self.alpha)[:, None]
-        else:
-            b = np.zeros((self.n, 1))
-            b[i] = 1.0 - self.alpha
-            col = self._solve(b, 1)
+        col = self._reduction.column(lu, i, self.alpha)
         self._check_column_residuals(col, None, i)
         facts = _column_facts(col, i)
         lo, _, margins, _ = facts

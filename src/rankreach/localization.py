@@ -361,14 +361,14 @@ def _lu_solve(
     I is; a list gives, for each row r, how many leading columns of b may
     be nonzero in rows 0 to r.
     """
-    cols = b.reshape(lu.shape[0], -1)
-    blocks = _lu_blocks(lu.shape[0])
+    n = lu.shape[0]
+    cols = b.reshape(n, -1)
+    blocks = _lu_blocks(n)
+    if lower_rhs is True:
+        lower_rhs = range(1, n + 1)
     if trans == 0:
         for d, rest in blocks:  # L y = b, L with identity diagonal blocks
-            if lower_rhs is True:
-                done = slice(0, d.stop)
-            else:
-                done = slice(0, lower_rhs[min(d.stop, len(cols)) - 1] if lower_rhs else None)
+            done = slice(0, lower_rhs[min(d.stop, n) - 1]) if lower_rhs else slice(None)
             _subtract_product(cols[rest, done], lu[rest, d], cols[d, done])
         for d, rest in reversed(blocks):  # U x = y
             cols[d] -= lu[d, rest] @ cols[rest]
@@ -413,11 +413,6 @@ def _rows_of(rows: int, at: np.ndarray, cols: np.ndarray, data: np.ndarray) -> C
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(at, minlength=rows), out=indptr[1:])
     return CSRMatrix(indptr=indptr, indices=cols[order], data=data[order])
-
-
-def _gather(rows: int, at: np.ndarray, cols: np.ndarray, data: np.ndarray) -> _GatherPlan:
-    """W x as gather-adds, W as :func:`_rows_of` gives it."""
-    return _GatherPlan(_rows_of(rows, at, cols, data))
 
 
 def _split(keys: np.ndarray, count: int) -> list[np.ndarray]:
@@ -469,7 +464,7 @@ class _Reduction:
             support = np.flatnonzero(p_u.u)
             p = CSRMatrix.from_entries(
                 row.size,
-                np.concatenate([state[source], state[np.full(support.size, self.dangling[0])]]),
+                np.concatenate([state[source], np.full(support.size, state[self.dangling[0]])]),
                 state[np.concatenate([target, support])],
                 np.concatenate([p.data, p_u.u[support]]),
             )
@@ -483,7 +478,6 @@ class _Reduction:
             row = np.arange(n)
         self.p_l = p
         levels = _peel_levels(p)
-        self.trivial = not self.lumped and not levels
         level_of = np.full(p.n, -1)
         for k, level in enumerate(levels):
             level_of[level] = k
@@ -520,8 +514,8 @@ class _Reduction:
         # which reads the product with P_u, P_L's rows of it
         source, target = p.rows(), p.indices
         self.back = [
-            (row[states], None if h == 0 and not self.lumped else _gather(
-                states.size, np.searchsorted(states, source[out]), row[target[out]], p.data[out]))
+            (row[states], None if h == 0 and not self.lumped else _GatherPlan(_rows_of(
+                states.size, np.searchsorted(states, source[out]), row[target[out]], p.data[out])))
             for h, (states, out) in enumerate(
                 zip(heights, _split(height[source], len(heights)) if heights else []))
         ]
@@ -536,8 +530,8 @@ class _Reduction:
         trans 1 solve adds to the kept rows' right-hand side."""
         p = self.p_u.p
         into = self.p_u.dangling[p.indices]
-        return _gather(self.kept.size, np.searchsorted(self.kept, p.rows()[into]),
-                       p.indices[into], p.data[into])
+        return _GatherPlan(_rows_of(self.kept.size, np.searchsorted(self.kept, p.rows()[into]),
+                                    p.indices[into], p.data[into]))
 
     @cached_property
     def forward(self) -> tuple[list[tuple[np.ndarray, _GatherPlan]], _GatherPlan]:
@@ -548,13 +542,13 @@ class _Reduction:
         p, row, level_of, levels = self.p_l, self.row, self.level_of, self.levels
         source, target = p.rows(), p.indices
         steps = [
-            (row[level], _gather(level.size, np.searchsorted(level, target[into]),
-                                 row[source[into]], p.data[into]))
+            (row[level], _GatherPlan(_rows_of(level.size, np.searchsorted(level, target[into]),
+                                              row[source[into]], p.data[into])))
             for level, into in zip(levels, _split(level_of[target], len(levels)))
         ]
         feed = (level_of[target] < 0) & (level_of[source] >= 0)
-        return steps, _gather(
-            self.core.size, self.position[target[feed]], row[source[feed]], p.data[feed])
+        return steps, _GatherPlan(_rows_of(
+            self.core.size, self.position[target[feed]], row[source[feed]], p.data[feed]))
 
     def core_system(self, alpha: float) -> np.ndarray:
         """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
@@ -583,8 +577,6 @@ class _Reduction:
         dangling node's y is its b plus alpha times its in-links and u's
         share of delta.
         """
-        if self.trivial:
-            return _lu_solve(lu, b.copy(), trans=trans)
         x = b.copy() if not self.lumped else np.zeros(b.shape)
         w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
         kept, dangling = self.kept, self.dangling
@@ -660,9 +652,8 @@ class _Reduction:
         c, n = self.core.size, self.n
         y = np.zeros((n, n))
         y[np.arange(c), self.core_rows] = 1.0 - alpha
-        stairs = True if self.trivial else (self.core_rows + 1).tolist()
-        z = _lu_solve(lu, y[:c], lower_rhs=stairs)
-        y = z if self.trivial else self._place(y, z)
+        z = _lu_solve(lu, y[:c], lower_rhs=(self.core_rows + 1).tolist())
+        y = self._place(y, z)
         x, width = y.T, _block_width(n)
         if self.lumped:
             # the dangling columns read every other column, peeled rows and

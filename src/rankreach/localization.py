@@ -461,12 +461,17 @@ class _Reduction:
             state = np.cumsum(is_state) - 1
             state[self.dangling] = state[self.dangling[0]]
             source, target = p.rows(), p.indices
+            # P_L: P's rows with their dangling targets led to delta, and
+            # delta's row, u, where the first dangling node's empty row is.
+            # A row may repeat an entry; every use of P_L sums repeats.
             support = np.flatnonzero(p_u.u)
-            p = CSRMatrix.from_entries(
-                row.size,
-                np.concatenate([state[source], np.full(support.size, state[self.dangling[0]])]),
-                state[np.concatenate([target, support])],
-                np.concatenate([p.data, p_u.u[support]]),
+            counts = np.diff(p.indptr)[row]
+            counts[state[self.dangling[0]]] = support.size
+            at = p.indptr[self.dangling[0]]
+            p = CSRMatrix(
+                indptr=np.concatenate([[0], np.cumsum(counts)]),
+                indices=np.insert(state[target], at, state[support]),
+                data=np.insert(p.data, at, p_u.u[support]),
             )
             into = p_u.dangling[target]
             # (P^T y)_j over the kept rows, for the dangling columns j
@@ -556,8 +561,8 @@ class _Reduction:
         source, target = p.rows(), p.indices
         # a core state links to core states alone
         keep = position[source] >= 0
-        a = np.zeros((c, c))
-        a[position[target[keep]], position[source[keep]]] = -alpha * p.data[keep]
+        a = np.bincount(position[target[keep]] * c + position[source[keep]],
+                        weights=-alpha * p.data[keep], minlength=c * c).reshape(c, c)
         a.reshape(-1)[:: c + 1] += 1.0
         return a
 

@@ -492,15 +492,16 @@ class _Reduction:
         self.core_rows = row[self.core]
         # X's core columns move from the core solve's rows to their nodes'
         # rows of Y: runs of rows with one shift, from the last run, each
-        # in pieces no longer than the shift, so a piece never overlaps
-        # the rows it goes to; the rows left behind are cleared
+        # in pieces of at most LU_PANEL rows, so that the copy numpy makes
+        # of a piece that overlaps where it goes stays small; the rows left
+        # behind are cleared
         shift = self.core_rows - np.arange(self.core.size)
         cuts = np.flatnonzero(np.diff(shift)) + 1
         runs = zip(np.append(0, cuts)[::-1].tolist(), np.append(cuts, shift.size)[::-1].tolist())
         self.moves = [
-            (max(lo, top - step), top, step)
+            (max(lo, top - LU_PANEL), top, step)
             for lo, hi in runs if (step := int(shift[lo]))
-            for top in range(hi, lo, -step)
+            for top in range(hi, lo, -LU_PANEL)
         ]
         stale = np.ones(self.core.size, dtype=bool)
         stale[self.core_rows[self.core_rows < self.core.size]] = False

@@ -583,11 +583,11 @@ class _Reduction:
         dangling node's y is its b plus alpha times its in-links and u's
         share of delta.
         """
-        x = b.copy() if not self.lumped else np.zeros(b.shape)
+        # x starts as b: the rows of the lumped-away dangling nodes are read
+        # by no step and written last
+        x = b.copy()
         w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
         kept, dangling = self.kept, self.dangling
-        if self.lumped:
-            w[kept] = b[kept]
         if trans == 1:
             if self.lumped:
                 w[kept] += alpha * self.from_dangling(b)

@@ -461,33 +461,44 @@ class _Reduction:
             state = np.cumsum(is_state) - 1
             state[self.dangling] = state[self.dangling[0]]
             source, target = p.rows(), p.indices
-            # P_L: P's rows with their dangling targets led to delta, and
-            # delta's row, u, where the first dangling node's empty row is.
-            # A row may repeat an entry; every use of P_L sums repeats.
-            support = np.flatnonzero(p_u.u)
-            counts = np.diff(p.indptr)[row]
-            counts[state[self.dangling[0]]] = support.size
-            at = p.indptr[self.dangling[0]]
-            p = CSRMatrix(
-                indptr=np.concatenate([[0], np.cumsum(counts)]),
-                indices=np.insert(state[target], at, state[support]),
-                data=np.insert(p.data, at, p_u.u[support]),
-            )
             into = p_u.dangling[target]
+            # P_L's links, each once: P's links between kept nodes, each kept
+            # row's links into the dangling nodes summed into one to delta,
+            # and delta's row, u with its dangling part summed
+            delta = state[self.dangling[0]]
+            to_delta = np.bincount(source[into], weights=p.data[into], minlength=n)
+            feeding = np.flatnonzero(to_delta)
+            support = self.kept[p_u.u[self.kept] > 0]
+            loop = [delta] if self.u_dangling.sum() > 0 else []
+            self.links = (
+                np.concatenate([state[source[~into]], state[feeding],
+                                np.full(support.size, delta), loop]).astype(np.int64),
+                np.concatenate([state[target[~into]], np.full(feeding.size, delta),
+                                state[support], loop]).astype(np.int64),
+                np.concatenate([p.data[~into], to_delta[feeding], p_u.u[support],
+                                [self.u_dangling.sum()] if loop else []]),
+            )
             # (P^T y)_j over the kept rows, for the dangling columns j
             self.in_links = _rows_of(
                 self.dangling.size, np.searchsorted(self.dangling, target[into]),
-                source[into], p_u.p.data[into])
+                source[into], p.data[into])
             self.into_dangling = _GatherPlan(self.in_links)
         else:
             row = np.arange(n)
-        self.p_l = p
-        levels = _peel_levels(p)
-        level_of = np.full(p.n, -1)
+            self.links = (p.rows(), p.indices, p.data)
+        source, target, data = self.links
+        # P_L in CSR form only where some state has no in-link to peel
+        m = row.size
+        if np.bincount(target, minlength=m).all():
+            levels = []
+        else:
+            p = _rows_of(m, source, target, data)
+            levels = _peel_levels(p)
+        level_of = np.full(m, -1)
         for k, level in enumerate(levels):
             level_of[level] = k
         self.core = np.flatnonzero(level_of < 0)
-        self.position = np.full(p.n, -1)
+        self.position = np.full(m, -1)
         self.position[self.core] = np.arange(self.core.size)
         self.core_rows = row[self.core]
         # X's core columns move from the core solve's rows to their nodes'
@@ -509,7 +520,7 @@ class _Reduction:
         self.row, self.level_of, self.levels = row, level_of, levels
         # The back steps go by height, the longest path of out-links from a
         # peeled state to the core: height 0 links to the core alone.
-        height = np.full(p.n, -1)
+        height = np.full(m, -1)
         for level in reversed(levels):
             starts, stops = p.indptr[level], p.indptr[level + 1]
             offsets = np.cumsum(stops - starts) - (stops - starts)
@@ -518,10 +529,9 @@ class _Reduction:
         heights = [np.flatnonzero(height == h) for h in range(height.max() + 1)]
         # each height's rows and, but for height 0 of a chain not lumped,
         # which reads the product with P_u, P_L's rows of it
-        source, target = p.rows(), p.indices
         self.back = [
             (row[states], None if h == 0 and not self.lumped else _GatherPlan(_rows_of(
-                states.size, np.searchsorted(states, source[out]), row[target[out]], p.data[out])))
+                states.size, np.searchsorted(states, source[out]), row[target[out]], data[out])))
             for h, (states, out) in enumerate(
                 zip(heights, _split(height[source], len(heights)) if heights else []))
         ]
@@ -545,25 +555,25 @@ class _Reduction:
         steps of a trans 0 solve, and P_L^T's rows of the core restricted to
         peeled columns: what the peeled states feed into it.  Made on first
         use, as only rank vectors need them."""
-        p, row, level_of, levels = self.p_l, self.row, self.level_of, self.levels
-        source, target = p.rows(), p.indices
+        row, level_of, levels = self.row, self.level_of, self.levels
+        source, target, data = self.links
         steps = [
             (row[level], _GatherPlan(_rows_of(level.size, np.searchsorted(level, target[into]),
-                                              row[source[into]], p.data[into])))
+                                              row[source[into]], data[into])))
             for level, into in zip(levels, _split(level_of[target], len(levels)))
         ]
         feed = (level_of[target] < 0) & (level_of[source] >= 0)
         return steps, _GatherPlan(_rows_of(
-            self.core.size, self.position[target[feed]], row[source[feed]], p.data[feed]))
+            self.core.size, self.position[target[feed]], row[source[feed]], data[feed]))
 
     def core_system(self, alpha: float) -> np.ndarray:
         """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
-        p, position, c = self.p_l, self.position, self.core.size
-        source, target = p.rows(), p.indices
+        position, c = self.position, self.core.size
+        source, target, data = self.links
         # a core state links to core states alone
         keep = position[source] >= 0
-        a = np.bincount(position[target[keep]] * c + position[source[keep]],
-                        weights=-alpha * p.data[keep], minlength=c * c).reshape(c, c)
+        a = np.zeros((c, c))
+        a[position[target[keep]], position[source[keep]]] = -alpha * data[keep]
         a.reshape(-1)[:: c + 1] += 1.0
         return a
 
@@ -576,7 +586,8 @@ class _Reduction:
         alpha P b over the dangling columns to each kept row and gives delta
         alpha u^T b over them; delta's value is then alpha u^T x, and a
         dangling node's x is its b plus that.  A peeled state's x follows
-        from its out-links, so the levels go back from the core.  trans 0
+        from its out-links, so the peeled states go back from the core,
+        height by height.  trans 0
         is (I - alpha P_u^T) y = b.  Delta's right-hand side and value are
         the sums over the dangling nodes; a peeled state's y follows from
         its in-links, so the levels go forward into the core, and a
@@ -611,7 +622,8 @@ class _Reduction:
 
     def _solve_back(self, lu: np.ndarray, w: np.ndarray, b_dangling, alpha: float) -> None:
         """The trans 1 solve from its lumped right-hand side w, in place:
-        the core, then the levels back from it, then the dangling nodes."""
+        the core, then the peeled states back from it, then the dangling
+        nodes."""
         w[self.core_rows] = _lu_solve(lu, w[self.core_rows], trans=1)
         if self.back:
             self._peel(w, alpha, None if self.lumped else self.p_u.matvec(w))

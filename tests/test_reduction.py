@@ -159,3 +159,14 @@ def test_one_factorization_of_the_reduced_size(monkeypatch):
         ctx.fundamental()
         ctx.column(0)
         assert sizes == [(size, size)]
+
+
+@pytest.mark.parametrize("name", ["g1.edges", "g2.edges", "g3.edges", "two_cycle.edges"])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_nothing_to_reduce_factors_a_t_bit_for_bit(name, alpha):
+    # No dangling node and no state to peel: the core is every node, and X
+    # has the bits of the unreduced solve A_t X^T = (1 - alpha) I.
+    g = parse_edge_list((ROOT / "graphs" / name).read_text())
+    p_u = row_stochastic(g)
+    x = _lu_solve(_unreduced(alpha, p_u), (1.0 - alpha) * np.eye(g.n), lower_rhs=True).T
+    assert RankContext(alpha, p_u).fundamental().x.tobytes() == np.asfortranarray(x).tobytes()

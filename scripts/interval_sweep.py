@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--steps", type=int, default=7)
     args = ap.parse_args()
 
-    text = Path(args.graph).read_text()
+    text = Path(args.graph).read_text(encoding="utf-8-sig")
     g = parse_graph_json(text) if args.graph.endswith(".json") else parse_edge_list(text)
     ctx = RankContext.from_graph(g, alpha=args.alpha)
     i = g.index_of(args.node)

@@ -10,6 +10,7 @@ mixing two concentrated personalizations.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -349,23 +350,20 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _lu_solve(
-    lu: np.ndarray, b: np.ndarray, trans: int = 0, lower_rhs: bool | list[int] = False
+    lu: np.ndarray, b: np.ndarray, trans: int = 0, lower_rhs: Sequence[int] = ()
 ) -> np.ndarray:
     """Solve A x = b (trans 0) or A^T x = b (trans 1) with A's block LU,
     overwriting b, a vector or a matrix of columns, with x; returns it.
 
     ``lower_rhs`` says b is zero above a staircase, and L^{-1} b is zero
     there too, so the forward loop of a trans 0 solve updates, at each
-    diagonal block, only the leading columns that its rows reach.  True
-    says b is square and zero above its diagonal blocks, as a multiple of
-    I is; a list gives, for each row r, how many leading columns of b may
-    be nonzero in rows 0 to r.
+    diagonal block, only the leading columns that its rows reach: it gives,
+    for each row r, how many leading columns of b may be nonzero in rows 0
+    to r.
     """
     n = lu.shape[0]
     cols = b.reshape(n, -1)
     blocks = _lu_blocks(n)
-    if lower_rhs is True:
-        lower_rhs = range(1, n + 1)
     if trans == 0:
         for d, rest in blocks:  # L y = b, L with identity diagonal blocks
             done = slice(0, lower_rhs[min(d.stop, n) - 1]) if lower_rhs else slice(None)
@@ -424,8 +422,9 @@ def _split(keys: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 class _Reduction:
-    """The chain that the block LU factors, and the sparse steps that
-    carry a solve of the n-node system onto it and back.
+    """The chain that the block LU factors, the LU of its core, and the
+    sparse steps that carry a solve of the n-node system onto the core
+    and back.
 
     Lumping: every dangling row of P_u is u^T, so two or more dangling
     nodes move alike and merge into one state, delta (Ipsen and Selee,
@@ -435,20 +434,23 @@ class _Reduction:
     its dangling part summed.  A lone dangling node is a state of its own,
     with row u.  Peeling: a state with no in-link in P_L is entered by no
     walk that starts elsewhere, and once it goes others may have none;
-    they come off level by level, in Kahn's order.  What stays is the
-    core.  No core state links to a peeled one, so P_L on the core is
-    row-stochastic, and A_C = I - alpha P_CC^T is strictly column
-    diagonally dominant as A_t is.  With at most one dangling node and
-    nothing to peel, the core is every node and A_C is A_t, bit for bit.
+    they come off level by level, in Kahn's order.  A peeled state links
+    only to later levels and to the core, so a solve goes forward through
+    the levels into the core, or back from the core through the levels,
+    last level first.  What stays is the core.  No core state links to a
+    peeled one, so P_L on the core is row-stochastic, and A_C = I - alpha
+    P_CC^T is strictly column diagonally dominant as A_t is; ``lu`` is its
+    block LU, made here.  With at most one dangling node and nothing to
+    peel, the core is every node and A_C is A_t, bit for bit.
 
     Work arrays have a row per node.  A state's row is its node's, and
     delta's that of the first dangling node, so the states keep node
     order; the rows of the other dangling nodes are free.
     """
 
-    def __init__(self, p_u: RowStochasticMatrix):
+    def __init__(self, p_u: RowStochasticMatrix, alpha: float):
         p, n = p_u.p, p_u.n
-        self.p_u, self.n = p_u, n
+        self.p_u, self.n, self.alpha = p_u, n, alpha
         self.dangling = np.flatnonzero(p_u.dangling)
         self.kept = np.flatnonzero(~p_u.dangling)
         self.u_dangling = p_u.u[self.dangling]
@@ -492,8 +494,7 @@ class _Reduction:
         if np.bincount(target, minlength=m).all():
             levels = []
         else:
-            p = _rows_of(m, source, target, data)
-            levels = _peel_levels(p)
+            levels = _peel_levels(_rows_of(m, source, target, data))
         level_of = np.full(m, -1)
         for k, level in enumerate(levels):
             level_of[level] = k
@@ -518,27 +519,17 @@ class _Reduction:
         stale[self.core_rows[self.core_rows < self.core.size]] = False
         self.stale = np.flatnonzero(stale)
         self.row, self.level_of, self.levels = row, level_of, levels
-        # The back steps go by height, the longest path of out-links from a
-        # peeled state to the core: height 0 links to the core alone.
-        height = np.full(m, -1)
-        for level in reversed(levels):
-            starts, stops = p.indptr[level], p.indptr[level + 1]
-            offsets = np.cumsum(stops - starts) - (stops - starts)
-            height[level] = 1 + np.maximum.reduceat(
-                height[p.indices[_ranges(starts, stops)]], offsets)
-        heights = [np.flatnonzero(height == h) for h in range(height.max() + 1)]
-        # each height's rows and, but for height 0 of a chain not lumped,
-        # which reads the product with P_u, P_L's rows of it
+        # each level's rows and P_L's rows of it, last level first
         self.back = [
-            (row[states], None if h == 0 and not self.lumped else _GatherPlan(_rows_of(
-                states.size, np.searchsorted(states, source[out]), row[target[out]], data[out])))
-            for h, (states, out) in enumerate(
-                zip(heights, _split(height[source], len(heights)) if heights else []))
-        ]
+            (row[level], _GatherPlan(_rows_of(
+                level.size, np.searchsorted(level, source[out]), row[target[out]], data[out])))
+            for level, out in zip(levels, _split(level_of[source], len(levels)))
+        ][::-1]
         self.diagonal = row[level_of >= 0]
         self.delta_peeled = self.lumped and level_of[state[self.dangling[0]]] >= 0
         self.peeled_rows = np.concatenate(
             [self.diagonal, self.dangling[1:] if self.delta_peeled else []]).astype(np.int64)
+        self.lu = _lu_factor(self._core_system())
 
     @cached_property
     def from_dangling(self) -> _GatherPlan:
@@ -566,18 +557,18 @@ class _Reduction:
         return steps, _GatherPlan(_rows_of(
             self.core.size, self.position[target[feed]], row[source[feed]], data[feed]))
 
-    def core_system(self, alpha: float) -> np.ndarray:
+    def _core_system(self) -> np.ndarray:
         """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
         position, c = self.position, self.core.size
         source, target, data = self.links
         # a core state links to core states alone
         keep = position[source] >= 0
         a = np.zeros((c, c))
-        a[position[target[keep]], position[source[keep]]] = -alpha * data[keep]
+        a[position[target[keep]], position[source[keep]]] = -self.alpha * data[keep]
         a.reshape(-1)[:: c + 1] += 1.0
         return a
 
-    def solve(self, lu: np.ndarray, b: np.ndarray, trans: int, alpha: float) -> np.ndarray:
+    def solve(self, b: np.ndarray, trans: int) -> np.ndarray:
         """x with A_t x = b (trans 0) or A_t^T x = b (trans 1), for b a
         vector or a matrix of columns, as a fresh array; one
         :func:`_lu_solve` on the core.
@@ -587,15 +578,15 @@ class _Reduction:
         alpha u^T b over them; delta's value is then alpha u^T x, and a
         dangling node's x is its b plus that.  A peeled state's x follows
         from its out-links, so the peeled states go back from the core,
-        height by height.  trans 0
-        is (I - alpha P_u^T) y = b.  Delta's right-hand side and value are
-        the sums over the dangling nodes; a peeled state's y follows from
-        its in-links, so the levels go forward into the core, and a
-        dangling node's y is its b plus alpha times its in-links and u's
-        share of delta.
+        level by level.  trans 0 is (I - alpha P_u^T) y = b.  Delta's
+        right-hand side and value are the sums over the dangling nodes; a
+        peeled state's y follows from its in-links, so the levels go
+        forward into the core, and a dangling node's y is its b plus alpha
+        times its in-links and u's share of delta.
         """
         # x starts as b: the rows of the lumped-away dangling nodes are read
         # by no step and written last
+        alpha = self.alpha
         x = b.copy()
         w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
         kept, dangling = self.kept, self.dangling
@@ -603,7 +594,7 @@ class _Reduction:
             if self.lumped:
                 w[kept] += alpha * self.from_dangling(b)
                 w[dangling[0]] = alpha * (self.u_dangling @ b[dangling])
-            self._solve_back(lu, w, b[dangling], alpha)
+            self._solve_back(w, b[dangling])
             return x
         if self.lumped:
             w[dangling[0]] = b[dangling].sum(axis=0)
@@ -614,38 +605,38 @@ class _Reduction:
         core = w[self.core_rows]
         if self.levels:
             core += alpha * from_peeled(w)
-        w[self.core_rows] = _lu_solve(lu, core)
+        w[self.core_rows] = _lu_solve(self.lu, core)
         if self.lumped:
             delta = self.u_dangling[:, None] * w[dangling[0]]
             w[dangling] = b[dangling] + alpha * (self.into_dangling(w) + delta)
         return x
 
-    def _solve_back(self, lu: np.ndarray, w: np.ndarray, b_dangling, alpha: float) -> None:
+    def _solve_back(self, w: np.ndarray, b_dangling) -> None:
         """The trans 1 solve from its lumped right-hand side w, in place:
         the core, then the peeled states back from it, then the dangling
         nodes."""
-        w[self.core_rows] = _lu_solve(lu, w[self.core_rows], trans=1)
-        if self.back:
-            self._peel(w, alpha, None if self.lumped else self.p_u.matvec(w))
+        w[self.core_rows] = _lu_solve(self.lu, w[self.core_rows], trans=1)
+        self._peel(w)
         if self.lumped:
             w[self.dangling] = b_dangling + w[self.dangling[0]]
 
-    def column(self, lu: np.ndarray, j: int, alpha: float) -> np.ndarray:
+    def column(self, j: int) -> np.ndarray:
         """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
         e_j, but for a lumped dangling node j, whose column is made as
         :meth:`_dangling_columns` makes it from X: from the columns of j's
         in-links and delta's column of X_L, all in one trans 1 solve.  So
         where those columns have the bits of X's, this one does too."""
+        alpha = self.alpha
         if not (self.lumped and self.p_u.dangling[j]):
             b = np.zeros((self.n, 1))
             b[j] = 1.0 - alpha
-            return self.solve(lu, b, 1, alpha)
+            return self.solve(b, 1)
         k = int(np.searchsorted(self.dangling, j))
         links = slice(self.in_links.indptr[k], self.in_links.indptr[k + 1])
         rows = np.append(self.in_links.indices[links], self.dangling[0])
         cols = np.zeros((self.n, rows.size))
         cols[rows, np.arange(rows.size)] = 1.0 - alpha
-        self._solve_back(lu, cols, 0.0, alpha)
+        self._solve_back(cols, 0.0)
         # the gather-adds of _dangling_columns, in their order
         col = np.zeros(self.n)
         for weight, source in zip(self.in_links.data[links], cols.T):
@@ -655,10 +646,9 @@ class _Reduction:
         col[j] += 1.0 - alpha
         return col[:, None]
 
-    def fundamental(self, lu: np.ndarray, alpha: float, check) -> np.ndarray:
+    def fundamental(self, check) -> np.ndarray:
         """X in Fortran order, each block of its columns handed to
-        ``check(cols, product, first)`` once it is final, with its product
-        with P_u when that is made already.
+        ``check(cols, first)`` once it is final.
 
         A_t Y = (1 - alpha) I makes Y = X^T, so a C-order right-hand side
         turns into X in Fortran order, in place.  Only the core's columns
@@ -669,8 +659,8 @@ class _Reduction:
         """
         c, n = self.core.size, self.n
         y = np.zeros((n, n))
-        y[np.arange(c), self.core_rows] = 1.0 - alpha
-        z = _lu_solve(lu, y[:c], lower_rhs=(self.core_rows + 1).tolist())
+        y[np.arange(c), self.core_rows] = 1.0 - self.alpha
+        z = _lu_solve(self.lu, y[:c], lower_rhs=(self.core_rows + 1).tolist())
         y = self._place(y, z)
         x, width = y.T, _block_width(n)
         if self.lumped:
@@ -678,15 +668,13 @@ class _Reduction:
             # all, so the peeled rows take a pass of their own
             if self.back:
                 for start in range(0, n, width):
-                    self._peel_block(x[:, start:start + width], start, alpha)
-            self._dangling_columns(y, alpha)
+                    self._peel_block(x[:, start:start + width], start)
+            self._dangling_columns(y)
         for start in range(0, n, width):
             cols = x[:, start:start + width]
             if self.back and not self.lumped:
-                # the peeled rows and the check read one product with P_u
-                check(*self._peel_block(cols, start, alpha), start)
-            else:
-                check(cols, None, start)
+                cols = self._peel_block(cols, start)
+            check(cols, start)
         return x
 
     def _place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -705,38 +693,27 @@ class _Reduction:
         y[self.stale] = 0.0
         return y
 
-    def _peel(self, w: np.ndarray, alpha: float, product: np.ndarray | None) -> None:
-        """The peeled rows of a trans 1 solve, height by height from the
-        core: w_a += alpha (P_L w)_a, w_a holding the right-hand side.  The
-        first height reads ``product``, P_u w, when the chain is not lumped,
-        and ``product`` takes every other height's rows of P_u w as they
-        are made, so that it ends as the product with the final w."""
+    def _peel(self, w: np.ndarray) -> None:
+        """The peeled rows of a trans 1 solve, level by level back from the
+        core: w_a += alpha (P_L w)_a, w_a holding the right-hand side."""
         for rows, back in self.back:
-            if back is None:
-                part = product[rows]
-            else:
-                part = back(w)
-                if product is not None:
-                    product[rows] = part
-            w[rows] += alpha * part
+            w[rows] += self.alpha * back(w)
         if self.delta_peeled:
             w[self.dangling[1:]] = w[self.dangling[0]]
 
-    def _peel_block(self, cols: np.ndarray, first: int, alpha: float):
+    def _peel_block(self, cols: np.ndarray, first: int) -> np.ndarray:
         """X's peeled rows in a block of its columns first, first + 1, ...,
         Fortran order, where they are 0: written there, and returned with
-        a C-order copy of the block and, when the chain is not lumped, the
-        block's product with P_u, which the peeled rows read.  Row a of X_L
-        is (1 - alpha) e_a + alpha P_L[a] X_L."""
+        the rest of the block in a C-order copy.  Row a of X_L is
+        (1 - alpha) e_a + alpha P_L[a] X_L."""
         block = np.ascontiguousarray(cols)
-        product = None if self.lumped else self.p_u.matvec(block)
         lo, hi = np.searchsorted(self.diagonal, (first, first + block.shape[1]))
-        block[self.diagonal[lo:hi], self.diagonal[lo:hi] - first] = 1.0 - alpha
-        self._peel(block, alpha, product)
+        block[self.diagonal[lo:hi], self.diagonal[lo:hi] - first] = 1.0 - self.alpha
+        self._peel(block)
         cols[self.peeled_rows] = block[self.peeled_rows]
-        return block, product
+        return block
 
-    def _dangling_columns(self, y: np.ndarray, alpha: float) -> None:
+    def _dangling_columns(self, y: np.ndarray) -> None:
         """X's columns of the lumped dangling nodes, rows of Y = X^T.  As
         X = (1 - alpha) I + alpha X P_u, column j is (1 - alpha) e_j plus
         alpha times the columns of j's in-links, weighted, and u_j times
@@ -745,25 +722,27 @@ class _Reduction:
         delta = y[dangling[0]].copy()
         cols = self.into_dangling(y)
         cols += self.u_dangling[:, None] * delta
-        cols *= alpha
-        cols[np.arange(dangling.size), dangling] += 1.0 - alpha
+        cols *= self.alpha
+        cols[np.arange(dangling.size), dangling] += 1.0 - self.alpha
         y[dangling] = cols
 
 
 class RankContext:
     """Fixed damping factor and patched transition matrix.
 
-    Owns the package's only factorization: one block LU, made on first
-    use, of the rank system A_t = I - alpha P_u^T reduced to its core
-    (:class:`_Reduction`).  Two or more dangling nodes leave it as one
-    lumped state, and the nodes that no walk enters, save from where it
-    starts, leave it altogether.  Their part of X has a closed form in
-    the rest: row i of X is (1 - alpha) e_i + alpha P_u[i] X, so a
-    dangling row is (1 - alpha) e_j + alpha u^T X and a peeled row follows
-    from the rows it links to; a peeled node's column is 0 on the core;
-    and as X = (1 - alpha) I + alpha X P_u, a dangling node's column
-    follows from the columns of its in-links.  Every residual and
-    structure check still runs on the full n-node system, through P_u.
+    Owns the package's only factorization through ``_chain``, the rank
+    system A_t = I - alpha P_u^T reduced to its core (:class:`_Reduction`),
+    which holds the block LU of that core; both are made on first use.
+    Two or more dangling nodes leave the core as one lumped state, and
+    the nodes that no walk enters, save from where it starts, leave it
+    altogether.  Their part of X has a closed form in the rest: row i of
+    X is (1 - alpha) e_i + alpha P_u[i] X, so a dangling row is
+    (1 - alpha) e_j + alpha u^T X and the peeled rows go back from the
+    core level by level, each from the rows it links to; a peeled node's
+    column is 0 on the core; and as X = (1 - alpha) I + alpha X P_u, a
+    dangling node's column follows from the columns of its in-links.
+    Every residual and structure check still runs on the full n-node
+    system, through P_u, and makes its own product with it.
     It answers in three ways.  A personalization's rank vector is a solve with A_t
     (:meth:`rank`, :meth:`rank_weights`, the Monte-Carlo batches).  A
     one-node question (one interval, one pair, one hull, ``achieve_value``)
@@ -779,8 +758,6 @@ class RankContext:
         _check_alpha(alpha)
         self.alpha = alpha
         self.p_u = p_u
-        self._lu = None
-        self._reduction = None
         self._fundamental = None
         self._row_sum_error = None
 
@@ -798,41 +775,24 @@ class RankContext:
     def n(self) -> int:
         return self.p_u.n
 
-    def _factorization(self) -> np.ndarray:
-        """The block LU of the core system A_C; the reduction that gives
-        the core is worked out here too, on first use."""
-        if self._lu is None:
-            self._reduction = _Reduction(self.p_u)
-            self._lu = _lu_factor(self._reduction.core_system(self.alpha))
-        return self._lu
+    @cached_property
+    def _chain(self) -> _Reduction:
+        """The reduced chain and the block LU of its core, made on first use;
+        every solve goes through it (:meth:`_Reduction.solve`)."""
+        return _Reduction(self.p_u, self.alpha)
 
-    def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
-        """x with A_t x = b (trans 0) or A_t^T x = b (trans 1), b a vector
-        or a matrix of columns, as a fresh array; see :meth:`_Reduction.solve`."""
-        lu = self._factorization()
-        return self._reduction.solve(lu, b, trans, self.alpha)
-
-    def _system_times(
-        self, x: np.ndarray, trans: int, product: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _system_times(self, x: np.ndarray, trans: int) -> np.ndarray:
         """A_t x (trans 0) or A_t^T x (trans 1), applied through the sparse
-        P and its rank-one term, never a dense product: in ``product``,
-        P_u x made already for trans 1, or else in a fresh array."""
-        if product is not None:
-            y = product
-        else:
-            y = self.p_u.rmatvec(x) if trans == 0 else self.p_u.matvec(x)
+        P and its rank-one term, never a dense product, in a fresh array."""
+        y = self.p_u.rmatvec(x) if trans == 0 else self.p_u.matvec(x)
         y *= -self.alpha
         y += x
         return y
 
-    def _check_column_residuals(
-        self, cols: np.ndarray, product: np.ndarray | None, first: int
-    ) -> None:
+    def _check_column_residuals(self, cols: np.ndarray, first: int) -> None:
         """Check A_t^T X = (1 - alpha) I on X's columns first, first + 1,
-        ..., solved into ``cols``: a block of X, or one column of it;
-        ``product`` is P_u cols when it is made already."""
-        r = self._system_times(cols, 1, product)
+        ..., solved into ``cols``: a block of X, or one column of it."""
+        r = self._system_times(cols, 1)
         k = np.arange(cols.shape[1])
         r[first + k, k] -= 1.0 - self.alpha
         _check_residual(r, "column", first=first)
@@ -855,7 +815,7 @@ class RankContext:
         if not np.isfinite(w).all():
             raise DomainError("weights must be finite")
         b = np.multiply(w, 1.0 - self.alpha, order="C")
-        x = self._solve(b, 0)
+        x = self._chain.solve(b, 0)
         # views of x and b with one column per vector, a lone vector included
         cols, rhs = x.reshape(self.n, -1), b.reshape(self.n, -1)
         width = _block_width(self.n)
@@ -893,15 +853,14 @@ class RankContext:
         :meth:`column`; all n columns at once are the rows of one solve
         A_t X^T = (1 - alpha) I.  Only the core's columns come out of the
         LU: their right-hand sides keep node order, so each solved row is a
-        whole column of X, moved in place to its node.  Peeled rows then
-        follow, height by height, from each block's product with P_u,
-        which that block's residual check reads too; the columns of lumped
-        dangling nodes follow from their in-links.  Each column's residual
-        is checked on the full system.
+        whole column of X, moved in place to its node.  Peeled rows then go
+        back from the core level by level, a block of columns at a time;
+        the columns of lumped dangling nodes follow from their in-links.
+        Each column's residual is checked on the full system, from the
+        block's own product with P_u.
         """
         if self._fundamental is None:
-            lu = self._factorization()
-            x = self._reduction.fundamental(lu, self.alpha, self._check_column_residuals)
+            x = self._chain.fundamental(self._check_column_residuals)
             fm = FundamentalMatrix(x=x, alpha=self.alpha, _adopt=True)
             verify_structure(fm)
             self._fundamental = fm
@@ -912,7 +871,7 @@ class RankContext:
         solve, made once per context."""
         if self._row_sum_error is None:
             ones = np.full(self.n, 1.0 - self.alpha)
-            sums = self._solve(ones, 1)
+            sums = self._chain.solve(ones, 1)
             self._row_sum_error = float(np.abs(sums - 1.0).max())
         return self._row_sum_error
 
@@ -928,9 +887,8 @@ class RankContext:
     def _solved_column(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Column i of X by one transposed solve, checked as :meth:`column`
         says, with the :func:`_column_facts` its structure check read."""
-        lu = self._factorization()
-        col = self._reduction.column(lu, i, self.alpha)
-        self._check_column_residuals(col, None, i)
+        col = self._chain.column(i)
+        self._check_column_residuals(col, i)
         facts = _column_facts(col, i)
         lo, _, margins, _ = facts
         _check_structure(float(lo[0]), self._row_sums(), margins, i, self.alpha, self.n)

@@ -23,6 +23,7 @@ from .stochastic import (
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
+    UNIT_ROUNDOFF,
     _check_alpha,
     _is_integer,
     _is_real,
@@ -244,7 +245,11 @@ def explicit_inverse_check(alpha: float, p_u: RowStochasticMatrix) -> float:
     n up to ``INVERSE_SIZE_CAP``.
 
     Returns the max absolute deviation; raises
-    :class:`OracleMismatchError` beyond ``INVERSE_DEVIATION_TOL``.
+    :class:`OracleMismatchError` beyond ``INVERSE_DEVIATION_TOL``, or
+    beyond 4 n (1 + alpha) / (1 - alpha) u where that is larger: near
+    alpha = 1 both routes err like n kappa u, and (1 + alpha) /
+    (1 - alpha) bounds kappa, the condition number of I - alpha P_u in
+    the inf-norm.
     """
     if p_u.n > INVERSE_SIZE_CAP:
         raise DomainError(
@@ -253,7 +258,8 @@ def explicit_inverse_check(alpha: float, p_u: RowStochasticMatrix) -> float:
     brute = (1.0 - alpha) * _gauss_jordan_inverse(np.eye(p_u.n) - alpha * p_u.toarray())
     fast = RankContext(alpha, p_u).fundamental().x
     deviation = float(np.abs(brute - fast).max())
-    if deviation > INVERSE_DEVIATION_TOL:
+    tol = max(INVERSE_DEVIATION_TOL, 4 * p_u.n * (1.0 + alpha) / (1.0 - alpha) * UNIT_ROUNDOFF)
+    if deviation > tol:
         raise OracleMismatchError(
             f"explicit inverse deviates by {deviation:.3e}",
             details={"deviation": deviation, "n": p_u.n},

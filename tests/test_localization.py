@@ -786,7 +786,7 @@ def test_block_lu_solves_have_small_residuals(n, alpha):
             scale = np.abs(system).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
             assert r <= 4 * n * np.finfo(float).eps * scale
     # a multiple of I takes the forward loop that skips its zero blocks
-    inverse = _lu_solve(lu, np.eye(n) * (1.0 - alpha), lower_rhs=True)
+    inverse = _lu_solve(lu, np.eye(n) * (1.0 - alpha), lower_rhs=range(1, n + 1))
     assert np.abs(inverse - _lu_solve(lu, np.eye(n) * (1.0 - alpha))).max() <= 1e-12
 
 

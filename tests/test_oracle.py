@@ -218,16 +218,32 @@ def test_gauss_jordan_matches_library_inverse():
         _gauss_jordan_inverse(np.ones((3, 3)))
 
 
-def test_mismatch_raises(ctx1, monkeypatch):
+def _skew_fundamental(monkeypatch, skew):
+    """Make every X that RankContext builds wrong by ``skew`` at (0, 0)."""
     real = RankContext.fundamental
 
     def skewed(ctx):
         fm = real(ctx)
         bad = fm.x.copy()
-        bad[0, 0] += 1e-6
+        bad[0, 0] += skew
         return type(fm)(x=bad, alpha=fm.alpha)
 
     monkeypatch.setattr(RankContext, "fundamental", skewed)
+
+
+def test_mismatch_raises(ctx1, monkeypatch):
+    _skew_fundamental(monkeypatch, 1e-6)
     with pytest.raises(OracleMismatchError) as err:
         explicit_inverse_check(0.85, ctx1.p_u)
     assert err.value.details["deviation"] >= 1e-7
+
+
+def test_explicit_inverse_check_near_alpha_one(ctx1, monkeypatch):
+    # Both routes err like n kappa u there, past INVERSE_DEVIATION_TOL, so
+    # the oracle allows that much and no more.
+    alpha = 1.0 - 1e-9
+    assert explicit_inverse_check(alpha, ctx1.p_u) <= 1e-8
+    _skew_fundamental(monkeypatch, 1e-4)
+    with pytest.raises(OracleMismatchError) as err:
+        explicit_inverse_check(alpha, ctx1.p_u)
+    assert err.value.details["deviation"] >= 1e-5

@@ -117,7 +117,7 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
 # Rows per block of the xmatrix table, which bounds the Python objects a
 # block holds while it is written at EMIT_ROWS * n cells.
 EMIT_ROWS = 16
-_CSV_FORMATS = {"label": "%s", "bool": "%s", "f6": "%.6f", "g6": "%.6g"}
+_CSV_FORMATS = {"f6": "%.6f", "g6": "%.6g"}
 _CSV_BOOLS = np.array(["false", "true"], dtype=object)
 _JSON_FLOATS = {
     "f6": lambda value: round(float(value), 6),

@@ -152,19 +152,21 @@ def _block_width(n: int) -> int:
     return max(1, min(RESIDUAL_BLOCK, RESIDUAL_FLOATS // n))
 
 
-def _check_residual(r: np.ndarray, what: str, first: int = 0) -> None:
+def _check_residual(
+    r: np.ndarray, what: str, first: int = 0, scale: float | np.ndarray = 1.0
+) -> None:
     """Raise :class:`NumericalError` when a residual A x - b exceeds
-    SOLVE_RESIDUAL_TOL or is NaN; column k of ``r`` is ``what`` number
-    first + k."""
+    SOLVE_RESIDUAL_TOL times max(1, scale), ``scale`` one number or one
+    per column, or is NaN; column k of ``r`` is ``what`` number first + k."""
     per_column = np.abs(r, out=r).max(axis=0)
-    # argmax and max both pick out a NaN, which the comparison then fails
-    worst = first + int(np.argmax(per_column))
-    residual = float(np.max(per_column))
-    if not residual <= SOLVE_RESIDUAL_TOL:
+    bounds = np.broadcast_to(SOLVE_RESIDUAL_TOL * np.maximum(1.0, scale), per_column.shape)
+    # argmax picks out a NaN, which the comparison then fails
+    k = int(np.argmax(per_column / bounds))
+    residual = float(per_column[k])
+    if not residual <= bounds[k]:
         raise NumericalError(
-            f"{what} {worst}: residual {residual:.3e} exceeds "
-            f"{SOLVE_RESIDUAL_TOL:g}",
-            details={what: worst, "residual": residual},
+            f"{what} {first + k}: residual {residual:.3e} exceeds {bounds[k]:g}",
+            details={what: first + k, "residual": residual},
         )
 
 
@@ -380,28 +382,22 @@ def _lu_solve(
     return b
 
 
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The indices start, ..., stop - 1 of every range, one after another."""
-    lengths = stops - starts
-    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return offsets + np.arange(lengths.sum())
-
-
-def _peel_levels(p: CSRMatrix) -> list[np.ndarray]:
-    """The states of the chain p that peel off, level by level in Kahn's
-    order: level 0 has no in-link, and level l + 1 none but from levels 0
-    to l.  A state on a cycle, or fed by one, never peels."""
-    in_links = np.bincount(p.indices, minlength=p.n)
-    levels = []
-    level = np.flatnonzero(in_links == 0)
-    while level.size:
-        levels.append(level)
-        targets, drops = np.unique(
-            p.indices[_ranges(p.indptr[level], p.indptr[level + 1])], return_counts=True
-        )
-        in_links[targets] -= drops
-        level = targets[in_links[targets] == 0]
-    return levels
+def _peel_levels(m: int, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Each state's Kahn level in the chain on m states with links
+    source[k] -> target[k], -1 for the core: level 0 has no in-link, and
+    level l + 1 none but from levels 0 to l.  A state on a cycle, or fed
+    by one, never peels; a self-loop is an in-link like any other, and a
+    repeated link counts each time.  The in-link counts are over the links
+    of the states not yet peeled: each pass peels the states at 0, then
+    takes their out-links off the counts."""
+    level_of = np.full(m, -1)
+    in_links = np.bincount(target, minlength=m)
+    level = 0
+    while (peel := (in_links == 0) & (level_of < 0)).any():
+        level_of[peel] = level
+        in_links -= np.bincount(target[peel[source]], minlength=m)
+        level += 1
+    return level_of
 
 
 def _rows_of(rows: int, at: np.ndarray, cols: np.ndarray, data: np.ndarray) -> CSRMatrix:
@@ -434,10 +430,13 @@ class _Reduction:
     its dangling part summed.  A lone dangling node is a state of its own,
     with row u.  Peeling: a state with no in-link in P_L is entered by no
     walk that starts elsewhere, and once it goes others may have none;
-    they come off level by level, in Kahn's order.  A peeled state links
-    only to later levels and to the core, so a solve goes forward through
-    the levels into the core, or back from the core through the levels,
-    last level first.  What stays is the core.  No core state links to a
+    they come off level by level, in Kahn's order, read off in-link counts
+    over P_L's link table ``links`` (:func:`_peel_levels`).  A peeled state
+    links only to later levels and to the core, so a solve goes forward
+    through the levels into the core, or back from the core through the
+    levels, last level first; each level's step is planned from ``links``
+    too, and a trans 1 solve's lumped right-hand side is a product with
+    P_u itself.  What stays is the core.  No core state links to a
     peeled one, so P_L on the core is row-stochastic, and A_C = I - alpha
     P_CC^T is strictly column diagonally dominant as A_t is; ``lu`` is its
     block LU, made here.  With at most one dangling node and nothing to
@@ -452,7 +451,6 @@ class _Reduction:
         p, n = p_u.p, p_u.n
         self.p_u, self.n, self.alpha = p_u, n, alpha
         self.dangling = np.flatnonzero(p_u.dangling)
-        self.kept = np.flatnonzero(~p_u.dangling)
         self.u_dangling = p_u.u[self.dangling]
         self.lumped = self.dangling.size > 1
         if self.dangling.size:
@@ -470,7 +468,7 @@ class _Reduction:
             delta = state[self.dangling[0]]
             to_delta = np.bincount(source[into], weights=p.data[into], minlength=n)
             feeding = np.flatnonzero(to_delta)
-            support = self.kept[p_u.u[self.kept] > 0]
+            support = np.flatnonzero((p_u.u > 0) & ~p_u.dangling)
             loop = [delta] if self.u_dangling.sum() > 0 else []
             self.links = (
                 np.concatenate([state[source[~into]], state[feeding],
@@ -488,18 +486,12 @@ class _Reduction:
         else:
             row = np.arange(n)
             self.links = (p.rows(), p.indices, p.data)
-        source, target, data = self.links
-        # P_L in CSR form only where some state has no in-link to peel
-        m = row.size
-        if np.bincount(target, minlength=m).all():
-            levels = []
-        else:
-            levels = _peel_levels(_rows_of(m, source, target, data))
-        level_of = np.full(m, -1)
-        for k, level in enumerate(levels):
-            level_of[level] = k
+        source, target, _ = self.links
+        self.row = row
+        self.level_of = level_of = _peel_levels(row.size, source, target)
+        self.levels = _split(level_of, level_of.max() + 1)
         self.core = np.flatnonzero(level_of < 0)
-        self.position = np.full(m, -1)
+        self.position = np.full(row.size, -1)
         self.position[self.core] = np.arange(self.core.size)
         self.core_rows = row[self.core]
         # X's core columns move from the core solve's rows to their nodes'
@@ -515,47 +507,37 @@ class _Reduction:
             for lo, hi in runs if (step := int(shift[lo]))
             for top in range(hi, lo, -LU_PANEL)
         ]
-        stale = np.ones(self.core.size, dtype=bool)
-        stale[self.core_rows[self.core_rows < self.core.size]] = False
-        self.stale = np.flatnonzero(stale)
-        self.row, self.level_of, self.levels = row, level_of, levels
-        # each level's rows and P_L's rows of it, last level first
-        self.back = [
-            (row[level], _GatherPlan(_rows_of(
-                level.size, np.searchsorted(level, source[out]), row[target[out]], data[out])))
-            for level, out in zip(levels, _split(level_of[source], len(levels)))
-        ][::-1]
+        self.stale = np.setdiff1d(np.arange(self.core.size), self.core_rows)
+        # P_L's rows of each level, last level first
+        self.back = self._level_steps(source, target)[::-1]
         self.diagonal = row[level_of >= 0]
         self.delta_peeled = self.lumped and level_of[state[self.dangling[0]]] >= 0
         self.peeled_rows = np.concatenate(
             [self.diagonal, self.dangling[1:] if self.delta_peeled else []]).astype(np.int64)
         self.lu = _lu_factor(self._core_system())
 
-    @cached_property
-    def from_dangling(self) -> _GatherPlan:
-        """(P b)_i over the dangling columns, for each kept row i: what a
-        trans 1 solve adds to the kept rows' right-hand side."""
-        p = self.p_u.p
-        into = self.p_u.dangling[p.indices]
-        return _GatherPlan(_rows_of(self.kept.size, np.searchsorted(self.kept, p.rows()[into]),
-                                    p.indices[into], p.data[into]))
+    def _level_steps(self, at: np.ndarray, to: np.ndarray) -> list[tuple[np.ndarray, _GatherPlan]]:
+        """Each Kahn level's rows, first level first, with the gather plan
+        of the links that leave its states at ``at`` for the states ``to``:
+        P_L's rows of the level from (source, target), P_L^T's from
+        (target, source)."""
+        row, levels, data = self.row, self.levels, self.links[2]
+        return [
+            (row[level], _GatherPlan(_rows_of(
+                level.size, np.searchsorted(level, at[links]), row[to[links]], data[links])))
+            for level, links in zip(levels, _split(self.level_of[at], len(levels)))
+        ]
 
     @cached_property
     def forward(self) -> tuple[list[tuple[np.ndarray, _GatherPlan]], _GatherPlan]:
-        """Each Kahn level's rows and P_L^T's rows of it, for the forward
-        steps of a trans 0 solve, and P_L^T's rows of the core restricted to
-        peeled columns: what the peeled states feed into it.  Made on first
-        use, as only rank vectors need them."""
-        row, level_of, levels = self.row, self.level_of, self.levels
+        """P_L^T's rows of each Kahn level, for the forward steps of a
+        trans 0 solve, and P_L^T's rows of the core restricted to peeled
+        columns: what the peeled states feed into it.  Made on first use,
+        as only rank vectors need them."""
         source, target, data = self.links
-        steps = [
-            (row[level], _GatherPlan(_rows_of(level.size, np.searchsorted(level, target[into]),
-                                              row[source[into]], data[into])))
-            for level, into in zip(levels, _split(level_of[target], len(levels)))
-        ]
-        feed = (level_of[target] < 0) & (level_of[source] >= 0)
-        return steps, _GatherPlan(_rows_of(
-            self.core.size, self.position[target[feed]], row[source[feed]], data[feed]))
+        feed = (self.level_of[target] < 0) & (self.level_of[source] >= 0)
+        return self._level_steps(target, source), _GatherPlan(_rows_of(
+            self.core.size, self.position[target[feed]], self.row[source[feed]], data[feed]))
 
     def _core_system(self) -> np.ndarray:
         """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
@@ -574,26 +556,27 @@ class _Reduction:
         :func:`_lu_solve` on the core.
 
         trans 1 is (I - alpha P_u) x = b.  The lumped right-hand side adds
-        alpha P b over the dangling columns to each kept row and gives delta
-        alpha u^T b over them; delta's value is then alpha u^T x, and a
-        dangling node's x is its b plus that.  A peeled state's x follows
-        from its out-links, so the peeled states go back from the core,
-        level by level.  trans 0 is (I - alpha P_u^T) y = b.  Delta's
-        right-hand side and value are the sums over the dangling nodes; a
-        peeled state's y follows from its in-links, so the levels go
-        forward into the core, and a dangling node's y is its b plus alpha
-        times its in-links and u's share of delta.
+        alpha P_u b_D, b_D being b on the dangling rows and 0 on the rest:
+        each kept row gains alpha times its links into dangling nodes, and
+        delta, its own b dropped, is alpha u^T b_D.  Delta's value is then
+        alpha u^T x, and a dangling node's x is its b plus that.  A peeled
+        state's x follows from its out-links, so the peeled states go back
+        from the core, level by level.  trans 0 is (I - alpha P_u^T) y = b.
+        Delta's right-hand side and value are the sums over the dangling
+        nodes; a peeled state's y follows from its in-links, so the levels
+        go forward into the core, and a dangling node's y is its b plus
+        alpha times its in-links and u's share of delta.
         """
         # x starts as b: the rows of the lumped-away dangling nodes are read
         # by no step and written last
         alpha = self.alpha
         x = b.copy()
         w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
-        kept, dangling = self.kept, self.dangling
+        dangling = self.dangling
         if trans == 1:
             if self.lumped:
-                w[kept] += alpha * self.from_dangling(b)
-                w[dangling[0]] = alpha * (self.u_dangling @ b[dangling])
+                w[dangling[0]] = 0.0
+                w += alpha * self.p_u.matvec(np.where(self.p_u.dangling[:, None], b, 0.0))
             self._solve_back(w, b[dangling])
             return x
         if self.lumped:
@@ -802,7 +785,9 @@ class RankContext:
 
         ``weights`` is finite, of shape (n,) or (n, k).  Every column's
         residual is checked, at most ``RESIDUAL_BLOCK`` columns at a time, so
-        checking a large batch holds no third copy of it."""
+        checking a large batch holds no third copy of it.  A solve of w
+        errs in proportion to w, so column k's residual may reach
+        SOLVE_RESIDUAL_TOL times max(1, max |w[:, k]|)."""
         try:
             w = np.asarray(weights, dtype=float)
         except (TypeError, ValueError):
@@ -816,14 +801,14 @@ class RankContext:
             raise DomainError("weights must be finite")
         b = np.multiply(w, 1.0 - self.alpha, order="C")
         x = self._chain.solve(b, 0)
-        # views of x and b with one column per vector, a lone vector included
-        cols, rhs = x.reshape(self.n, -1), b.reshape(self.n, -1)
+        # views of x, b and w with one column per vector, a lone vector included
+        cols, rhs, w = (a.reshape(self.n, -1) for a in (x, b, w))
         width = _block_width(self.n)
         for start in range(0, cols.shape[1], width):
             block = slice(start, start + width)
             r = self._system_times(cols[:, block], 0)
             r -= rhs[:, block]
-            _check_residual(r, "weight column", first=start)
+            _check_residual(r, "weight column", start, np.abs(w[:, block]).max(axis=0))
         return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:

@@ -44,6 +44,7 @@ from rankreach.localization import (
     _lu_width,
 )
 
+from .conftest import load_graph
 from .golden import (
     BASIS_LIMIT_G1,
     CYCLE2_DIAG,
@@ -753,6 +754,32 @@ def test_every_column_of_a_rank_batch_is_residual_checked(ctx1, monkeypatch):
     with pytest.raises(NumericalError) as failure:
         ctx1.rank_weights(weights)
     assert failure.value.details["weight column"] == bad
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+def test_rank_weights_of_scaled_weights_are_the_scaled_vectors(c):
+    # A solve errs in proportion to its right-hand side, so a column's
+    # residual bound grows with its largest weight: at 1e5 per node the
+    # fixed bound refused a correct solve of pa60.
+    ctx = RankContext.from_graph(load_graph("pa60.edges"))
+    w = np.column_stack([np.ones(60), rng_for(60).random((60, 2)) + 0.1])
+    x = ctx.rank_weights(w)
+    assert np.abs(ctx.rank_weights(c * w) - c * x).max() <= 1e-12 * c * np.abs(x).max()
+
+
+def test_scaled_rank_weights_are_still_residual_checked(monkeypatch):
+    # A rank solve skewed by a relative 1e-6 is caught at large weights too.
+    real = rankreach.localization._lu_solve
+
+    def skewed(lu, b, trans=0, **kwargs):
+        x = real(lu, b, trans=trans, **kwargs)
+        return x * (1.0 + 1e-6) if trans == 0 and not kwargs.get("lower_rhs") else x
+
+    ctx = RankContext.from_graph(load_graph("pa60.edges"))
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", skewed)
+    with pytest.raises(NumericalError) as failure:
+        ctx.rank_weights(np.full((60, 2), 1e6))
+    assert failure.value.details["weight column"] == 0
 
 
 # Sizes around the diagonal blocks of the block LU: n = 1 and 2, one short

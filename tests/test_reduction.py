@@ -4,6 +4,7 @@ through it must agree with the same solve on the unreduced A_t, and X with
 the explicit-inverse oracle."""
 
 import importlib.util
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from rankreach import (
     parse_edge_list,
     row_stochastic,
 )
-from rankreach.localization import _lu_factor, _lu_solve
+from rankreach.localization import _lu_factor, _lu_solve, _peel_levels
 from rankreach.stochastic import solve_sum_tol
 
 from .helpers import random_graph, rng_for
@@ -73,7 +74,8 @@ def _unreduced(alpha, p_u):
 
 
 def _agrees(p_u, nodes=None):
-    """Rank vectors, fresh columns of X, the row-sum error and X itself
+    """Rank vectors, fresh columns of X, the row-sum error, transposed
+    solves of a batch that is uneven on the dangling nodes, and X itself
     against the same solves on the unreduced A_t, at every alpha."""
     n = p_u.n
     v = rng_for(n).random(n) + 0.1
@@ -92,6 +94,10 @@ def _agrees(p_u, nodes=None):
         sums = _lu_solve(lu, np.full(n, 1.0 - alpha), trans=1)
         row_sum_error = RankContext(alpha, p_u)._row_sums()
         assert abs(row_sum_error - np.abs(sums - 1.0).max()) <= tol
+        # a lumped right-hand side takes P_u's product over the dangling rows
+        b = (1.0 - alpha) * rng_for(n + 1).random((n, 3))
+        solved = RankContext(alpha, p_u)._chain.solve(b, 1)
+        assert np.abs(solved - _lu_solve(lu, b.copy(), trans=1)).max() <= tol
         assert np.abs(ctx.fundamental().x - cols).max() <= tol
 
 
@@ -204,3 +210,55 @@ def test_nothing_to_reduce_factors_a_t_bit_for_bit(name, alpha):
     x = _lu_solve(_unreduced(alpha, p_u), (1.0 - alpha) * np.eye(g.n),
                   lower_rhs=range(1, g.n + 1)).T
     assert RankContext(alpha, p_u).fundamental().x.tobytes() == np.asfortranarray(x).tobytes()
+
+
+def _kahn(m, links):
+    """Each state's Kahn level, -1 for the states that never peel, by a
+    queue: a state joins it, one level past the state that took its last
+    in-link, once it has no in-link left."""
+    in_links, out = [0] * m, [[] for _ in range(m)]
+    for s, t in links:
+        in_links[t] += 1
+        out[s].append(t)
+    level = [-1] * m
+    queue = deque((k, 0) for k in range(m) if in_links[k] == 0)
+    while queue:
+        k, k_level = queue.popleft()
+        level[k] = k_level
+        for t in out[k]:
+            in_links[t] -= 1
+            if in_links[t] == 0:
+                queue.append((t, k_level + 1))
+    return level
+
+
+def _levels_of(m, links):
+    source, target = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    return _peel_levels(m, source, target).tolist()
+
+
+@st.composite
+def link_tables(draw):
+    """m <= 40 states and links among them, self-loops and repeats
+    included; sparse enough that chains of states peel."""
+    m = draw(st.integers(1, 40))
+    state = st.integers(0, m - 1)
+    return m, draw(st.lists(st.tuples(state, state), max_size=2 * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_tables())
+def test_peel_levels_match_a_queue_kahn(table):
+    m, links = table
+    assert _levels_of(m, links) == _kahn(m, links)
+
+
+def test_peel_levels_of_a_path_ring_and_self_loop():
+    # each state of a path peels on a level of its own
+    path = [(k, k + 1) for k in range(2999)]
+    assert _levels_of(3000, path) == list(range(3000))
+    # nothing of a ring peels
+    assert _levels_of(50, [(k, (k + 1) % 50) for k in range(50)]) == [-1] * 50
+    # state 0's one in-link is its own self-loop: it stays, and so does
+    # state 1, fed by it; state 2 has no in-link
+    assert _levels_of(3, [(0, 0), (0, 1), (2, 1)]) == [-1, -1, 0]

@@ -507,7 +507,9 @@ class _Reduction:
             for lo, hi in runs if (step := int(shift[lo]))
             for top in range(hi, lo, -LU_PANEL)
         ]
-        self.stale = np.setdiff1d(np.arange(self.core.size), self.core_rows)
+        stale = np.ones(self.core.size, dtype=bool)
+        stale[self.core_rows[self.core_rows < self.core.size]] = False
+        self.stale = np.flatnonzero(stale)
         # P_L's rows of each level, last level first
         self.back = self._level_steps(source, target)[::-1]
         self.diagonal = row[level_of >= 0]

@@ -435,16 +435,20 @@ class _Reduction:
     links only to later levels and to the core, so a solve goes forward
     through the levels into the core, or back from the core through the
     levels, last level first; each level's step is planned from ``links``
-    too, and a trans 1 solve's lumped right-hand side is a product with
-    P_u itself.  What stays is the core.  No core state links to a
+    too.  What stays is the core.  No core state links to a
     peeled one, so P_L on the core is row-stochastic, and A_C = I - alpha
     P_CC^T is strictly column diagonally dominant as A_t is; ``lu`` is its
     block LU, made here.  With at most one dangling node and nothing to
     peel, the core is every node and A_C is A_t, bit for bit.
 
-    Work arrays have a row per node.  A state's row is its node's, and
-    delta's that of the first dangling node, so the states keep node
-    order; the rows of the other dangling nodes are free.
+    Every index is a node's: a state is its node, and delta is the first
+    dangling node, so the states keep node order and a work array has a
+    row per node.  The other lumped dangling nodes are in no link, no
+    level and not the core; their rows are read by no step.  A kept node's
+    column of X is a trans 1 solve from its own right-hand side, 0 on the
+    dangling rows and so lumped as it stands.  Only a general right-hand
+    side, such as the constant one of X's row sums, is lumped by adding
+    alpha P_u b_D, a product with P_u itself.
     """
 
     def __init__(self, p_u: RowStochasticMatrix, alpha: float):
@@ -453,53 +457,42 @@ class _Reduction:
         self.dangling = np.flatnonzero(p_u.dangling)
         self.u_dangling = p_u.u[self.dangling]
         self.lumped = self.dangling.size > 1
-        if self.dangling.size:
-            # each state's row, and each node's state
-            is_state = np.ones(n, dtype=bool)
-            is_state[self.dangling[1:]] = False
-            row = np.flatnonzero(is_state)
-            state = np.cumsum(is_state) - 1
-            state[self.dangling] = state[self.dangling[0]]
-            source, target = p.rows(), p.indices
-            into = p_u.dangling[target]
-            # P_L's links, each once: P's links between kept nodes, each kept
-            # row's links into the dangling nodes summed into one to delta,
-            # and delta's row, u with its dangling part summed
-            delta = state[self.dangling[0]]
-            to_delta = np.bincount(source[into], weights=p.data[into], minlength=n)
-            feeding = np.flatnonzero(to_delta)
-            support = np.flatnonzero((p_u.u > 0) & ~p_u.dangling)
-            loop = [delta] if self.u_dangling.sum() > 0 else []
-            self.links = (
-                np.concatenate([state[source[~into]], state[feeding],
-                                np.full(support.size, delta), loop]).astype(np.int64),
-                np.concatenate([state[target[~into]], np.full(feeding.size, delta),
-                                state[support], loop]).astype(np.int64),
-                np.concatenate([p.data[~into], to_delta[feeding], p_u.u[support],
-                                [self.u_dangling.sum()] if loop else []]),
-            )
-            # (P^T y)_j over the kept rows, for the dangling columns j
-            self.in_links = _rows_of(
-                self.dangling.size, np.searchsorted(self.dangling, target[into]),
-                source[into], p.data[into])
-            self.into_dangling = _GatherPlan(self.in_links)
-        else:
-            row = np.arange(n)
-            self.links = (p.rows(), p.indices, p.data)
+        source, target = p.rows(), p.indices
+        into = p_u.dangling[target]
+        # P_L's links, each once: P's links between kept nodes, each kept
+        # row's links into the dangling nodes summed into one to delta, and
+        # delta's row, u with its dangling part summed; with no dangling
+        # node, delta and its links are empty
+        delta, mass = self.dangling[:1], self.u_dangling.sum()
+        to_delta = np.bincount(source[into], weights=p.data[into], minlength=n)
+        feeding = np.flatnonzero(to_delta)
+        support = np.flatnonzero((p_u.u > 0) & ~p_u.dangling & (delta.size > 0))
+        loop = delta if mass > 0 else delta[:0]
+        self.links = (
+            np.concatenate([source[~into], feeding, np.repeat(delta, support.size), loop]),
+            np.concatenate([target[~into], np.repeat(delta, feeding.size), support, loop]),
+            np.concatenate([p.data[~into], to_delta[feeding], p_u.u[support],
+                            np.full(loop.size, mass)]),
+        )
+        # (P^T y)_j over the kept rows, for the dangling columns j
+        self.in_links = _rows_of(
+            self.dangling.size, np.searchsorted(self.dangling, target[into]),
+            source[into], p.data[into])
+        self.into_dangling = _GatherPlan(self.in_links)
         source, target, _ = self.links
-        self.row = row
-        self.level_of = level_of = _peel_levels(row.size, source, target)
+        self.level_of = level_of = _peel_levels(n, source, target)
+        # the other lumped dangling nodes, in no link, would peel at level 0
+        level_of[self.dangling[1:]] = -2
         self.levels = _split(level_of, level_of.max() + 1)
-        self.core = np.flatnonzero(level_of < 0)
-        self.position = np.full(row.size, -1)
+        self.core = np.flatnonzero(level_of == -1)
+        self.position = np.full(n, -1)
         self.position[self.core] = np.arange(self.core.size)
-        self.core_rows = row[self.core]
         # X's core columns move from the core solve's rows to their nodes'
         # rows of Y: runs of rows with one shift, from the last run, each
         # in pieces of at most LU_PANEL rows, so that the copy numpy makes
         # of a piece that overlaps where it goes stays small; the rows left
         # behind are cleared
-        shift = self.core_rows - np.arange(self.core.size)
+        shift = self.core - np.arange(self.core.size)
         cuts = np.flatnonzero(np.diff(shift)) + 1
         runs = zip(np.append(0, cuts)[::-1].tolist(), np.append(cuts, shift.size)[::-1].tolist())
         self.moves = [
@@ -508,38 +501,38 @@ class _Reduction:
             for top in range(hi, lo, -LU_PANEL)
         ]
         stale = np.ones(self.core.size, dtype=bool)
-        stale[self.core_rows[self.core_rows < self.core.size]] = False
+        stale[self.core[self.core < self.core.size]] = False
         self.stale = np.flatnonzero(stale)
         # P_L's rows of each level, last level first
         self.back = self._level_steps(source, target)[::-1]
-        self.diagonal = row[level_of >= 0]
-        self.delta_peeled = self.lumped and level_of[state[self.dangling[0]]] >= 0
+        self.diagonal = np.flatnonzero(level_of >= 0)
+        self.delta_peeled = self.lumped and level_of[delta[0]] >= 0
         self.peeled_rows = np.concatenate(
             [self.diagonal, self.dangling[1:] if self.delta_peeled else []]).astype(np.int64)
         self.lu = _lu_factor(self._core_system())
 
     def _level_steps(self, at: np.ndarray, to: np.ndarray) -> list[tuple[np.ndarray, _GatherPlan]]:
-        """Each Kahn level's rows, first level first, with the gather plan
-        of the links that leave its states at ``at`` for the states ``to``:
-        P_L's rows of the level from (source, target), P_L^T's from
-        (target, source)."""
-        row, levels, data = self.row, self.levels, self.links[2]
+        """Each Kahn level's nodes, first level first, with the gather plan
+        of the links that leave them at ``at`` for the nodes ``to``: P_L's
+        rows of the level from (source, target), P_L^T's from (target,
+        source)."""
+        levels, data = self.levels, self.links[2]
         return [
-            (row[level], _GatherPlan(_rows_of(
-                level.size, np.searchsorted(level, at[links]), row[to[links]], data[links])))
+            (level, _GatherPlan(_rows_of(
+                level.size, np.searchsorted(level, at[links]), to[links], data[links])))
             for level, links in zip(levels, _split(self.level_of[at], len(levels)))
         ]
 
     @cached_property
-    def forward(self) -> tuple[list[tuple[np.ndarray, _GatherPlan]], _GatherPlan]:
-        """P_L^T's rows of each Kahn level, for the forward steps of a
-        trans 0 solve, and P_L^T's rows of the core restricted to peeled
-        columns: what the peeled states feed into it.  Made on first use,
-        as only rank vectors need them."""
+    def forward(self) -> list[tuple[np.ndarray, _GatherPlan]]:
+        """The forward steps of a trans 0 solve: P_L^T's rows of each Kahn
+        level, then P_L^T's rows of the core restricted to peeled columns,
+        what the peeled states feed into it.  Made on first use, as only
+        rank vectors need them."""
         source, target, data = self.links
         feed = (self.level_of[target] < 0) & (self.level_of[source] >= 0)
-        return self._level_steps(target, source), _GatherPlan(_rows_of(
-            self.core.size, self.position[target[feed]], self.row[source[feed]], data[feed]))
+        return [*self._level_steps(target, source), (self.core, _GatherPlan(_rows_of(
+            self.core.size, self.position[target[feed]], source[feed], data[feed])))]
 
     def _core_system(self) -> np.ndarray:
         """A_C = I - alpha P_CC^T in C order: entry (j, i) is -alpha P_ij."""
@@ -584,13 +577,9 @@ class _Reduction:
         if self.lumped:
             w[dangling[0]] = b[dangling].sum(axis=0)
         if self.levels:
-            steps, from_peeled = self.forward
-            for rows, forward in steps:
+            for rows, forward in self.forward:
                 w[rows] += alpha * forward(w)
-        core = w[self.core_rows]
-        if self.levels:
-            core += alpha * from_peeled(w)
-        w[self.core_rows] = _lu_solve(self.lu, core)
+        w[self.core] = _lu_solve(self.lu, w[self.core])
         if self.lumped:
             delta = self.u_dangling[:, None] * w[dangling[0]]
             w[dangling] = b[dangling] + alpha * (self.into_dangling(w) + delta)
@@ -600,22 +589,25 @@ class _Reduction:
         """The trans 1 solve from its lumped right-hand side w, in place:
         the core, then the peeled states back from it, then the dangling
         nodes."""
-        w[self.core_rows] = _lu_solve(self.lu, w[self.core_rows], trans=1)
+        w[self.core] = _lu_solve(self.lu, w[self.core], trans=1)
         self._peel(w)
         if self.lumped:
             w[self.dangling] = b_dangling + w[self.dangling[0]]
 
     def column(self, j: int) -> np.ndarray:
         """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
-        e_j, but for a lumped dangling node j, whose column is made as
-        :meth:`_dangling_columns` makes it from X: from the columns of j's
-        in-links and delta's column of X_L, all in one trans 1 solve.  So
-        where those columns have the bits of X's, this one does too."""
+        e_j, whose right-hand side is lumped as it stands, being 0 on the
+        dangling rows, so it takes no product with P_u.  But a lumped
+        dangling node j's column is made as :meth:`_dangling_columns`
+        makes it from X: from the columns of j's in-links and delta's
+        column of X_L, all in one trans 1 solve.  So where those columns
+        have the bits of X's, this one does too."""
         alpha = self.alpha
         if not (self.lumped and self.p_u.dangling[j]):
-            b = np.zeros((self.n, 1))
-            b[j] = 1.0 - alpha
-            return self.solve(b, 1)
+            col = np.zeros((self.n, 1))
+            col[j] = 1.0 - alpha
+            self._solve_back(col, 0.0)
+            return col
         k = int(np.searchsorted(self.dangling, j))
         links = slice(self.in_links.indptr[k], self.in_links.indptr[k + 1])
         rows = np.append(self.in_links.indices[links], self.dangling[0])
@@ -637,15 +629,15 @@ class _Reduction:
 
         A_t Y = (1 - alpha) I makes Y = X^T, so a C-order right-hand side
         turns into X in Fortran order, in place.  Only the core's columns
-        of X come out of the LU, from (1 - alpha) in each core state's row
-        and its node's column: the columns keep node order, so each solved
-        row is a whole column of X, and :meth:`_place` moves it to its
-        node's row.  Then the peeled rows, and the lumped dangling columns.
+        of X come out of the LU, from (1 - alpha) in row k and column
+        ``core[k]``: the columns keep node order, so each solved row is a
+        whole column of X, and :meth:`_place` moves it to its node's row.
+        Then the peeled rows, and the lumped dangling columns.
         """
         c, n = self.core.size, self.n
         y = np.zeros((n, n))
-        y[np.arange(c), self.core_rows] = 1.0 - self.alpha
-        z = _lu_solve(self.lu, y[:c], lower_rhs=(self.core_rows + 1).tolist())
+        y[np.arange(c), self.core] = 1.0 - self.alpha
+        z = _lu_solve(self.lu, y[:c], lower_rhs=(self.core + 1).tolist())
         y = self._place(y, z)
         x, width = y.T, _block_width(n)
         if self.lumped:
@@ -663,8 +655,8 @@ class _Reduction:
         return x
 
     def _place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Y = X^T from z, the core solve in the first rows of y: each core
-        state's row moves to its node's, and every lumped dangling node's
+        """Y = X^T from z, the core solve in the first rows of y: row k
+        moves to row ``core[k]``, and every lumped dangling node's
         column is delta's.  X's columns of peeled and lumped dangling
         nodes, and its peeled rows, are left at 0."""
         c = z.shape[0]
@@ -802,15 +794,18 @@ class RankContext:
         if not np.isfinite(w).all():
             raise DomainError("weights must be finite")
         b = np.multiply(w, 1.0 - self.alpha, order="C")
-        x = self._chain.solve(b, 0)
-        # views of x, b and w with one column per vector, a lone vector included
-        cols, rhs, w = (a.reshape(self.n, -1) for a in (x, b, w))
-        width = _block_width(self.n)
-        for start in range(0, cols.shape[1], width):
-            block = slice(start, start + width)
-            r = self._system_times(cols[:, block], 0)
-            r -= rhs[:, block]
-            _check_residual(r, "weight column", start, np.abs(w[:, block]).max(axis=0))
+        # a solve that overflows leaves inf or NaN, which its residual check
+        # reports as one NumericalError
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self._chain.solve(b, 0)
+            # views of x, b and w with one column per vector, a lone vector included
+            cols, rhs, w = (a.reshape(self.n, -1) for a in (x, b, w))
+            width = _block_width(self.n)
+            for start in range(0, cols.shape[1], width):
+                block = slice(start, start + width)
+                r = self._system_times(cols[:, block], 0)
+                r -= rhs[:, block]
+                _check_residual(r, "weight column", start, np.abs(w[:, block]).max(axis=0))
         return x
 
     def rank(self, v: PersonalizationVector) -> PageRankVector:

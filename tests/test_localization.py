@@ -782,6 +782,15 @@ def test_scaled_rank_weights_are_still_residual_checked(monkeypatch):
     assert failure.value.details["weight column"] == 0
 
 
+def test_overflowing_rank_weights_are_one_numerical_error():
+    # The solve overflows to inf and NaN; that is the residual check's
+    # NumericalError, not a numpy warning first (the suite makes warnings
+    # errors).
+    ctx = RankContext.from_graph(load_graph("pa60.edges"))
+    with pytest.raises(NumericalError, match="residual nan"):
+        ctx.rank_weights(np.full(60, 1.7e308))
+
+
 # Sizes around the diagonal blocks of the block LU: n = 1 and 2, one short
 # block (63), an exact multiple of the width (64, 1024), one row past a
 # multiple (65, 1537), a short last block (131, 1025), and n in each width

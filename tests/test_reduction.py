@@ -17,6 +17,7 @@ from rankreach import (
     DirectedGraph,
     PersonalizationVector,
     RankContext,
+    RowStochasticMatrix,
     explicit_inverse_check,
     parse_edge_list,
     row_stochastic,
@@ -198,6 +199,33 @@ def test_one_factorization_of_the_reduced_size(monkeypatch):
         ctx.fundamental()
         ctx.column(0)
         assert sizes == [(size, size)]
+    # the uniform graph lumps and peels nothing: the lumped-away dangling
+    # nodes sit in no level, so X takes no peel pass, and not in the core
+    chain = ctx._chain
+    assert chain.levels == []
+    assert not np.isin(chain.dangling[1:], chain.core).any()
+
+
+def test_a_kept_column_takes_no_product_with_p_u(monkeypatch):
+    # A kept node's right-hand side is 0 on the dangling rows, so it is
+    # lumped as it stands; only the residual check multiplies by P_u.
+    calls = []
+    real = RowStochasticMatrix.matvec
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    ctx = RankContext.from_graph(random_graph(rng_for(7), 120, dangling_frac=0.2))
+    chain = ctx._chain
+    assert chain.lumped
+    kept = int(np.flatnonzero(~ctx.p_u.dangling)[0])
+    ctx._row_sums()  # the structure check's X 1, made once per context
+    monkeypatch.setattr(RowStochasticMatrix, "matvec", counting)
+    chain.column(kept)
+    assert calls == []
+    ctx.column(kept)
+    assert calls == [(120, 1)]
 
 
 @pytest.mark.parametrize("name", ["g1.edges", "g2.edges", "g3.edges", "two_cycle.edges"])

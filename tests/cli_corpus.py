@@ -37,7 +37,10 @@ OUTPUTS = ("csv", "json")
 # Graphs also run with a partial-support dangling distribution, so that
 # nodes outside its support can lose every in-link while dangling nodes
 # stay: paths relative to the repo root.
-U_FILES = {"uniform40.edges": "tests/uniform40_partial_u.txt"}
+U_FILES = {
+    "two_isolated.json": "tests/two_isolated_partial_u.txt",
+    "uniform40.edges": "tests/uniform40_partial_u.txt",
+}
 
 
 def cases() -> list[list[str]]:

@@ -20,6 +20,7 @@ from rankreach import (
     RowStochasticMatrix,
     explicit_inverse_check,
     parse_edge_list,
+    parse_graph_json,
     row_stochastic,
 )
 from rankreach.localization import _lu_factor, _lu_solve, _peel_levels
@@ -168,6 +169,41 @@ def test_deep_peels_agree_across_blocks(dangling_frac):
     assert len(chain.levels) >= 8 and chain.core.size > 64
     # fresh columns of core and layered nodes alike, and every dangling one
     _agrees(p_u, nodes=sorted({*range(0, g.n, 11), *chain.dangling.tolist()}))
+
+
+def _assert_delta_peels(p_u):
+    chain = RankContext(0.85, p_u)._chain
+    assert chain.lumped and chain.level_of[chain.dangling[0]] >= 0
+    return chain
+
+
+def test_delta_peels_when_every_dangling_node_is_isolated():
+    # d and e dangle with no in-link and u is 0 on both, so delta has no
+    # in-link, not even its own: it peels on level 0, with f.
+    g = parse_graph_json((ROOT / "graphs" / "two_isolated.json").read_text())
+    u = np.loadtxt(ROOT / "tests" / "two_isolated_partial_u.txt")
+    p_u = row_stochastic(g, u)
+    chain = _assert_delta_peels(p_u)
+    assert chain.level_of.tolist() == [-1, -1, -1, 0, -2, 0]
+    _agrees(p_u)
+    for alpha in ALPHAS:
+        explicit_inverse_check(alpha, p_u)
+
+
+def test_delta_peels_across_blocks():
+    # The layered graph with 20 isolated nodes added and u on its core
+    # alone: delta peels while the layers run over several levels and
+    # several blocks of X's columns.
+    g, _ = _layered_graph(22, 0.0)
+    n = g.n + 20
+    g = DirectedGraph(labels=tuple(map(str, range(n))), edges=g.edges)
+    u = np.zeros(n)
+    u[:130] = rng_for(23).random(130) + 0.1
+    u /= u.sum()
+    p_u = row_stochastic(g, u)
+    chain = _assert_delta_peels(p_u)
+    assert len(chain.levels) == 13 and chain.core.size > 64
+    _agrees(p_u, nodes=sorted({*range(0, n, 11), *chain.dangling.tolist()}))
 
 
 def _load_perfbench_gen():

@@ -487,28 +487,9 @@ class _Reduction:
         self.core = np.flatnonzero(level_of == -1)
         self.position = np.full(n, -1)
         self.position[self.core] = np.arange(self.core.size)
-        # X's core columns move from the core solve's rows to their nodes'
-        # rows of Y: runs of rows with one shift, from the last run, each
-        # in pieces of at most LU_PANEL rows, so that the copy numpy makes
-        # of a piece that overlaps where it goes stays small; the rows left
-        # behind are cleared
-        shift = self.core - np.arange(self.core.size)
-        cuts = np.flatnonzero(np.diff(shift)) + 1
-        runs = zip(np.append(0, cuts)[::-1].tolist(), np.append(cuts, shift.size)[::-1].tolist())
-        self.moves = [
-            (max(lo, top - LU_PANEL), top, step)
-            for lo, hi in runs if (step := int(shift[lo]))
-            for top in range(hi, lo, -LU_PANEL)
-        ]
-        stale = np.ones(self.core.size, dtype=bool)
-        stale[self.core[self.core < self.core.size]] = False
-        self.stale = np.flatnonzero(stale)
         # P_L's rows of each level, last level first
         self.back = self._level_steps(source, target)[::-1]
         self.diagonal = np.flatnonzero(level_of >= 0)
-        self.delta_peeled = self.lumped and level_of[delta[0]] >= 0
-        self.peeled_rows = np.concatenate(
-            [self.diagonal, self.dangling[1:] if self.delta_peeled else []]).astype(np.int64)
         self.lu = _lu_factor(self._core_system())
 
     def _level_steps(self, at: np.ndarray, to: np.ndarray) -> list[tuple[np.ndarray, _GatherPlan]]:
@@ -581,9 +562,18 @@ class _Reduction:
                 w[rows] += alpha * forward(w)
         w[self.core] = _lu_solve(self.lu, w[self.core])
         if self.lumped:
-            delta = self.u_dangling[:, None] * w[dangling[0]]
-            w[dangling] = b[dangling] + alpha * (self.into_dangling(w) + delta)
+            self._dangling_rows(w, b[dangling])
         return x
+
+    def _dangling_rows(self, w: np.ndarray, b_dangling: np.ndarray) -> None:
+        """The dangling rows of a trans 0 solve, in place, from its other
+        rows and its right-hand side's dangling rows: a dangling node's y
+        is its b plus alpha times its in-links and u's share of delta."""
+        rows = self.into_dangling(w)
+        rows += self.u_dangling[:, None] * w[self.dangling[0]]
+        rows *= self.alpha
+        rows += b_dangling
+        w[self.dangling] = rows
 
     def _solve_back(self, w: np.ndarray, b_dangling) -> None:
         """The trans 1 solve from its lumped right-hand side w, in place:
@@ -598,10 +588,10 @@ class _Reduction:
         """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
         e_j, whose right-hand side is lumped as it stands, being 0 on the
         dangling rows, so it takes no product with P_u.  But a lumped
-        dangling node j's column is made as :meth:`_dangling_columns`
-        makes it from X: from the columns of j's in-links and delta's
-        column of X_L, all in one trans 1 solve.  So where those columns
-        have the bits of X's, this one does too."""
+        dangling node j's column is made as :meth:`fundamental` makes it
+        from X, by :meth:`_dangling_rows`: from the columns of j's in-links
+        and delta's column of X_L, all in one trans 1 solve.  So where those
+        columns have the bits of X's, this one does too."""
         alpha = self.alpha
         if not (self.lumped and self.p_u.dangling[j]):
             col = np.zeros((self.n, 1))
@@ -614,7 +604,7 @@ class _Reduction:
         cols = np.zeros((self.n, rows.size))
         cols[rows, np.arange(rows.size)] = 1.0 - alpha
         self._solve_back(cols, 0.0)
-        # the gather-adds of _dangling_columns, in their order
+        # the gather-adds of _dangling_rows, in their order
         col = np.zeros(self.n)
         for weight, source in zip(self.in_links.data[links], cols.T):
             col += weight * source
@@ -628,17 +618,36 @@ class _Reduction:
         ``check(cols, first)`` once it is final.
 
         A_t Y = (1 - alpha) I makes Y = X^T, so a C-order right-hand side
-        turns into X in Fortran order, in place.  Only the core's columns
-        of X come out of the LU, from (1 - alpha) in row k and column
-        ``core[k]``: the columns keep node order, so each solved row is a
-        whole column of X, and :meth:`_place` moves it to its node's row.
-        Then the peeled rows, and the lumped dangling columns.
+        turns into X in Fortran order, in place, in three steps.  First
+        the core's columns of X come out of the LU, from (1 - alpha) in row
+        k and column ``core[k]``: the columns keep node order, so each
+        solved row is a whole column of X, moved to its node's row; a
+        peeled or dangling node's column is left at 0.  Then the peeled
+        rows go back from the core, as in a trans 1 solve (:meth:`_peel`).
+        Last, the lumped-away dangling rows take delta's row of X_L, and
+        the dangling columns are the dangling rows of the trans 0 solve of
+        (1 - alpha) I (:meth:`_dangling_rows`), as X = (1 - alpha) I +
+        alpha X P_u.
         """
         c, n = self.core.size, self.n
         y = np.zeros((n, n))
         y[np.arange(c), self.core] = 1.0 - self.alpha
         z = _lu_solve(self.lu, y[:c], lower_rhs=(self.core + 1).tolist())
-        y = self._place(y, z)
+        if not np.shares_memory(y, z):
+            y[:c] = z
+        # row k moves to row core[k]: runs of rows with one shift, from the
+        # last run, each in pieces of at most LU_PANEL rows, so that the copy
+        # numpy makes of a piece that overlaps where it goes stays small
+        shift = self.core - np.arange(c)
+        cuts = np.flatnonzero(np.diff(shift)) + 1
+        for lo, hi in zip(np.append(0, cuts)[::-1].tolist(), np.append(cuts, c)[::-1].tolist()):
+            if step := int(shift[lo]):
+                for top in range(hi, lo, -LU_PANEL):
+                    bottom = max(lo, top - LU_PANEL)
+                    y[bottom + step:top + step] = y[bottom:top]
+        stale = np.ones(c, dtype=bool)
+        stale[self.core[self.core < c]] = False
+        y[:c][stale] = 0.0
         x, width = y.T, _block_width(n)
         if self.lumped:
             # the dangling columns read every other column, peeled rows and
@@ -646,7 +655,11 @@ class _Reduction:
             if self.back:
                 for start in range(0, n, width):
                     self._peel_block(x[:, start:start + width], start)
-            self._dangling_columns(y)
+            dangling = self.dangling
+            y[:, dangling[1:]] = y[:, dangling[:1]]
+            b = np.zeros((dangling.size, n))
+            b[np.arange(dangling.size), dangling] = 1.0 - self.alpha
+            self._dangling_rows(y, b)
         for start in range(0, n, width):
             cols = x[:, start:start + width]
             if self.back and not self.lumped:
@@ -654,29 +667,11 @@ class _Reduction:
             check(cols, start)
         return x
 
-    def _place(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Y = X^T from z, the core solve in the first rows of y: row k
-        moves to row ``core[k]``, and every lumped dangling node's
-        column is delta's.  X's columns of peeled and lumped dangling
-        nodes, and its peeled rows, are left at 0."""
-        c = z.shape[0]
-        if not np.shares_memory(y, z):
-            y[:c] = z
-        # X's dangling rows share their entries outside the dangling
-        # columns: X_L's row delta
-        y[:c, self.dangling[1:]] = y[:c, self.dangling[:1]]
-        for lo, hi, step in self.moves:
-            y[lo + step:hi + step] = y[lo:hi]
-        y[self.stale] = 0.0
-        return y
-
     def _peel(self, w: np.ndarray) -> None:
         """The peeled rows of a trans 1 solve, level by level back from the
         core: w_a += alpha (P_L w)_a, w_a holding the right-hand side."""
         for rows, back in self.back:
             w[rows] += self.alpha * back(w)
-        if self.delta_peeled:
-            w[self.dangling[1:]] = w[self.dangling[0]]
 
     def _peel_block(self, cols: np.ndarray, first: int) -> np.ndarray:
         """X's peeled rows in a block of its columns first, first + 1, ...,
@@ -687,21 +682,8 @@ class _Reduction:
         lo, hi = np.searchsorted(self.diagonal, (first, first + block.shape[1]))
         block[self.diagonal[lo:hi], self.diagonal[lo:hi] - first] = 1.0 - self.alpha
         self._peel(block)
-        cols[self.peeled_rows] = block[self.peeled_rows]
+        cols[self.diagonal] = block[self.diagonal]
         return block
-
-    def _dangling_columns(self, y: np.ndarray) -> None:
-        """X's columns of the lumped dangling nodes, rows of Y = X^T.  As
-        X = (1 - alpha) I + alpha X P_u, column j is (1 - alpha) e_j plus
-        alpha times the columns of j's in-links, weighted, and u_j times
-        the sum of the dangling columns, which is delta's column of X_L."""
-        dangling = self.dangling
-        delta = y[dangling[0]].copy()
-        cols = self.into_dangling(y)
-        cols += self.u_dangling[:, None] * delta
-        cols *= self.alpha
-        cols[np.arange(dangling.size), dangling] += 1.0 - self.alpha
-        y[dangling] = cols
 
 
 class RankContext:

@@ -33,6 +33,7 @@ from .stochastic import (
     _check_alpha,
     _is_integer,
     _is_real,
+    _real_array,
     row_stochastic,
     solve_sum_tol,
 )
@@ -65,7 +66,7 @@ class FundamentalMatrix:
 
     def __post_init__(self, _adopt):
         # Column-major: intervals and competitor verdicts read columns.
-        x = self.x if _adopt else np.array(self.x, dtype=float, order="F")
+        x = self.x if _adopt else _real_array(self.x, "matrix", order="F")
         if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
         _check_alpha(self.alpha)
@@ -764,10 +765,7 @@ class RankContext:
         checking a large batch holds no third copy of it.  A solve of w
         errs in proportion to w, so column k's residual may reach
         SOLVE_RESIDUAL_TOL times max(1, max |w[:, k]|)."""
-        try:
-            w = np.asarray(weights, dtype=float)
-        except (TypeError, ValueError):
-            raise DomainError("weights must be an array of numbers") from None
+        w = _real_array(weights, "weights", copy=False)
         if w.ndim not in (1, 2) or w.shape[0] != self.n:
             raise DomainError(
                 f"weights must have shape (n,) or (n, k) with n = {self.n}, "

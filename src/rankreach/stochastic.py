@@ -37,6 +37,21 @@ def _is_real(value) -> bool:
     return type(value) is float or isinstance(value, np.floating) or _is_integer(value)
 
 
+def _real_array(raw, name: str, *, copy: bool = True, order: str = "K") -> np.ndarray:
+    """A caller's array as floats: a fresh copy in ``order``, or, unless
+    ``copy``, ``raw`` itself where it is a float array already.  Entries
+    that are not real numbers (complex, strings, objects or bools) are a
+    :class:`DomainError` that names the argument; numpy would drop an
+    imaginary part with a warning, or raise a bare ``ValueError``."""
+    try:
+        a = np.asarray(raw)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers")
+    return np.array(a, dtype=float, order=order) if copy else a.astype(float, copy=False)
+
+
 def _check_alpha(alpha: float) -> None:
     """Raise :class:`DomainError` unless the damping factor lies in (0, 1)."""
     if not _is_real(alpha):
@@ -74,10 +89,11 @@ def _frozen_vector(
     positive (nonnegative if ``zeros``), summing to 1 within ``sum_tol``;
     :class:`DomainError` else.
 
-    ``raw`` is copied into a fresh float array, unless ``adopt`` says it is
-    a float array the package has just computed and hands over: that one
-    is checked and frozen where it lies, never copied."""
-    v = raw if adopt else np.array(raw, dtype=float)
+    ``raw`` is copied into a fresh float array (:func:`_real_array`),
+    unless ``adopt`` says it is a float array the package has just computed
+    and hands over: that one is checked and frozen where it lies, never
+    copied."""
+    v = raw if adopt else _real_array(raw, name)
     if v.ndim != 1 or v.size == 0:
         raise DomainError(f"{name} must be a nonempty vector")
     # argmin stops at a NaN, which the comparison then fails; it reads the
@@ -179,7 +195,7 @@ class RowStochasticMatrix:
         if isinstance(self.p, CSRMatrix):
             n, rows, cols, data = self.p.n, self.p.rows(), self.p.indices, self.p.data
         else:
-            dense = np.asarray(self.p, dtype=float)
+            dense = _real_array(self.p, "transition matrix", copy=False)
             if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
                 raise DomainError("transition matrix must be square and nonempty")
             n = dense.shape[0]

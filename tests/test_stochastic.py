@@ -7,6 +7,7 @@ import rankreach.oracle
 from rankreach import (
     ConvergenceError,
     DomainError,
+    FundamentalMatrix,
     PageRankVector,
     ParseError,
     PersonalizationVector,
@@ -265,6 +266,28 @@ def test_vector_validation():
     with pytest.raises(DomainError, match="positive"):
         RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.5, -0.5]))
     assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
+
+
+# every entry point that takes a caller's array, by the name its error gives
+ARRAY_ARGUMENTS = {
+    "weights": lambda g1, a: RankContext.from_graph(g1).rank_weights(a),
+    "personalization vector": lambda g1, a: PersonalizationVector(v=a),
+    "rank vector": lambda g1, a: PageRankVector(pi=a, alpha=0.85),
+    "dangling distribution": lambda g1, a: RankContext.from_graph(g1, u=a),
+    "transition matrix": lambda g1, a: RowStochasticMatrix(p=np.diag(a)),
+    "matrix": lambda g1, a: FundamentalMatrix(x=np.diag(a), alpha=0.85),
+    "u vector": lambda g1, a: StochasticConfig(u_spec=tuple(a)),
+}
+
+
+@pytest.mark.parametrize("entries", ["complex", "strings"])
+@pytest.mark.parametrize("name", list(ARRAY_ARGUMENTS))
+def test_array_arguments_of_no_real_numbers_are_domain_errors(g1, name, entries):
+    # numpy would drop the imaginary parts with a warning, or raise a bare
+    # ValueError on the strings
+    a = np.full(3, 1 / 3 + 1e-3j) if entries == "complex" else np.array(["a", "b", "c"])
+    with pytest.raises(DomainError, match=f"^{name} must be an array of real numbers"):
+        ARRAY_ARGUMENTS[name](g1, a)
 
 
 def test_dangling_distribution_may_hold_zeros():

@@ -623,12 +623,12 @@ class _Reduction:
         the core's columns of X come out of the LU, from (1 - alpha) in row
         k and column ``core[k]``: the columns keep node order, so each
         solved row is a whole column of X, moved to its node's row; a
-        peeled or dangling node's column is left at 0.  Then the peeled
-        rows go back from the core, as in a trans 1 solve (:meth:`_peel`).
-        Last, the lumped-away dangling rows take delta's row of X_L, and
-        the dangling columns are the dangling rows of the trans 0 solve of
-        (1 - alpha) I (:meth:`_dangling_rows`), as X = (1 - alpha) I +
-        alpha X P_u.
+        peeled node's column is 0 on the core, and a lumped dangling one is
+        made last.  Then the peeled rows go back from the core, as in a
+        trans 1 solve (:meth:`_peel`).  Last, the lumped-away dangling rows
+        take delta's row of X_L, and the dangling columns are the dangling
+        rows of the trans 0 solve of (1 - alpha) I (:meth:`_dangling_rows`),
+        as X = (1 - alpha) I + alpha X P_u.
         """
         c, n = self.core.size, self.n
         y = np.zeros((n, n))

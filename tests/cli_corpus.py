@@ -38,6 +38,7 @@ OUTPUTS = ("csv", "json")
 # nodes outside its support can lose every in-link while dangling nodes
 # stay: paths relative to the repo root.
 U_FILES = {
+    "one_dangling.edges": "tests/one_dangling_partial_u.txt",
     "two_isolated.json": "tests/two_isolated_partial_u.txt",
     "uniform40.edges": "tests/uniform40_partial_u.txt",
 }

@@ -423,13 +423,12 @@ class _Reduction:
     sparse steps that carry a solve of the n-node system onto the core
     and back.
 
-    Lumping: every dangling row of P_u is u^T, so two or more dangling
-    nodes move alike and merge into one state, delta (Ipsen and Selee,
-    *PageRank computation, with special attention to dangling nodes*,
-    2007).  The lumped chain P_L keeps a state per other node and delta: a
-    link into a dangling node leads to delta, and delta's row is u with
-    its dangling part summed.  A lone dangling node is a state of its own,
-    with row u.  Peeling: a state with no in-link in P_L is entered by no
+    Lumping: every dangling row of P_u is u^T, so the dangling nodes move
+    alike and merge into one state, delta (Ipsen and Selee, *PageRank
+    computation, with special attention to dangling nodes*, 2007).  The
+    lumped chain P_L keeps a state per other node and delta: a link into a
+    dangling node leads to delta, and delta's row is u with its dangling
+    part summed.  Peeling: a state with no in-link in P_L is entered by no
     walk that starts elsewhere, and once it goes others may have none;
     they come off level by level, in Kahn's order, read off in-link counts
     over P_L's link table ``links`` (:func:`_peel_levels`).  A peeled state
@@ -457,7 +456,6 @@ class _Reduction:
         self.p_u, self.n, self.alpha = p_u, n, alpha
         self.dangling = np.flatnonzero(p_u.dangling)
         self.u_dangling = p_u.u[self.dangling]
-        self.lumped = self.dangling.size > 1
         source, target = p.rows(), p.indices
         into = p_u.dangling[target]
         # P_L's links, each once: P's links between kept nodes, each kept
@@ -551,19 +549,16 @@ class _Reduction:
         w, b = x.reshape(self.n, -1), b.reshape(self.n, -1)
         dangling = self.dangling
         if trans == 1:
-            if self.lumped:
-                w[dangling[0]] = 0.0
-                w += alpha * self.p_u.matvec(np.where(self.p_u.dangling[:, None], b, 0.0))
+            w[dangling[:1]] = 0.0
+            w += alpha * self.p_u.matvec(np.where(self.p_u.dangling[:, None], b, 0.0))
             self._solve_back(w, b[dangling])
             return x
-        if self.lumped:
-            w[dangling[0]] = b[dangling].sum(axis=0)
+        w[dangling[:1]] = b[dangling].sum(axis=0)
         if self.levels:
             for rows, forward in self.forward:
                 w[rows] += alpha * forward(w)
         w[self.core] = _lu_solve(self.lu, w[self.core])
-        if self.lumped:
-            self._dangling_rows(w, b[dangling])
+        self._dangling_rows(w, b[dangling])
         return x
 
     def _dangling_rows(self, w: np.ndarray, b_dangling) -> None:
@@ -571,7 +566,7 @@ class _Reduction:
         rows and its right-hand side's dangling rows: a dangling node's y
         is its b plus alpha times its in-links and u's share of delta."""
         rows = self.into_dangling(w)
-        rows += self.u_dangling[:, None] * w[self.dangling[0]]
+        rows += self.u_dangling[:, None] * w[self.dangling[:1]]
         rows *= self.alpha
         rows += b_dangling
         w[self.dangling] = rows
@@ -582,19 +577,18 @@ class _Reduction:
         nodes."""
         w[self.core] = _lu_solve(self.lu, w[self.core], trans=1)
         self._peel(w)
-        if self.lumped:
-            w[self.dangling] = b_dangling + w[self.dangling[0]]
+        w[self.dangling] = b_dangling + w[self.dangling[:1]]
 
     def column(self, j: int) -> np.ndarray:
         """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
         e_j, whose right-hand side is lumped as it stands, being 0 on the
-        dangling rows, so it takes no product with P_u.  But a lumped
-        dangling node j's column is made as :meth:`fundamental` makes it
+        dangling rows, so it takes no product with P_u.  But a dangling
+        node j's column is made as :meth:`fundamental` makes it
         from X, by :meth:`_dangling_rows`: from the columns of j's in-links
         and delta's column of X_L, all in one trans 1 solve.  So where those
         columns have the bits of X's, this one does too."""
         alpha = self.alpha
-        if not (self.lumped and self.p_u.dangling[j]):
+        if not self.p_u.dangling[j]:
             col = np.zeros((self.n, 1))
             col[j] = 1.0 - alpha
             self._solve_back(col, 0.0)
@@ -623,8 +617,8 @@ class _Reduction:
         the core's columns of X come out of the LU, from (1 - alpha) in row
         k and column ``core[k]``: the columns keep node order, so each
         solved row is a whole column of X, moved to its node's row; a
-        peeled node's column is 0 on the core, and a lumped dangling one is
-        made last.  Then the peeled rows go back from the core, as in a
+        peeled node's column is 0 on the core, and a dangling one is made
+        last.  Then the peeled rows go back from the core, as in a
         trans 1 solve (:meth:`_peel`).  Last, the lumped-away dangling rows
         take delta's row of X_L, and the dangling columns are the dangling
         rows of the trans 0 solve of (1 - alpha) I (:meth:`_dangling_rows`),
@@ -633,9 +627,7 @@ class _Reduction:
         c, n = self.core.size, self.n
         y = np.zeros((n, n))
         y[np.arange(c), self.core] = 1.0 - self.alpha
-        z = _lu_solve(self.lu, y[:c], lower_rhs=(self.core + 1).tolist())
-        if not np.shares_memory(y, z):
-            y[:c] = z
+        _lu_solve(self.lu, y[:c], lower_rhs=(self.core + 1).tolist())  # in place
         # row k moves to row core[k]: runs of rows with one shift, from the
         # last run, each in pieces of at most LU_PANEL rows, so that the copy
         # numpy makes of a piece that overlaps where it goes stays small
@@ -649,22 +641,21 @@ class _Reduction:
         stale = np.ones(c, dtype=bool)
         stale[self.core[self.core < c]] = False
         y[:c][stale] = 0.0
-        x, width = y.T, _block_width(n)
-        if self.lumped:
-            # the dangling columns read every other column, peeled rows and
-            # all, so the peeled rows take a pass of their own
-            if self.back:
-                for start in range(0, n, width):
-                    self._peel_block(x[:, start:start + width], start)
-            dangling = self.dangling
-            y[:, dangling[1:]] = y[:, dangling[:1]]
-            # the right-hand side (1 - alpha) I, its diagonal added last: as
-            # a (dangling, n) array it cost 0.5 ms more at n = 2000
-            self._dangling_rows(y, 0.0)
-            y[dangling, dangling] += 1.0 - self.alpha
+        x, width, dangling = y.T, _block_width(n), self.dangling
+        # the dangling columns read every other column, peeled rows and all,
+        # so with dangling nodes the peeled rows take a pass of their own
+        peel_apart = bool(self.back) and dangling.size > 0
+        if peel_apart:
+            for start in range(0, n, width):
+                self._peel_block(x[:, start:start + width], start)
+        y[:, dangling[1:]] = y[:, dangling[:1]]
+        # the right-hand side (1 - alpha) I, its diagonal added last: as a
+        # (dangling, n) array it cost 0.5 ms more at n = 2000
+        self._dangling_rows(y, 0.0)
+        y[dangling, dangling] += 1.0 - self.alpha
         for start in range(0, n, width):
             cols = x[:, start:start + width]
-            if self.back and not self.lumped:
+            if self.back and not peel_apart:
                 cols = self._peel_block(cols, start)
             check(cols, start)
         return x
@@ -694,7 +685,7 @@ class RankContext:
     Owns the package's only factorization through ``_chain``, the rank
     system A_t = I - alpha P_u^T reduced to its core (:class:`_Reduction`),
     which holds the block LU of that core; both are made on first use.
-    Two or more dangling nodes leave the core as one lumped state, and
+    The dangling nodes leave the core as one lumped state, and
     the nodes that no walk enters, save from where it starts, leave it
     altogether.  Their part of X has a closed form in the rest: row i of
     X is (1 - alpha) e_i + alpha P_u[i] X, so a dangling row is
@@ -818,7 +809,7 @@ class RankContext:
         LU: their right-hand sides keep node order, so each solved row is a
         whole column of X, moved in place to its node.  Peeled rows then go
         back from the core level by level, a block of columns at a time;
-        the columns of lumped dangling nodes follow from their in-links.
+        the columns of dangling nodes follow from their in-links.
         Each column's residual is checked on the full system, from the
         block's own product with P_u.
         """

@@ -794,7 +794,9 @@ def test_solves_are_residual_checked(capsys, monkeypatch, argv):
     real = rankreach.localization._lu_solve
 
     def perturbed(*args, **kwargs):
-        return real(*args, **kwargs) + 1e-6
+        x = real(*args, **kwargs)
+        x += 1e-6
+        return x
 
     monkeypatch.setattr(rankreach.localization, "_lu_solve", perturbed)
     code, out, err = invoke(capsys, *argv, G1)

@@ -173,7 +173,7 @@ def test_deep_peels_agree_across_blocks(dangling_frac):
 
 def _assert_delta_peels(p_u):
     chain = RankContext(0.85, p_u)._chain
-    assert chain.lumped and chain.level_of[chain.dangling[0]] >= 0
+    assert chain.dangling.size > 1 and chain.level_of[chain.dangling[0]] >= 0
     return chain
 
 
@@ -204,6 +204,35 @@ def test_delta_peels_across_blocks():
     chain = _assert_delta_peels(p_u)
     assert len(chain.levels) == 13 and chain.core.size > 64
     _agrees(p_u, nodes=sorted({*range(0, n, 11), *chain.dangling.tolist()}))
+
+
+@pytest.mark.parametrize("partial_u", [False, True])
+def test_a_lone_dangling_node_is_delta(monkeypatch, partial_u):
+    # d is the one dangling node, so delta is d itself and X's column of d
+    # follows from its in-links, as with many dangling nodes.  With u 0 on
+    # e and f, f and then e peel.
+    g = parse_edge_list((ROOT / "graphs" / "one_dangling.edges").read_text())
+    u = np.loadtxt(ROOT / "tests" / "one_dangling_partial_u.txt") if partial_u else None
+    p_u = row_stochastic(g, u)
+    chain = RankContext(0.85, p_u)._chain
+    assert chain.dangling.size == 1
+    assert [level.tolist() for level in chain.levels] == ([[5], [4]] if partial_u else [])
+    _agrees(p_u)
+    calls = []
+    real = rankreach.localization._Reduction._dangling_rows
+
+    def counting(self, w, b_dangling):
+        calls.append(w.shape)
+        return real(self, w, b_dangling)
+
+    monkeypatch.setattr(rankreach.localization._Reduction, "_dangling_rows", counting)
+    for alpha in ALPHAS:
+        explicit_inverse_check(alpha, p_u)
+        calls.clear()
+        x = RankContext(alpha, p_u).fundamental().x
+        assert calls == [(g.n, g.n)]
+        for j in range(g.n):
+            assert RankContext(alpha, p_u).column(j).tobytes() == x[:, j].tobytes(), (alpha, j)
 
 
 def _load_perfbench_gen():
@@ -254,7 +283,7 @@ def test_a_kept_column_takes_no_product_with_p_u(monkeypatch):
 
     ctx = RankContext.from_graph(random_graph(rng_for(7), 120, dangling_frac=0.2))
     chain = ctx._chain
-    assert chain.lumped
+    assert chain.dangling.size > 1
     kept = int(np.flatnonzero(~ctx.p_u.dangling)[0])
     ctx._row_sums()  # the structure check's X 1, made once per context
     monkeypatch.setattr(RowStochasticMatrix, "matvec", counting)

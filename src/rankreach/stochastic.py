@@ -277,9 +277,11 @@ class PageRankVector:
 
     def __post_init__(self, _adopt):
         _check_alpha(self.alpha)
-        sum_tol = solve_sum_tol(self.alpha, np.size(self.pi))
+        # converted before it is sized, so that a ragged list is a DomainError
+        pi = self.pi if _adopt else _real_array(self.pi, "rank vector")
+        sum_tol = solve_sum_tol(self.alpha, pi.size)
         object.__setattr__(
-            self, "pi", _frozen_vector(self.pi, "rank vector", sum_tol=sum_tol, adopt=_adopt)
+            self, "pi", _frozen_vector(pi, "rank vector", sum_tol=sum_tol, adopt=True)
         )
 
 

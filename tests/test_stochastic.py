@@ -290,6 +290,14 @@ def test_array_arguments_of_no_real_numbers_are_domain_errors(g1, name, entries)
         ARRAY_ARGUMENTS[name](g1, a)
 
 
+# the two matrices' entry points above see np.diag(a), so no ragged list
+@pytest.mark.parametrize("name", [name for name in ARRAY_ARGUMENTS if "matrix" not in name])
+def test_ragged_array_arguments_are_domain_errors(g1, name):
+    # numpy raises a bare ValueError on a list of rows of unequal length
+    with pytest.raises(DomainError, match=f"^{name} must be an array of real numbers"):
+        ARRAY_ARGUMENTS[name](g1, [[0.5], [0.25, 0.25]])
+
+
 def test_dangling_distribution_may_hold_zeros():
     # A dangling row of P_u links to the support of u alone; v stays
     # strictly positive, so every rank vector does too.

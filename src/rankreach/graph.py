@@ -145,12 +145,14 @@ def parse_graph_json(text: str) -> DirectedGraph:
 
 @dataclass(frozen=True)
 class CSRMatrix:
-    """Square sparse matrix in compressed sparse row form.
+    """Sparse matrix in compressed sparse row form, with ``n`` rows.
 
     Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
     ``indices[indptr[i]:indptr[i + 1]]``.  Built by :meth:`from_entries`,
-    the form is canonical: columns ascend within each row, no entry is
-    repeated and none is an explicit zero.
+    it is square and the form is canonical: columns ascend within each
+    row, no entry is repeated and none is an explicit zero.  The reduced
+    chain's sparse steps (``localization._rows_of``) are rectangular, with
+    a row per state they write and a column per node.
     """
 
     indptr: np.ndarray

@@ -9,7 +9,12 @@ and JSON, through pagerank, xmatrix, intervals, competitors (all pairs and
 one pair), leaders, sc-interval (all nodes and one node), achieve (one
 target inside the first node's interval, one outside) and verify; a graph
 named in ``U_FILES`` runs all of these once more with its ``--u`` file, a
-dangling distribution with zeros, kept outside ``graphs/``.  Alpha
+dangling distribution with zeros, kept outside ``graphs/``.  The model
+inputs then run on ``graphs/isolated.json``, whose two dangling nodes let
+u move every value: each ``--config``, ``--u`` and ``--v`` file of
+``MODEL_INPUTS``, and each mix of them with flags, through pagerank,
+intervals and verify when it is well formed and through pagerank when it
+is not.  Alpha
 near 1 is left out: there X's error (about 1e-8 at 1 - 1e-9) can flip a
 6-decimal figure between BLAS builds.  Reseal only for a deliberate output
 change, and name it in CHANGES.md.
@@ -21,6 +26,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -42,6 +48,68 @@ U_FILES = {
     "two_isolated.json": "tests/two_isolated_partial_u.txt",
     "uniform40.edges": "tests/uniform40_partial_u.txt",
 }
+
+# The model-input files, relative to the repo root; missing.* are absent.
+MODEL_INPUTS = "tests/model_inputs/"
+# Well-formed model inputs: a config with alpha, u, v or all three, a v
+# file, and flags over config values.
+MODEL_FLAGS = [
+    ["--config", "alpha.json"],
+    ["--config", "u.json"],
+    ["--config", "v.json"],
+    ["--config", "all.json"],
+    ["--v", "v.txt"],
+    ["--config", "u.json", "--u", "uniform"],
+    ["--config", "all.json", "--alpha", "0.3"],
+    ["--config", "all.json", "--v", "v.txt"],
+]
+# Malformed ones, each an error exit before the graph is read, or at the
+# first use of its vector.
+MODEL_ERRORS = [
+    ["--config", "malformed.json"],
+    ["--config", "not_object.json"],
+    ["--config", "unknown_key.json"],
+    ["--config", "missing.json"],
+    ["--config", "alpha_bool.json"],
+    ["--config", "alpha_string.json"],
+    ["--config", "alpha_one.json"],
+    ["--config", "alpha_one.json", "--alpha", "0.5"],
+    ["--alpha", "1"],
+    ["--config", "u_non_numeric.json"],
+    ["--config", "v_spec.json"],
+    ["--config", "u_negative.json"],
+    ["--config", "u_nan.json"],
+    ["--config", "u_unsummed.json"],
+    ["--config", "u_short.json"],
+    ["--v", "v_non_numeric.txt"],
+    ["--v", "v_negative.txt"],
+    ["--v", "v_nan.txt"],
+    ["--v", "v_unsummed.txt"],
+    ["--v", "v_short.txt"],
+    ["--v", "empty.txt"],
+    ["--v", "missing.txt"],
+    ["--u", "not_utf8.txt"],
+]
+PATH_FLAGS = ("--config", "--u", "--v")
+
+
+def _model_argv(command: list[str], flags: list[str]) -> list[str]:
+    files = [MODEL_INPUTS + arg if k and flags[k - 1] in PATH_FLAGS and arg != "uniform"
+             else arg for k, arg in enumerate(flags)]
+    return [command[0], "graphs/isolated.json", *files, *command[1:]]
+
+
+def model_cases() -> list[list[str]]:
+    """The model-input cases' argv."""
+    argvs = [
+        _model_argv(command, flags)
+        for flags in MODEL_FLAGS
+        for command in (["pagerank"], ["intervals"], ["verify", "--seed", "3", "--samples", "200"])
+    ]
+    argvs += [_model_argv(["pagerank"], flags) for flags in MODEL_ERRORS]
+    # only pagerank reads v, so only it refuses one of the wrong length
+    argvs.append(_model_argv(["intervals"], ["--v", "v_short.txt"]))
+    return argvs
 
 
 def cases() -> list[list[str]]:
@@ -76,18 +144,19 @@ def cases() -> list[list[str]]:
                     ["verify", "--seed", "3", "--samples", "500"],
                 ):
                     argvs.append([command[0], *graph, *command[1:]])
-    return argvs
+    return argvs + model_cases()
 
 
 def digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
-    # the graph and any --u file are named relative to the repo root
-    paths = [str(ROOT / arg) if k == 1 or argv[k - 1] == "--u" else arg
-             for k, arg in enumerate(argv)]
+    # the graph and any --config, --u or --v file are named relative to the
+    # repo root, and an error that names one prints it so again
+    paths = [str(ROOT / arg) if k == 1 or (argv[k - 1] in PATH_FLAGS and arg != "uniform")
+             else arg for k, arg in enumerate(argv)]
     with redirect_stdout(out), redirect_stderr(err):
         code = run(paths)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    blob = json.dumps([code, out.getvalue(), err.getvalue().replace(f"{ROOT}{os.sep}", "")])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

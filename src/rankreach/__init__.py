@@ -33,6 +33,7 @@ from .errors import (
     StructureError,
 )
 from .graph import (
+    CSRMatrix,
     DirectedGraph,
     adjacency,
     parse_edge_list,
@@ -63,13 +64,12 @@ from .stochastic import (
     PageRankVector,
     PersonalizationVector,
     RowStochasticMatrix,
-    StochasticConfig,
-    load_config,
     row_stochastic,
 )
 
 __all__ = [
     "AchieveResult",
+    "CSRMatrix",
     "CompetitionVerdict",
     "CompetitivityInterval",
     "ConvergenceError",
@@ -90,7 +90,6 @@ __all__ = [
     "RowStochasticMatrix",
     "STRICT_MARGIN",
     "SampleReport",
-    "StochasticConfig",
     "StructureError",
     "StructureReport",
     "WitnessCertificate",
@@ -105,7 +104,6 @@ __all__ = [
     "google_matrix",
     "leadership_certificate",
     "leadership_group",
-    "load_config",
     "monte_carlo_interval",
     "observe_rank_swaps",
     "pagerank_power",

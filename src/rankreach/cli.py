@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -31,7 +32,13 @@ from .errors import DomainError, NumericalError, ParseError
 from .graph import DirectedGraph, parse_edge_list, parse_graph_json
 from .localization import FundamentalMatrix, RankContext, achieve_value
 from .oracle import monte_carlo_interval
-from .stochastic import StochasticConfig, load_config
+from .stochastic import (
+    DEFAULT_ALPHA,
+    ROW_SUM_TOL,
+    PersonalizationVector,
+    _check_alpha,
+    _frozen_vector,
+)
 
 
 def _finite(text: str) -> float:
@@ -61,16 +68,66 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _model(args: argparse.Namespace) -> StochasticConfig:
-    """The model of an invocation: its flags merged over ``--config``."""
-    base = StochasticConfig()
+def _model(args: argparse.Namespace) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """alpha, u and v of an invocation, its flags over ``--config``; u and v
+    are frozen vectors, or None for uniform.  The config is checked whole
+    before the flags' files are read, and all of it before the graph."""
+    alpha, u, v = DEFAULT_ALPHA, None, None
     if args.config:
-        base = load_config(_read_text(args.config))
-    return StochasticConfig(
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        u_spec=_vector_spec(args.u, base.u_spec),
-        v_spec=_vector_spec(args.v, base.v_spec),
+        alpha, u, v = _checked_model(*_read_config(args.config))
+    return _checked_model(
+        alpha if args.alpha is None else args.alpha,
+        _vector_spec(args.u, u),
+        _vector_spec(args.v, v),
     )
+
+
+def _read_config(path: str) -> tuple:
+    """alpha, u and v of the config JSON ``{"alpha": float, "u": [...]|"uniform",
+    "v": ...}``, each one of the types it may take, but not yet checked."""
+    text = _read_text(path)
+    try:
+        # integers parse as floats, so none is too large to convert
+        doc = json.loads(text, parse_int=float)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid config JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a JSON object")
+    unknown = set(doc) - {"alpha", "u", "v"}
+    if unknown:
+        raise ParseError(f"unknown config keys: {sorted(unknown)}")
+    specs = []
+    for key in ("u", "v"):
+        spec = doc.get(key, "uniform")
+        if not (isinstance(spec, str) or isinstance(spec, list)
+                and all(isinstance(x, float) for x in spec)):
+            raise ParseError(f'config "{key}" must be "uniform" or a list of floats')
+        specs.append(spec)
+    alpha = doc.get("alpha", DEFAULT_ALPHA)
+    if not isinstance(alpha, float):
+        raise ParseError('config "alpha" must be a number')
+    return alpha, *specs
+
+
+def _checked_model(alpha, u, v) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """alpha, u and v, checked in that order."""
+    _check_alpha(alpha)
+    return alpha, _model_vector(u, "u"), _model_vector(v, "v")
+
+
+def _model_vector(spec, name: str) -> np.ndarray | None:
+    """A vector spec as a frozen vector: None or "uniform" is None, else
+    the floats of a u (nonnegative) or a v (strictly positive)."""
+    if spec is None or isinstance(spec, str):
+        if spec not in (None, "uniform"):
+            raise DomainError(f'{name} spec must be "uniform" or a vector')
+        return None
+    return _frozen_vector(spec, f"{name} vector", sum_tol=ROW_SUM_TOL, zeros=name == "u")
+
+
+def _check_length(vector: np.ndarray | None, name: str, n: int) -> None:
+    if vector is not None and vector.size != n:
+        raise DomainError(f"{name} vector has length {vector.size}, graph has {n} nodes")
 
 
 def _read_text(path: str) -> str:
@@ -207,13 +264,15 @@ def _one_block(rows: list[Sequence]) -> list[list]:
     return [list(zip(*rows))] if rows else []
 
 
-def _cmd_pagerank(model, g, ctx, args):
-    pi = ctx.rank(model.personalization(g.n)).pi
+def _cmd_pagerank(v, g, ctx, args):
+    _check_length(v, "v", g.n)
+    pv = PersonalizationVector.uniform(g.n) if v is None else PersonalizationVector(v)
+    pi = ctx.rank(pv).pi
     spec = [("node", "label"), ("pagerank", "f6")]
     _emit(args, spec, g.labels, [(range(g.n), pi)])
 
 
-def _cmd_xmatrix(model, g, ctx, args):
+def _cmd_xmatrix(v, g, ctx, args):
     x = ctx.fundamental().x
     spec = [("node", "label")] + [(label, "f6") for label in g.labels]
     blocks = (
@@ -223,7 +282,7 @@ def _cmd_xmatrix(model, g, ctx, args):
     _emit(args, spec, g.labels, blocks)
 
 
-def _cmd_intervals(model, g, ctx, args):
+def _cmd_intervals(v, g, ctx, args):
     spec = [("node", "label"), ("lo", "f6"), ("hi", "f6"), ("lo_witness", "label")]
     rows = [[iv.node, iv.lo, iv.hi, iv.lo_witness] for iv in ctx.intervals()]
     _emit(args, spec, g.labels, _one_block(rows))
@@ -259,7 +318,7 @@ def _scan_blocks(fm: FundamentalMatrix) -> Iterator[tuple]:
         )
 
 
-def _cmd_competitors(model, g, ctx, args):
+def _cmd_competitors(v, g, ctx, args):
     spec = [
         ("i", "label"),
         ("j", "label"),
@@ -283,7 +342,7 @@ def _cmd_competitors(model, g, ctx, args):
     _emit(args, spec, g.labels, _one_block([row]))
 
 
-def _cmd_leaders(model, g, ctx, args):
+def _cmd_leaders(v, g, ctx, args):
     group = leadership_group(ctx.fundamental())
     spec = [("leader", "label"), ("witness_row", "label")]
     rows = [[i, group.witness_rows[i]] for i in sorted(group.leaders)]
@@ -298,7 +357,7 @@ def _selected_nodes(g: DirectedGraph, ctx: RankContext, node: str | None) -> lis
     return list(range(g.n))
 
 
-def _cmd_sc_interval(model, g, ctx, args):
+def _cmd_sc_interval(v, g, ctx, args):
     nodes = _selected_nodes(g, ctx, args.node)
     spec = [("node", "label"), ("epsilon", "g6"), ("lo", "f6"), ("hi", "f6")]
     rows = []
@@ -308,7 +367,7 @@ def _cmd_sc_interval(model, g, ctx, args):
     _emit(args, spec, g.labels, _one_block(rows))
 
 
-def _cmd_achieve(model, g, ctx, args):
+def _cmd_achieve(v, g, ctx, args):
     i = g.index_of(args.node)
     try:
         result = achieve_value(ctx, i, args.target, args.tol)
@@ -325,7 +384,7 @@ def _cmd_achieve(model, g, ctx, args):
     _emit(args, spec, g.labels, _one_block([row]))
 
 
-def _cmd_verify(model, g, ctx, args):
+def _cmd_verify(v, g, ctx, args):
     nodes = _selected_nodes(g, ctx, args.node)
     per_node = {}
     bad = []
@@ -344,7 +403,7 @@ def _cmd_verify(model, g, ctx, args):
             bad.append(g.labels[rep.node])
     report = {
         "pass": not bad,
-        "alpha": round(model.alpha, 6),
+        "alpha": round(ctx.alpha, 6),
         "samples": args.samples,
         "seed": args.seed,
         "concentration": float(f"{args.concentration:.6g}"),
@@ -431,12 +490,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        model = _model(args)
+        alpha, u, v = _model(args)
         g = _load_graph(args.graph, args.format)
-        ctx = RankContext.from_graph(
-            g, alpha=model.alpha, u=model.dangling_distribution(g.n)
-        )
-        args.handler(model, g, ctx, args)
+        _check_length(u, "u", g.n)
+        args.handler(v, g, RankContext.from_graph(g, alpha, u), args)
     except NumericalError as exc:
         # a NaN or inf figure is spelled out: JSON has no literal for it
         details = {
@@ -463,6 +520,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # The modules loaded so far live until exit, so no collection, the
+    # interpreter's last one included, needs to walk them.  run() leaves
+    # the heap alone: tests call it in process.
+    gc.freeze()
     try:
         code = run()
         sys.stdout.flush()

@@ -1,5 +1,5 @@
-"""Row-stochastic machinery: the patched transition matrix P_u, the
-probability vectors around it, and the model configuration.
+"""Row-stochastic machinery: the patched transition matrix P_u and the
+probability vectors around it.
 
 P_u = P + d u^T is built once, from the graph's adjacency and the dangling
 distribution u, and everything else solves against it through
@@ -10,12 +10,11 @@ inversion) live in :mod:`rankreach.oracle`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .graph import CSRMatrix, DirectedGraph, adjacency
 
 ROW_SUM_TOL = 1e-12
@@ -175,10 +174,11 @@ class RowStochasticMatrix:
 
     ``p`` is P, a :class:`~rankreach.graph.CSRMatrix` whose rows each sum
     to 1, except the all-zero rows of dangling nodes, marked by the boolean
-    mask ``dangling`` (d); a dense square array is accepted too and stored
-    in CSR form.  Patching does not fill those rows in: the dangling
-    distribution ``u`` is kept beside ``p``, so P_u is a sparse part plus a
-    rank-one term.  ``u`` is uniform when not given; it may hold zeros, so
+    mask ``dangling`` (d).  It is stored in canonical form (columns
+    ascending in each row, no repeats, no zeros), and arrays that form no
+    CSR matrix are a :class:`DomainError`.  Patching does not fill the
+    dangling rows in: the dangling distribution ``u`` is kept beside ``p``,
+    so P_u is a sparse part plus a rank-one term.  ``u`` is uniform when not given; it may hold zeros, so
     a dangling row of P_u links to the support of ``u`` alone.
     """
 
@@ -192,18 +192,26 @@ class RowStochasticMatrix:
     _times_t: _GatherPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.p, CSRMatrix):
-            n, rows, cols, data = self.p.n, self.p.rows(), self.p.indices, self.p.data
-        else:
-            dense = _real_array(self.p, "transition matrix", copy=False)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-                raise DomainError("transition matrix must be square and nonempty")
-            n = dense.shape[0]
-            rows, cols = np.nonzero(dense)
-            data = dense[rows, cols]
-        if n == 0:
-            raise DomainError("transition matrix must be square and nonempty")
-        p = CSRMatrix.from_entries(n, rows, cols, data)
+        if not isinstance(self.p, CSRMatrix):
+            raise DomainError("transition matrix must be a CSRMatrix")
+        data = _real_array(self.p.data, "transition matrix", copy=False)
+        try:
+            indptr, indices = np.asarray(self.p.indptr), np.asarray(self.p.indices)
+        except ValueError:  # a ragged list
+            indptr = indices = np.empty(0, dtype=object)
+        csr = (
+            indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
+            and indptr.ndim == indices.ndim == data.ndim == 1
+            and indptr.size > 1 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
+            and (indptr[:-1] <= indptr[1:]).all()
+        )
+        if not csr:
+            raise DomainError(
+                "transition matrix must have a row, an integer indptr rising from 0 to "
+                "len(indices), and integer indices and real data of that length"
+            )
+        n = indptr.size - 1
+        p = CSRMatrix.from_entries(n, np.repeat(np.arange(n), np.diff(indptr)), indices, data)
         # written so that NaN entries fail it too
         if p.data.size and not (p.data.min() >= 0.0 and p.data.max() <= 1.0 + ROW_SUM_TOL):
             raise DomainError("transition entries must lie in [0, 1]")
@@ -292,71 +300,3 @@ def row_stochastic(g: DirectedGraph, u: np.ndarray | None = None) -> RowStochast
     kout = np.diff(a.indptr)
     p = CSRMatrix(indptr=a.indptr, indices=a.indices, data=1.0 / np.repeat(kout, kout))
     return RowStochasticMatrix(p=p, u=u)
-
-
-@dataclass(frozen=True)
-class StochasticConfig:
-    """Damping factor plus dangling/personalization specs.
-
-    A spec is either the string ``"uniform"`` or an explicit tuple of
-    floats, validated on load: ``v`` strictly positive, ``u`` nonnegative.
-    """
-
-    alpha: float = DEFAULT_ALPHA
-    u_spec: str | tuple[float, ...] = "uniform"
-    v_spec: str | tuple[float, ...] = "uniform"
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        for name, spec in (("u", self.u_spec), ("v", self.v_spec)):
-            if isinstance(spec, str):
-                if spec != "uniform":
-                    raise DomainError(f'{name} spec must be "uniform" or a vector')
-            else:
-                _frozen_vector(spec, f"{name} vector", sum_tol=ROW_SUM_TOL, zeros=name == "u")
-
-    def dangling_distribution(self, n: int) -> np.ndarray:
-        if self.u_spec == "uniform":
-            return np.full(n, 1.0 / n)
-        if len(self.u_spec) != n:
-            raise DomainError(f"u vector has length {len(self.u_spec)}, graph has {n} nodes")
-        return np.array(self.u_spec)
-
-    def personalization(self, n: int) -> PersonalizationVector:
-        if self.v_spec == "uniform":
-            return PersonalizationVector.uniform(n)
-        if len(self.v_spec) != n:
-            raise DomainError(f"v vector has length {len(self.v_spec)}, graph has {n} nodes")
-        return PersonalizationVector(v=np.array(self.v_spec, dtype=float), _adopt=True)
-
-
-def load_config(text: str) -> StochasticConfig:
-    """Parse the config JSON ``{"alpha": float, "u": [...]|"uniform", "v": ...}``."""
-    try:
-        # integers parse as floats, so none is too large to convert
-        doc = json.loads(text, parse_int=float)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid config JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a JSON object")
-    unknown = set(doc) - {"alpha", "u", "v"}
-    if unknown:
-        raise ParseError(f"unknown config keys: {sorted(unknown)}")
-
-    def vector_spec(key):
-        spec = doc.get(key, "uniform")
-        if isinstance(spec, str):
-            return spec
-        numeric = isinstance(spec, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in spec
-        )
-        if numeric:
-            return tuple(float(x) for x in spec)
-        raise ParseError(f'config "{key}" must be "uniform" or a list of floats')
-
-    alpha = doc.get("alpha", DEFAULT_ALPHA)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ParseError('config "alpha" must be a number')
-    return StochasticConfig(
-        alpha=float(alpha), u_spec=vector_spec("u"), v_spec=vector_spec("v")
-    )

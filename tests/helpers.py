@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rankreach import DirectedGraph, RankContext, RowStochasticMatrix
+from rankreach import CSRMatrix, DirectedGraph, RankContext, RowStochasticMatrix
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -26,9 +26,16 @@ def random_context(rng, n, density=0.2, dangling_frac=0.3, alpha=0.85) -> RankCo
     )
 
 
+def csr(dense) -> CSRMatrix:
+    """The square matrix ``dense`` in CSR form."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero(dense)
+    return CSRMatrix.from_entries(dense.shape[0], rows, cols, dense[rows, cols])
+
+
 def random_row_stochastic(rng, n) -> RowStochasticMatrix:
     w = -np.log(rng.random((n, n)))
-    return RowStochasticMatrix(p=w / w.sum(axis=1, keepdims=True))
+    return RowStochasticMatrix(p=csr(w / w.sum(axis=1, keepdims=True)))
 
 
 def preferential_graph(rng, n, links=4, reciprocity=0.3) -> DirectedGraph:

@@ -27,6 +27,7 @@ from rankreach import (
     SampleReport,
     effective_competitors,
     leadership_group,
+    parse_edge_list,
     parse_graph_json,
 )
 from rankreach.cli import EMIT_ROWS, run
@@ -433,6 +434,83 @@ def test_bad_vector_and_config_files_exit_1(capsys, tmp_path, flag, text, messag
     assert err == f"rankreach: error: {message.format(path=path)}\n"
 
 
+# The model inputs have one reader, the CLI: config documents and vector
+# files are checked there, before the graph is read.
+def _input(tmp_path, flag, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    return [flag, str(path)]
+
+
+def test_config_loading(capsys, tmp_path):
+    config = _input(tmp_path, "--config", '{"alpha": 0.9, "u": "uniform", "v": [0.2, 0.3, 0.5]}')
+    code, out, _ = invoke(capsys, "pagerank", *config, G1)
+    g = parse_edge_list(Path(G1).read_text())
+    v = PersonalizationVector(v=[0.2, 0.3, 0.5])
+    pi = RankContext.from_graph(g, alpha=0.9).rank(v).pi
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{g.labels[i]},{pi[i]:.6f}" for i in range(g.n)]
+    _, out, _ = invoke(capsys, "verify", *config, "--seed", "1", "--samples", "10", G1)
+    assert json.loads(out)["alpha"] == 0.9
+    # an empty config is the default model
+    empty = _input(tmp_path, "--config", "{}")
+    assert invoke(capsys, "pagerank", *empty, ISOLATED) == invoke(capsys, "pagerank", ISOLATED)
+
+
+def test_config_rejects_bad_documents(capsys, tmp_path):
+    for doc, message in (
+        ("{", "invalid config JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ('{"aplha": 0.9}', "unknown config keys: ['aplha']"),
+        ('{"alpha": 1.2}', "alpha must lie in (0, 1), got 1.2"),
+        ('{"v": [0.5, 0.6]}', "v vector must sum to 1, got 1.1"),
+        ('{"v": [0.5, 0.5]}', "v vector has length 2, graph has 3 nodes"),
+    ):
+        result = invoke(capsys, "pagerank", *_input(tmp_path, "--config", doc), G1)
+        assert result == (1, "", f"rankreach: error: {message}\n")
+
+
+def test_config_u_may_hold_zeros_and_v_may_not(capsys, tmp_path):
+    by_config = invoke(capsys, "intervals", *_input(tmp_path, "--config", '{"u": [0, 0.5, 0.5]}'),
+                       ISOLATED)
+    by_flag = invoke(capsys, "intervals", *_input(tmp_path, "--u", "0\n0.5\n0.5\n"), ISOLATED)
+    assert by_config[0] == 0
+    assert by_config == by_flag
+    for doc, message in (
+        ('{"u": [NaN, 0.5, 0.5]}', "u vector entries must be zero or positive"),
+        ('{"u": [-0.5, 1.5, 0]}', "u vector entries must be zero or positive"),
+        ('{"v": [0, 0.5, 0.5]}', "v vector entries must be strictly positive"),
+    ):
+        result = invoke(capsys, "pagerank", *_input(tmp_path, "--config", doc), ISOLATED)
+        assert result == (1, "", f"rankreach: error: {message}\n")
+
+
+def test_default_u_is_uniform(capsys, tmp_path):
+    expected = invoke(capsys, "intervals", *_input(tmp_path, "--u", "0.3333333333333333\n" * 3),
+                      ISOLATED)
+    assert expected[0] == 0
+    assert invoke(capsys, "intervals", ISOLATED) == expected
+    assert invoke(capsys, "intervals", "--u", "uniform", ISOLATED) == expected
+
+
+NOT_FLOATS = 'rankreach: error: config "u" must be "uniform" or a list of floats\n'
+
+
+@pytest.mark.parametrize("entries", ["complex", "strings"])
+def test_u_of_no_real_numbers_exits_1(capsys, tmp_path, entries):
+    values = ["0.5+1j", "0.25", "0.25"] if entries == "complex" else ["a", "b", "c"]
+    u_file = _input(tmp_path, "--u", "".join(f"{x}\n" for x in values))
+    result = invoke(capsys, "pagerank", *u_file, ISOLATED)
+    assert result == (1, "", f"rankreach: error: {u_file[1]}:1: expected one float per line\n")
+    config = _input(tmp_path, "--config", json.dumps({"u": values}))
+    assert invoke(capsys, "pagerank", *config, ISOLATED) == (1, "", NOT_FLOATS)
+
+
+def test_ragged_u_exits_1(capsys, tmp_path):
+    config = _input(tmp_path, "--config", '{"u": [[0.5], [0.25, 0.25]]}')
+    assert invoke(capsys, "pagerank", *config, ISOLATED) == (1, "", NOT_FLOATS)
+
+
 @pytest.mark.parametrize("pair", ["1", "1,2,3"])
 def test_malformed_pair_exits_1(capsys, pair):
     code, out, err = invoke(capsys, "competitors", "--pair", pair, G1)
@@ -739,6 +817,18 @@ def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    # main() differs from run() by gc.freeze() and the exit; the in-process
+    # corpus never runs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rankreach.cli", "intervals", G1],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == invoke(capsys, "intervals", G1)[1]
 
 
 def test_json_graph_with_non_list_edges_exits_1(capsys, tmp_path):

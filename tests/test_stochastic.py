@@ -6,26 +6,23 @@ from hypothesis import strategies as st
 import rankreach.oracle
 from rankreach import (
     ConvergenceError,
+    CSRMatrix,
     DomainError,
     FundamentalMatrix,
     PageRankVector,
-    ParseError,
     PersonalizationVector,
     RankContext,
     RowStochasticMatrix,
-    StochasticConfig,
     google_matrix,
-    load_config,
     pagerank_power,
     parse_edge_list,
     parse_graph_json,
     row_stochastic,
 )
-from rankreach.graph import CSRMatrix
 from rankreach.stochastic import solve_sum_tol
 
 from .golden import UNIFORM_PI_G1, X1_EXACT
-from .helpers import random_graph, random_row_stochastic, rng_for
+from .helpers import csr, random_graph, random_row_stochastic, rng_for
 
 
 def _rank(p_u, v):
@@ -120,21 +117,46 @@ def test_sparse_products_match_dense(seed):
 def test_row_stochastic_matrix_validation():
     # the sum prints at 12 digits, as a float, not as np.float64(0.9)
     with pytest.raises(DomainError) as err:
-        RowStochasticMatrix(p=np.array([[0.5, 0.4], [0.5, 0.5]]))
+        RowStochasticMatrix(p=csr([[0.5, 0.4], [0.5, 0.5]]))
     assert str(err.value) == "row 0 sums to 0.9, not stochastic"
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
-        RowStochasticMatrix(p=np.array([[1.5, -0.5], [0.5, 0.5]]))
+        RowStochasticMatrix(p=csr([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
-        RowStochasticMatrix(p=np.array([[np.nan, 0.5], [0.5, 0.5]]))
+        RowStochasticMatrix(p=csr([[np.nan, 0.5], [0.5, 0.5]]))
     # all-zero rows are fine; patching sends them to a distribution u
-    assert RowStochasticMatrix(p=np.zeros((2, 2))).dangling.tolist() == [True, True]
+    assert RowStochasticMatrix(p=csr(np.zeros((2, 2)))).dangling.tolist() == [True, True]
     with pytest.raises(DomainError, match="sum to 1"):
-        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([0.5, 0.4]))
+        RowStochasticMatrix(p=csr(np.zeros((2, 2))), u=np.array([0.5, 0.4]))
     with pytest.raises(DomainError, match="length n"):
-        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.0]))
-    for shape in ((0, 0), (2, 3), (4,)):
-        with pytest.raises(DomainError, match="square"):
-            RowStochasticMatrix(p=np.zeros(shape))
+        RowStochasticMatrix(p=csr(np.zeros((2, 2))), u=np.array([1.0]))
+    with pytest.raises(DomainError, match="out of range"):
+        RowStochasticMatrix(p=CSRMatrix(np.array([0, 1]), np.array([1]), np.array([1.0])))
+
+
+def test_transition_matrix_is_a_csr_matrix():
+    # a dense array, or CSR arrays that disagree, are domain errors, not a
+    # bare TypeError or ValueError from deep inside numpy
+    with pytest.raises(DomainError, match="^transition matrix must be a CSRMatrix$"):
+        RowStochasticMatrix(p=np.eye(2))
+    good = dict(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), data=np.ones(2))
+    assert RowStochasticMatrix(p=CSRMatrix(**good)).toarray().tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(DomainError, match="^transition matrix must be an array of real"):
+        RowStochasticMatrix(p=CSRMatrix(**{**good, "data": np.ones(2, dtype=complex)}))
+    for bad in (
+        {"indptr": np.array([0, 1, 3])},  # the last entry is not len(indices)
+        {"indptr": np.array([0, 2, 1, 2])},  # falls
+        {"indptr": np.array([1, 1, 2])},  # starts past 0
+        {"indptr": np.array([0.0, 1.0, 2.0])},
+        {"indptr": np.array([0]), "indices": np.array([], dtype=int), "data": np.ones(0)},
+        {"indptr": np.array([], dtype=int)},
+        {"indptr": [[0], [1, 2]]},
+        {"indices": np.array([1.0, 0.0])},
+        {"indices": np.array([1, 0, 0])},
+        {"data": np.ones(3)},
+        {"data": np.ones((2, 1))},
+    ):
+        with pytest.raises(DomainError, match="^transition matrix must have a row, an integer"):
+            RowStochasticMatrix(p=CSRMatrix(**{**good, **bad}))
 
 
 def test_google_matrix_two_cycle(cycle2):
@@ -264,8 +286,7 @@ def test_vector_validation():
     with pytest.raises(DomainError, match="nonempty vector"):
         PersonalizationVector(v=np.full((2, 2), 0.25))
     with pytest.raises(DomainError, match="positive"):
-        RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array([1.5, -0.5]))
-    assert StochasticConfig().dangling_distribution(4).tolist() == [0.25] * 4
+        RowStochasticMatrix(p=csr(np.zeros((2, 2))), u=np.array([1.5, -0.5]))
 
 
 # every entry point that takes a caller's array, by the name its error gives
@@ -274,9 +295,10 @@ ARRAY_ARGUMENTS = {
     "personalization vector": lambda g1, a: PersonalizationVector(v=a),
     "rank vector": lambda g1, a: PageRankVector(pi=a, alpha=0.85),
     "dangling distribution": lambda g1, a: RankContext.from_graph(g1, u=a),
-    "transition matrix": lambda g1, a: RowStochasticMatrix(p=np.diag(a)),
+    "transition matrix": lambda g1, a: RowStochasticMatrix(
+        p=CSRMatrix(indptr=np.arange(4), indices=np.arange(3), data=a)
+    ),
     "matrix": lambda g1, a: FundamentalMatrix(x=np.diag(a), alpha=0.85),
-    "u vector": lambda g1, a: StochasticConfig(u_spec=tuple(a)),
 }
 
 
@@ -290,7 +312,7 @@ def test_array_arguments_of_no_real_numbers_are_domain_errors(g1, name, entries)
         ARRAY_ARGUMENTS[name](g1, a)
 
 
-# the two matrices' entry points above see np.diag(a), so no ragged list
+# the two matrices' entry points above see a diagonal, so no ragged list
 @pytest.mark.parametrize("name", [name for name in ARRAY_ARGUMENTS if "matrix" not in name])
 def test_ragged_array_arguments_are_domain_errors(g1, name):
     # numpy raises a bare ValueError on a list of rows of unequal length
@@ -301,16 +323,11 @@ def test_ragged_array_arguments_are_domain_errors(g1, name):
 def test_dangling_distribution_may_hold_zeros():
     # A dangling row of P_u links to the support of u alone; v stays
     # strictly positive, so every rank vector does too.
-    p_u = RowStochasticMatrix(p=np.array([[0.0, 1.0], [0.0, 0.0]]), u=np.array([1.0, 0.0]))
+    p_u = RowStochasticMatrix(p=csr([[0.0, 1.0], [0.0, 0.0]]), u=np.array([1.0, 0.0]))
     assert p_u.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert StochasticConfig(u_spec=(0.0, 1.0)).dangling_distribution(2).tolist() == [0.0, 1.0]
     for bad in ((np.nan, 1.0), (-0.5, 1.5)):
         with pytest.raises(DomainError, match="zero or positive"):
-            RowStochasticMatrix(p=np.zeros((2, 2)), u=np.array(bad))
-        with pytest.raises(DomainError, match="zero or positive"):
-            StochasticConfig(u_spec=bad)
-    with pytest.raises(DomainError, match="strictly positive"):
-        StochasticConfig(v_spec=(0.0, 1.0))
+            RowStochasticMatrix(p=csr(np.zeros((2, 2))), u=np.array(bad))
 
 
 def test_caller_arrays_are_copied():
@@ -351,24 +368,3 @@ def test_rank_sum_tolerance_grows_with_the_dimension():
     with pytest.raises(DomainError, match="must sum to 1"):
         PageRankVector(pi=np.array([0.5, 0.5 + 5e-10]), alpha=alpha)
     assert solve_sum_tol(0.99, 3000) == solve_sum_tol(0.85, 2) == 1e-10
-
-
-def test_config_loading():
-    cfg = load_config('{"alpha": 0.9, "u": "uniform", "v": [0.2, 0.3, 0.5]}')
-    assert cfg.alpha == 0.9
-    assert cfg.u_spec == "uniform"
-    assert cfg.personalization(3).v.tolist() == [0.2, 0.3, 0.5]
-    assert load_config("{}") == StochasticConfig()
-
-
-def test_config_rejects_bad_documents():
-    with pytest.raises(ParseError, match="invalid config"):
-        load_config("{")
-    with pytest.raises(ParseError, match="unknown config keys"):
-        load_config('{"aplha": 0.9}')
-    with pytest.raises(DomainError, match="alpha"):
-        load_config('{"alpha": 1.2}')
-    with pytest.raises(DomainError, match="sum to 1"):
-        load_config('{"v": [0.5, 0.6]}')
-    with pytest.raises(DomainError, match="length"):
-        load_config('{"v": [0.5, 0.5]}').personalization(3)

@@ -444,11 +444,12 @@ class _Reduction:
     Every index is a node's: a state is its node, and delta is the first
     dangling node, so the states keep node order and a work array has a
     row per node.  The other lumped dangling nodes are in no link, no
-    level and not the core; their rows are read by no step.  A kept node's
-    column of X is a trans 1 solve from its own right-hand side, 0 on the
-    dangling rows and so lumped as it stands.  Only a general right-hand
-    side, such as the constant one of X's row sums, is lumped by adding
-    alpha P_u b_D, a product with P_u itself.
+    level and not the core; their rows are read by no step.  A fresh
+    column of X, a kept node's or a dangling one's, is one trans 1 solve
+    of (1 - alpha) e_j.  A right-hand side that is 0 on the dangling rows,
+    as a kept node's is, is lumped as it stands; only one with dangling
+    entries, such as a dangling node's or the constant one of X's row
+    sums, is lumped by adding alpha P_u b_D, a product with P_u itself.
     """
 
     def __init__(self, p_u: RowStochasticMatrix, alpha: float):
@@ -474,10 +475,9 @@ class _Reduction:
                             np.full(loop.size, mass)]),
         )
         # (P^T y)_j over the kept rows, for the dangling columns j
-        self.in_links = _rows_of(
+        self.into_dangling = _GatherPlan(_rows_of(
             self.dangling.size, np.searchsorted(self.dangling, target[into]),
-            source[into], p.data[into])
-        self.into_dangling = _GatherPlan(self.in_links)
+            source[into], p.data[into]))
         source, target, _ = self.links
         self.level_of = level_of = _peel_levels(n, source, target)
         # the other lumped dangling nodes, in no link, would peel at level 0
@@ -531,9 +531,9 @@ class _Reduction:
         :func:`_lu_solve` on the core.
 
         trans 1 is (I - alpha P_u) x = b.  The lumped right-hand side adds
-        alpha P_u b_D, b_D being b on the dangling rows and 0 on the rest:
-        each kept row gains alpha times its links into dangling nodes, and
-        delta, its own b dropped, is alpha u^T b_D.  Delta's value is then
+        alpha P_u b_D, b_D being b on the dangling rows and 0 on the rest,
+        unless b_D is 0: each kept row gains alpha times its links into
+        dangling nodes, and delta, its own b dropped, is alpha u^T b_D.  Delta's value is then
         alpha u^T x, and a dangling node's x is its b plus that.  A peeled
         state's x follows from its out-links, so the peeled states go back
         from the core, level by level.  trans 0 is (I - alpha P_u^T) y = b.
@@ -550,7 +550,8 @@ class _Reduction:
         dangling = self.dangling
         if trans == 1:
             w[dangling[:1]] = 0.0
-            w += alpha * self.p_u.matvec(np.where(self.p_u.dangling[:, None], b, 0.0))
+            if b[dangling].any():
+                w += alpha * self.p_u.matvec(np.where(self.p_u.dangling[:, None], b, 0.0))
             self._solve_back(w, b[dangling])
             return x
         w[dangling[:1]] = b[dangling].sum(axis=0)
@@ -578,35 +579,6 @@ class _Reduction:
         w[self.core] = _lu_solve(self.lu, w[self.core], trans=1)
         self._peel(w)
         w[self.dangling] = b_dangling + w[self.dangling[:1]]
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of X, shape (n, 1): the trans 1 solve of (1 - alpha)
-        e_j, whose right-hand side is lumped as it stands, being 0 on the
-        dangling rows, so it takes no product with P_u.  But a dangling
-        node j's column is made as :meth:`fundamental` makes it
-        from X, by :meth:`_dangling_rows`: from the columns of j's in-links
-        and delta's column of X_L, all in one trans 1 solve.  So where those
-        columns have the bits of X's, this one does too."""
-        alpha = self.alpha
-        if not self.p_u.dangling[j]:
-            col = np.zeros((self.n, 1))
-            col[j] = 1.0 - alpha
-            self._solve_back(col, 0.0)
-            return col
-        k = int(np.searchsorted(self.dangling, j))
-        links = slice(self.in_links.indptr[k], self.in_links.indptr[k + 1])
-        rows = np.append(self.in_links.indices[links], self.dangling[0])
-        cols = np.zeros((self.n, rows.size))
-        cols[rows, np.arange(rows.size)] = 1.0 - alpha
-        self._solve_back(cols, 0.0)
-        # the gather-adds of _dangling_rows, in their order
-        col = np.zeros(self.n)
-        for weight, source in zip(self.in_links.data[links], cols.T):
-            col += weight * source
-        col += self.u_dangling[k] * cols[:, -1]
-        col *= alpha
-        col[j] += 1.0 - alpha
-        return col[:, None]
 
     def fundamental(self, check) -> np.ndarray:
         """X in Fortran order, each block of its columns handed to
@@ -692,15 +664,18 @@ class RankContext:
     (1 - alpha) e_j + alpha u^T X and the peeled rows go back from the
     core level by level, each from the rows it links to; a peeled node's
     column is 0 on the core; and as X = (1 - alpha) I + alpha X P_u, a
-    dangling node's column follows from the columns of its in-links.
+    dangling node's column of X follows from the columns of its in-links.
     Every residual and structure check still runs on the full n-node
     system, through P_u, and makes its own product with it.
     It answers in three ways.  A personalization's rank vector is a solve with A_t
     (:meth:`rank`, :meth:`rank_weights`, the Monte-Carlo batches).  A
     one-node question (one interval, one pair, one hull, ``achieve_value``)
-    reads the columns of X it needs, each one transposed solve with
-    A_t^T = I - alpha P_u unless X is held.  A family or whole-graph
-    question (a certificate, intervals, leaders, the scan) reads X, built
+    reads the columns of X it needs unless X is held, each one transposed
+    solve with A_t^T = I - alpha P_u, lumped through P_u only when the
+    node dangles.  Such a fresh column agrees with X's within the residual
+    bound it is checked against.  On a core of one LU block a kept node's
+    has X's bits too; a dangling node's has no bit promise.  A family or
+    whole-graph question (a certificate, intervals, leaders, the scan) reads X, built
     and verified at most once, on first use.  The one pass over X that
     verifies it is X's ``report``, which keeps every column's minimum,
     witness row and sum for the one-node questions that follow.
@@ -841,7 +816,9 @@ class RankContext:
     def _solved_column(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Column i of X by one transposed solve, checked as :meth:`column`
         says, with the :func:`_column_facts` its structure check read."""
-        col = self._chain.column(i)
+        b = np.zeros((self.n, 1))
+        b[i] = 1.0 - self.alpha
+        col = self._chain.solve(b, 1)
         self._check_column_residuals(col, i)
         facts = _column_facts(col, i)
         lo, _, margins, _ = facts

@@ -173,8 +173,9 @@ def test_concentrated_hull_matches_the_family_solve():
 @pytest.mark.parametrize("alpha", [0.3, 0.85, 0.99, 1.0 - 1e-9])
 def test_concentrated_hull_is_the_whole_column_hull(alpha):
     # The hull reads the column's minimum and diagonal entry, and has the
-    # bits of the family evaluated over the whole column: the computed
-    # value is monotone in x_ki for either sign of its slope.
+    # bits of the family evaluated over the whole column, X's or the one
+    # the context solves for: the computed value is monotone in x_ki for
+    # either sign of its slope.
     graphs = [
         random_graph(rng_for(4141), 40, dangling_frac=0.2),
         preferential_graph(rng_for(4242), 60),
@@ -185,13 +186,13 @@ def test_concentrated_hull_is_the_whole_column_hull(alpha):
         x = held.fundamental().x
         fresh = RankContext.from_graph(g, alpha=alpha)
         for i in range(0, n, 3):
-            col = x[:, i]
-            for eps in (0.01, 0.5, (n - 1) / n, 0.999):
-                vals = _family_values(col, col.sum(), eps, n)
-                want = (float(vals.min()).hex(), float(vals.max()).hex())
-                for ctx in (held, fresh):
+            for ctx, col in ((held, x[:, i]), (fresh, fresh.column(i))):
+                for eps in (0.01, 0.5, (n - 1) / n, 0.999):
+                    vals = _family_values(col, col.sum(), eps, n)
+                    want = (float(vals.min()).hex(), float(vals.max()).hex())
                     sc = competitivity_interval(ctx, i, eps)
                     assert (sc.lo.hex(), sc.hi.hex()) == want, (i, eps)
+        assert fresh._fundamental is None
 
 
 def test_concentrated_hull_on_a_held_x_reads_two_entries(g2, monkeypatch):

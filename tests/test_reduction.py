@@ -210,7 +210,8 @@ def test_delta_peels_across_blocks():
 def test_a_lone_dangling_node_is_delta(monkeypatch, partial_u):
     # d is the one dangling node, so delta is d itself and X's column of d
     # follows from its in-links, as with many dangling nodes.  With u 0 on
-    # e and f, f and then e peel.
+    # e and f, f and then e peel.  On this one-block core a kept node's
+    # fresh column has X's bits; d's, lumped through P_u, is near them.
     g = parse_edge_list((ROOT / "graphs" / "one_dangling.edges").read_text())
     u = np.loadtxt(ROOT / "tests" / "one_dangling_partial_u.txt") if partial_u else None
     p_u = row_stochastic(g, u)
@@ -232,7 +233,11 @@ def test_a_lone_dangling_node_is_delta(monkeypatch, partial_u):
         x = RankContext(alpha, p_u).fundamental().x
         assert calls == [(g.n, g.n)]
         for j in range(g.n):
-            assert RankContext(alpha, p_u).column(j).tobytes() == x[:, j].tobytes(), (alpha, j)
+            col = RankContext(alpha, p_u).column(j)
+            if p_u.dangling[j]:
+                assert np.abs(col - x[:, j]).max() <= 1e-13, (alpha, j)
+            else:
+                assert col.tobytes() == x[:, j].tobytes(), (alpha, j)
 
 
 def _load_perfbench_gen():
@@ -287,10 +292,35 @@ def test_a_kept_column_takes_no_product_with_p_u(monkeypatch):
     kept = int(np.flatnonzero(~ctx.p_u.dangling)[0])
     ctx._row_sums()  # the structure check's X 1, made once per context
     monkeypatch.setattr(RowStochasticMatrix, "matvec", counting)
-    chain.column(kept)
+    rhs = np.zeros((120, 1))
+    rhs[kept] = 1.0 - ctx.alpha
+    chain.solve(rhs, 1)
     assert calls == []
     ctx.column(kept)
     assert calls == [(120, 1)]
+
+
+def test_a_dangling_column_is_one_solve(monkeypatch):
+    # Node 0 dangles and every other node links to it: its fresh column
+    # is one right-hand side through the LU, however many in-links it has.
+    n = 12
+    g = DirectedGraph(labels=tuple(map(str, range(n))), edges=frozenset(
+        {(k, 0) for k in range(1, n)} | {(k, k % (n - 1) + 1) for k in range(1, n)}))
+    ctx = RankContext.from_graph(g, alpha=0.85)
+    assert ctx.p_u.dangling.tolist() == [True] + [False] * (n - 1)
+    ctx._row_sums()
+    widths = []
+    real = rankreach.localization._lu_solve
+
+    def counting(lu, b, *args, **kwargs):
+        widths.append(b.reshape(lu.shape[0], -1).shape[1])
+        return real(lu, b, *args, **kwargs)
+
+    monkeypatch.setattr(rankreach.localization, "_lu_solve", counting)
+    col = ctx.column(0)
+    assert widths == [1]
+    x = RankContext.from_graph(g, alpha=0.85).fundamental().x
+    assert np.abs(col - x[:, 0]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["g1.edges", "g2.edges", "g3.edges", "two_cycle.edges"])

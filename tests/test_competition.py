@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +30,7 @@ from rankreach.competition import _HALVINGS
 from rankreach.localization import _family_values
 
 from .conftest import GRAPH_DIR, load_graph
+from .exhaustive import exact_x
 from .golden import (
     COMPETING_G1,
     COMPETING_G2,
@@ -724,28 +724,6 @@ def test_leadership_group_copies_no_n_squared_buffer():
     assert peak < 0.5 * 8 * n * n
 
 
-def _exact_x(g, alpha: Fraction) -> list[list[Fraction]]:
-    """X = (1 - alpha)(I - alpha P_u)^{-1} in rational arithmetic, by
-    Gauss-Jordan elimination, with P_u built from the edges and a uniform
-    dangling distribution."""
-    n = g.n
-    a = [[Fraction(int(r == c)) for c in range(2 * n)] for r in range(n)]
-    for r in range(n):
-        # a dangling row follows the uniform u
-        targets = [t for s, t in g.edges if s == r] or range(n)
-        for t in targets:
-            a[r][t] -= alpha / len(targets)
-        a[r][n + r] = 1 - alpha
-    for c in range(n):
-        # I - alpha P_u is strictly diagonally dominant: no pivoting needed
-        a[c] = [entry / a[c][c] for entry in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                factor = a[r][c]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
 @pytest.mark.parametrize("alpha", [1 - 1e-8, 1 - 1e-9])
 def test_no_fabricated_verdicts_near_alpha_one(alpha):
     # Near alpha = 1 the float error in X exceeds STRICT_MARGIN, which stays
@@ -756,7 +734,7 @@ def test_no_fabricated_verdicts_near_alpha_one(alpha):
     graphs += [random_graph(rng, int(rng.integers(2, 8)), 0.35, 0.2) for _ in range(15)]
     checked = 0
     for g in graphs:
-        x = _exact_x(g, Fraction(alpha))
+        x = exact_x(g, alpha)
         fm = RankContext.from_graph(g, alpha=alpha).fundamental()
         for i, competes, above, below in competitor_scan(fm):
             for offset in np.flatnonzero(competes).tolist():

@@ -9,12 +9,34 @@ only way to state an isolated node (no in- or out-links).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParseError
+
+
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers, False for bools and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real_array(raw, name: str, *, copy: bool = True, order: str = "K") -> np.ndarray:
+    """A caller's array as floats: a fresh copy in ``order``, or, unless
+    ``copy``, ``raw`` itself where it is a float array already.  Entries
+    that are not real numbers (complex, strings, objects or bools) are a
+    :class:`DomainError` that names the argument; numpy would drop an
+    imaginary part with a warning, or raise a bare ``ValueError``."""
+    try:
+        a = np.asarray(raw)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers")
+    return np.array(a, dtype=float, order=order) if copy else a.astype(float, copy=False)
+
 
 
 def _canonical_order(labels) -> list[str]:
@@ -29,9 +51,10 @@ def _canonical_order(labels) -> list[str]:
 class DirectedGraph:
     """Immutable directed graph over labelled nodes.
 
-    ``edges`` holds (source, target) index pairs into ``labels``.  Set
-    semantics make duplicate edges impossible; self-loops are allowed and
-    count toward the out-degree.
+    ``labels`` are distinct strings, and ``edges`` holds (source, target)
+    pairs of integer indices into ``labels``, kept as Python ints; anything
+    else is a :class:`ParseError`.  Set semantics make duplicate edges
+    impossible; self-loops are allowed and count toward the out-degree.
     """
 
     labels: tuple[str, ...]
@@ -41,11 +64,20 @@ class DirectedGraph:
         n = len(self.labels)
         if n == 0:
             raise ParseError("no nodes")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise ParseError("node labels must be strings")
         if len(set(self.labels)) != n:
             raise ParseError("node labels must be distinct")
-        for s, t in self.edges:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ParseError(f"edge ({s}, {t}) out of range for {n} nodes")
+        try:
+            # two Python ints in range pass at once; on anything else every
+            # edge takes the full test, and NumPy integers become ints
+            for s, t in self.edges:
+                if not (type(s) is int is type(t) and 0 <= s < n and 0 <= t < n):
+                    edges = frozenset(_edge(s, t, n) for s, t in self.edges)
+                    object.__setattr__(self, "edges", edges)
+                    break
+        except (TypeError, ValueError):  # no iterable of pairs
+            raise ParseError("edges must be (source, target) pairs of node indices") from None
 
     @property
     def n(self) -> int:
@@ -88,20 +120,30 @@ class DirectedGraph:
         return json.dumps(doc, sort_keys=True)
 
 
+def _edge(s, t, n: int) -> tuple[int, int]:
+    """The edge s -> t as Python ints; :class:`ParseError` unless s and t
+    are integer indices of n nodes."""
+    if not (_is_integer(s) and _is_integer(t)):
+        raise ParseError(f"edge ({s!r}, {t!r}) is not a pair of integer node indices")
+    if not (0 <= s < n and 0 <= t < n):
+        raise ParseError(f"edge ({s}, {t}) out of range for {n} nodes")
+    return int(s), int(t)
+
+
 def parse_edge_list(text: str) -> DirectedGraph:
     """Parse edge-list text into a graph with canonically ordered labels."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the whitespace that strip() would
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(
                 f"line {lineno}: expected 2 tokens 'src dst', got {len(tokens)}"
             )
-        pairs.append((tokens[0], tokens[1]))
-    labels = _canonical_order({tok for pair in pairs for tok in pair})
+        pairs.append(tokens)
+    labels = _canonical_order(set(itertools.chain.from_iterable(pairs)))
     if not labels:
         raise ParseError("no nodes")
     index = {label: i for i, label in enumerate(labels)}
@@ -148,16 +190,40 @@ class CSRMatrix:
     """Sparse matrix in compressed sparse row form, with ``n`` rows.
 
     Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``.  Built by :meth:`from_entries`,
-    it is square and the form is canonical: columns ascend within each
-    row, no entry is repeated and none is an explicit zero.  The reduced
-    chain's sparse steps (``localization._rows_of``) are rectangular, with
-    a row per state they write and a column per node.
+    ``indices[indptr[i]:indptr[i + 1]]``.  Arrays that form no CSR matrix
+    are a :class:`DomainError`: ``indptr`` must be integer and rise from 0
+    to ``len(indices)``, and ``indices`` must be integer and ``data`` real,
+    both of that length; ``data`` is kept as floats.  Built by
+    :meth:`from_entries`, it is square and the form is canonical: columns
+    ascend within each row, no entry is repeated and none is an explicit
+    zero.  The reduced chain's sparse steps (``localization._rows_of``)
+    are rectangular, with a row per state they write and a column per node.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        data = _real_array(self.data, "CSR matrix", copy=False)
+        try:
+            indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        except ValueError:  # a ragged list
+            indptr = indices = np.empty(0, dtype=object)
+        csr = (
+            indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
+            and indptr.ndim == indices.ndim == data.ndim == 1
+            and indptr.size > 0 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
+            and (indptr[:-1] <= indptr[1:]).all()
+        )
+        if not csr:
+            raise DomainError(
+                "CSR matrix must have an integer indptr rising from 0 to len(indices), "
+                "and integer indices and real data of that length"
+            )
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def from_entries(

@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     StructureError,
 )
-from .graph import CSRMatrix, DirectedGraph
+from .graph import CSRMatrix, DirectedGraph, _is_integer, _real_array
 from .stochastic import (
     DEFAULT_ALPHA,
     PageRankVector,
@@ -31,9 +31,7 @@ from .stochastic import (
     SOLVE_RESIDUAL_TOL,
     _GatherPlan,
     _check_alpha,
-    _is_integer,
     _is_real,
-    _real_array,
     row_stochastic,
     solve_sum_tol,
 )

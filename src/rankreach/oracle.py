@@ -18,6 +18,7 @@ import numpy as np
 
 from .competition import STRICT_MARGIN
 from .errors import ConvergenceError, DomainError, NumericalError, OracleMismatchError
+from .graph import _is_integer
 from .localization import FLOAT_RESOLUTION, RankContext, _check_nodes
 from .stochastic import (
     PageRankVector,
@@ -25,7 +26,6 @@ from .stochastic import (
     RowStochasticMatrix,
     UNIT_ROUNDOFF,
     _check_alpha,
-    _is_integer,
     _is_real,
 )
 

@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .graph import CSRMatrix, DirectedGraph, adjacency
+from .graph import CSRMatrix, DirectedGraph, _is_integer, _real_array, adjacency
 
 ROW_SUM_TOL = 1e-12
 RANK_SUM_TOL = 1e-10
@@ -24,31 +24,11 @@ SOLVE_RESIDUAL_TOL = 1e-10
 DEFAULT_ALPHA = 0.85
 
 
-def _is_integer(value) -> bool:
-    """True for Python and NumPy integers, False for bools and the rest."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     """True for Python and NumPy integers and floats, NaN and inf included;
     False for bools and the rest, which no comparison should meet."""
     # a Python float first: certificate searches check every epsilon
     return type(value) is float or isinstance(value, np.floating) or _is_integer(value)
-
-
-def _real_array(raw, name: str, *, copy: bool = True, order: str = "K") -> np.ndarray:
-    """A caller's array as floats: a fresh copy in ``order``, or, unless
-    ``copy``, ``raw`` itself where it is a float array already.  Entries
-    that are not real numbers (complex, strings, objects or bools) are a
-    :class:`DomainError` that names the argument; numpy would drop an
-    imaginary part with a warning, or raise a bare ``ValueError``."""
-    try:
-        a = np.asarray(raw)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be an array of real numbers")
-    return np.array(a, dtype=float, order=order) if copy else a.astype(float, copy=False)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -194,24 +174,10 @@ class RowStochasticMatrix:
     def __post_init__(self):
         if not isinstance(self.p, CSRMatrix):
             raise DomainError("transition matrix must be a CSRMatrix")
-        data = _real_array(self.p.data, "transition matrix", copy=False)
-        try:
-            indptr, indices = np.asarray(self.p.indptr), np.asarray(self.p.indices)
-        except ValueError:  # a ragged list
-            indptr = indices = np.empty(0, dtype=object)
-        csr = (
-            indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
-            and indptr.ndim == indices.ndim == data.ndim == 1
-            and indptr.size > 1 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
-            and (indptr[:-1] <= indptr[1:]).all()
-        )
-        if not csr:
-            raise DomainError(
-                "transition matrix must have a row, an integer indptr rising from 0 to "
-                "len(indices), and integer indices and real data of that length"
-            )
-        n = indptr.size - 1
-        p = CSRMatrix.from_entries(n, np.repeat(np.arange(n), np.diff(indptr)), indices, data)
+        n = self.p.n
+        if n == 0:
+            raise DomainError("transition matrix must have a row")
+        p = CSRMatrix.from_entries(n, self.p.rows(), self.p.indices, self.p.data)
         # written so that NaN entries fail it too
         if p.data.size and not (p.data.min() >= 0.0 and p.data.max() <= 1.0 + ROW_SUM_TOL):
             raise DomainError("transition entries must lie in [0, 1]")

@@ -182,6 +182,27 @@ def test_directed_graph_validates_edge_range():
         DirectedGraph(labels=("a",), edges=frozenset({(0, 1)}))
 
 
+def test_directed_graph_requires_integer_indices_and_string_labels():
+    # adjacency would truncate 0.5 to node 0, and to_edge_list would raise
+    # a bare TypeError or AttributeError
+    for edge in ((0.5, 1), (0, 1.0), (True, 0), ("0", 1), (np.float64(0), 1)):
+        with pytest.raises(ParseError, match="is not a pair of integer node indices"):
+            DirectedGraph(labels=("a", "b"), edges=frozenset({(0, 0), edge}))
+    for edges in ({(0, 1, 1)}, {(0,)}, {0}, None):
+        with pytest.raises(ParseError, match=r"^edges must be \(source, target\) pairs"):
+            DirectedGraph(labels=("a", "b"), edges=edges)
+    for labels in ((0, 1), ("a", None), ("a", b"b")):
+        with pytest.raises(ParseError, match="^node labels must be strings$"):
+            DirectedGraph(labels=labels, edges=frozenset())
+    with pytest.raises(ParseError, match=r"^edge \(\d+, 0\) out of range for 2 nodes$"):
+        DirectedGraph(labels=("a", "b"), edges=frozenset({(10**30, 0)}))
+    # NumPy integers are indices too, kept as Python ints
+    g = DirectedGraph(labels=("a", "b"), edges=frozenset({(np.int64(0), np.int32(1)), (1, 0)}))
+    assert g == DirectedGraph(labels=("a", "b"), edges=frozenset({(0, 1), (1, 0)}))
+    assert {type(i) for e in g.edges for i in e} == {int}
+    assert g.to_edge_list() == "a b\nb a\n" and parse_graph_json(g.to_json()) == g
+
+
 _label = st.text(alphabet="abz0139", min_size=1, max_size=3)
 _pairs = st.lists(st.tuples(_label, _label), min_size=1, max_size=30)
 

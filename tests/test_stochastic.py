@@ -140,14 +140,25 @@ def test_transition_matrix_is_a_csr_matrix():
         RowStochasticMatrix(p=np.eye(2))
     good = dict(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), data=np.ones(2))
     assert RowStochasticMatrix(p=CSRMatrix(**good)).toarray().tolist() == [[0, 1], [1, 0]]
-    with pytest.raises(DomainError, match="^transition matrix must be an array of real"):
-        RowStochasticMatrix(p=CSRMatrix(**{**good, "data": np.ones(2, dtype=complex)}))
+    no_row = CSRMatrix(indptr=np.array([0]), indices=np.array([], dtype=int), data=np.ones(0))
+    with pytest.raises(DomainError, match="^transition matrix must have a row$"):
+        RowStochasticMatrix(p=no_row)
+
+
+def test_csr_matrix_checks_its_arrays():
+    # Arrays that disagree are a domain error where the matrix is made, not
+    # a bare IndexError from toarray, or a wrong matrix: indptr [0, 3] with
+    # one index would read as [[1.0]].
+    good = dict(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), data=np.ones(2))
+    assert CSRMatrix(**good).toarray().tolist() == [[0, 1], [1, 0]]
+    listed = CSRMatrix(indptr=[0, 1], indices=[0], data=[2])
+    assert listed.toarray().tolist() == [[2.0]] and listed.data.dtype == float
     for bad in (
+        {"indptr": np.array([0, 3]), "indices": np.array([0]), "data": np.ones(1)},
         {"indptr": np.array([0, 1, 3])},  # the last entry is not len(indices)
         {"indptr": np.array([0, 2, 1, 2])},  # falls
         {"indptr": np.array([1, 1, 2])},  # starts past 0
         {"indptr": np.array([0.0, 1.0, 2.0])},
-        {"indptr": np.array([0]), "indices": np.array([], dtype=int), "data": np.ones(0)},
         {"indptr": np.array([], dtype=int)},
         {"indptr": [[0], [1, 2]]},
         {"indices": np.array([1.0, 0.0])},
@@ -155,8 +166,8 @@ def test_transition_matrix_is_a_csr_matrix():
         {"data": np.ones(3)},
         {"data": np.ones((2, 1))},
     ):
-        with pytest.raises(DomainError, match="^transition matrix must have a row, an integer"):
-            RowStochasticMatrix(p=CSRMatrix(**{**good, **bad}))
+        with pytest.raises(DomainError, match="^CSR matrix must have an integer indptr"):
+            CSRMatrix(**{**good, **bad})
 
 
 def test_google_matrix_two_cycle(cycle2):
@@ -295,9 +306,7 @@ ARRAY_ARGUMENTS = {
     "personalization vector": lambda g1, a: PersonalizationVector(v=a),
     "rank vector": lambda g1, a: PageRankVector(pi=a, alpha=0.85),
     "dangling distribution": lambda g1, a: RankContext.from_graph(g1, u=a),
-    "transition matrix": lambda g1, a: RowStochasticMatrix(
-        p=CSRMatrix(indptr=np.arange(4), indices=np.arange(3), data=a)
-    ),
+    "CSR matrix": lambda g1, a: CSRMatrix(indptr=np.arange(4), indices=np.arange(3), data=a),
     "matrix": lambda g1, a: FundamentalMatrix(x=np.diag(a), alpha=0.85),
 }
 

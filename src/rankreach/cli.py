@@ -78,7 +78,8 @@ def _model(args: argparse.Namespace) -> tuple[float, np.ndarray | None, np.ndarr
     return _checked_model(
         alpha if args.alpha is None else args.alpha,
         _vector_spec(args.u, u),
-        _vector_spec(args.v, v),
+        # only pagerank takes --v
+        _vector_spec(getattr(args, "v", None), v),
     )
 
 
@@ -429,8 +430,6 @@ def _build_parser() -> _Parser:
                         help="damping factor in (0, 1), default 0.85")
     common.add_argument("--u", default=None, metavar="PATH|uniform",
                         help="dangling distribution, one float per line")
-    common.add_argument("--v", default=None, metavar="PATH|uniform",
-                        help="personalization vector, one float per line")
     common.add_argument("--format", choices=["edgelist", "json"], default=None,
                         help="input format, inferred from extension by default")
     common.add_argument("--output", choices=["csv", "json"], default=None)
@@ -440,9 +439,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser,
                                 required=True, metavar="SUBCOMMAND")
 
-    sub.add_parser("pagerank", parents=[common],
-                   help="rank vector for the given personalization"
-                   ).set_defaults(handler=_cmd_pagerank)
+    pagerank = sub.add_parser("pagerank", parents=[common],
+                              help="rank vector for the given personalization")
+    pagerank.add_argument("--v", default=None, metavar="PATH|uniform",
+                          help="personalization vector, one float per line")
+    pagerank.set_defaults(handler=_cmd_pagerank)
     sub.add_parser("xmatrix", parents=[common],
                    help="fundamental matrix, one row per source node"
                    ).set_defaults(handler=_cmd_xmatrix)

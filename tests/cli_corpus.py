@@ -14,7 +14,8 @@ inputs then run on ``graphs/isolated.json``, whose two dangling nodes let
 u move every value: each ``--config``, ``--u`` and ``--v`` file of
 ``MODEL_INPUTS``, and each mix of them with flags, through pagerank,
 intervals and verify when it is well formed and through pagerank when it
-is not.  Alpha
+is not; ``--v``, which only pagerank takes, is a usage error through the
+others.  Alpha
 near 1 is left out: there X's error (about 1e-8 at 1 - 1e-9) can flip a
 6-decimal figure between BLAS builds.  Reseal only for a deliberate output
 change, and name it in CHANGES.md.
@@ -107,7 +108,8 @@ def model_cases() -> list[list[str]]:
         for command in (["pagerank"], ["intervals"], ["verify", "--seed", "3", "--samples", "200"])
     ]
     argvs += [_model_argv(["pagerank"], flags) for flags in MODEL_ERRORS]
-    # only pagerank reads v, so only it refuses one of the wrong length
+    # only pagerank takes --v: elsewhere it is a usage error, even before
+    # its file would be read
     argvs.append(_model_argv(["intervals"], ["--v", "v_short.txt"]))
     return argvs
 

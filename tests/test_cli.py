@@ -485,6 +485,21 @@ def test_config_u_may_hold_zeros_and_v_may_not(capsys, tmp_path):
         assert result == (1, "", f"rankreach: error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["xmatrix"], ["intervals"], ["competitors"], ["leaders"], ["sc-interval"],
+     ["achieve", "--node", "1", "--target", "0.35"], ["verify", "--seed", "3"]],
+    ids=lambda command: command[0],
+)
+def test_only_pagerank_takes_v(capsys, command):
+    # a v that no subcommand but pagerank reads is a usage error, not
+    # silently dropped; a config's v is checked everywhere all the same
+    code, out, err = invoke(capsys, *command, G1, "--v", "uniform")
+    assert (code, out) == (1, "")
+    assert err.endswith("rankreach: error: unrecognized arguments: --v uniform\n")
+    assert invoke(capsys, "pagerank", "--v", "uniform", G1)[0] == 0
+
+
 def test_default_u_is_uniform(capsys, tmp_path):
     expected = invoke(capsys, "intervals", *_input(tmp_path, "--u", "0.3333333333333333\n" * 3),
                       ISOLATED)

@@ -192,8 +192,8 @@ class CSRMatrix:
     Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
     ``indices[indptr[i]:indptr[i + 1]]``.  Arrays that form no CSR matrix
     are a :class:`DomainError`: ``indptr`` must be integer and rise from 0
-    to ``len(indices)``, and ``indices`` must be integer and ``data`` real,
-    both of that length; ``data`` is kept as floats.  Built by
+    to ``len(indices)``, and ``indices`` must be nonnegative integers and
+    ``data`` real, both of that length; ``data`` is kept as floats.  Built by
     :meth:`from_entries`, it is square and the form is canonical: columns
     ascend within each row, no entry is repeated and none is an explicit
     zero.  The reduced chain's sparse steps (``localization._rows_of``)
@@ -214,12 +214,12 @@ class CSRMatrix:
             indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
             and indptr.ndim == indices.ndim == data.ndim == 1
             and indptr.size > 0 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
-            and (indptr[:-1] <= indptr[1:]).all()
+            and (indptr[:-1] <= indptr[1:]).all() and (indices >= 0).all()
         )
         if not csr:
             raise DomainError(
                 "CSR matrix must have an integer indptr rising from 0 to len(indices), "
-                "and integer indices and real data of that length"
+                "and nonnegative integer indices and real data of that length"
             )
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)

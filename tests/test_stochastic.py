@@ -163,6 +163,7 @@ def test_csr_matrix_checks_its_arrays():
         {"indptr": [[0], [1, 2]]},
         {"indices": np.array([1.0, 0.0])},
         {"indices": np.array([1, 0, 0])},
+        {"indices": np.array([-1, 0])},  # would wrap to column 1
         {"data": np.ones(3)},
         {"data": np.ones((2, 1))},
     ):

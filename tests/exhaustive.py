@@ -29,6 +29,7 @@ import numpy as np
 from rankreach import (
     DirectedGraph,
     RankContext,
+    RankReachError,
     competitor_scan,
     leadership_group,
 )
@@ -59,12 +60,14 @@ def exact_x(g: DirectedGraph, alpha: float, u: Sequence[float] | None = None) ->
             a[r][t] -= alpha * p
         a[r][n + r] = 1 - alpha
     for c in range(n):
-        # I - alpha P_u is strictly diagonally dominant: no pivoting needed
-        a[c] = [entry / a[c][c] for entry in a[c]]
+        # I - alpha P_u is strictly diagonally dominant: no pivoting needed;
+        # the zero entries, most of them, are left as they are
+        pivot = a[c][c]
+        a[c] = [entry / pivot if entry else entry for entry in a[c]]
         for r in range(n):
             if r != c and a[r][c]:
                 factor = a[r][c]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
+                a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[c])]
     return [row[n:] for row in a]
 
 
@@ -173,7 +176,10 @@ def mismatches(graphs) -> tuple[int, list[str]]:
     for g in graphs:
         for u, alpha in itertools.product(distributions(g), ALPHAS):
             cases += 1
+            try:
+                lines = _case_mismatches(g, u, alpha)
+            except RankReachError as exc:
+                lines = [f"{type(exc).__name__}: {exc}"]
             spec = "uniform" if u is None else u.tolist()
-            found += [f"{sorted(g.edges)} u={spec} alpha={alpha}: {line}"
-                      for line in _case_mismatches(g, u, alpha)]
+            found += [f"{sorted(g.edges)} u={spec} alpha={alpha}: {line}" for line in lines]
     return cases, found

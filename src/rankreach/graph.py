@@ -38,7 +38,6 @@ def _real_array(raw, name: str, *, copy: bool = True, order: str = "K") -> np.nd
     return np.array(a, dtype=float, order=order) if copy else a.astype(float, copy=False)
 
 
-
 def _canonical_order(labels) -> list[str]:
     """Numeric ascending when every label is a base-10 integer, else lexicographic."""
     try:

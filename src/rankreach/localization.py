@@ -531,10 +531,11 @@ class _Reduction:
         trans 1 is (I - alpha P_u) x = b.  The lumped right-hand side adds
         alpha P_u b_D, b_D being b on the dangling rows and 0 on the rest,
         unless b_D is 0: each kept row gains alpha times its links into
-        dangling nodes, and delta, its own b dropped, is alpha u^T b_D.  Delta's value is then
-        alpha u^T x, and a dangling node's x is its b plus that.  A peeled
-        state's x follows from its out-links, so the peeled states go back
-        from the core, level by level.  trans 0 is (I - alpha P_u^T) y = b.
+        dangling nodes, and delta, its own b dropped, is alpha u^T b_D.
+        Delta's value is then alpha u^T x, and a dangling node's x is its b
+        plus that.  A peeled state's x follows from its out-links, so the
+        peeled states go back from the core, level by level.  trans 0 is
+        (I - alpha P_u^T) y = b.
         Delta's right-hand side and value are the sums over the dangling
         nodes; a peeled state's y follows from its in-links, so the levels
         go forward into the core, and a dangling node's y is its b plus
@@ -673,8 +674,8 @@ class RankContext:
     node dangles.  Such a fresh column agrees with X's within the residual
     bound it is checked against.  On a core of one LU block a kept node's
     has X's bits too; a dangling node's has no bit promise.  A family or
-    whole-graph question (a certificate, intervals, leaders, the scan) reads X, built
-    and verified at most once, on first use.  The one pass over X that
+    whole-graph question (a certificate, intervals, leaders, the scan)
+    reads X, built and verified at most once, on first use.  The one pass over X that
     verifies it is X's ``report``, which keeps every column's minimum,
     witness row and sum for the one-node questions that follow.
     """

@@ -156,10 +156,11 @@ class RowStochasticMatrix:
     to 1, except the all-zero rows of dangling nodes, marked by the boolean
     mask ``dangling`` (d).  It is stored in canonical form (columns
     ascending in each row, no repeats, no zeros), and one with no row, or
-    an entry past its last column, is a :class:`DomainError`.  Patching does not fill the
-    dangling rows in: the dangling distribution ``u`` is kept beside ``p``,
-    so P_u is a sparse part plus a rank-one term.  ``u`` is uniform when not given; it may hold zeros, so
-    a dangling row of P_u links to the support of ``u`` alone.
+    an entry past its last column, is a :class:`DomainError`.  Patching
+    does not fill the dangling rows in: the dangling distribution ``u`` is
+    kept beside ``p``, so P_u is a sparse part plus a rank-one term.
+    ``u`` is uniform when not given; it may hold zeros, so a dangling row
+    of P_u links to the support of ``u`` alone.
     """
 
     p: CSRMatrix

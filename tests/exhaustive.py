@@ -13,7 +13,8 @@ that differs from the one exact X gives:
 
 A comparison against ``STRICT_MARGIN`` is skipped for a pair, and the
 leaders for a whole case, when an exact gap lies within ``SKIP`` of the
-margin, where X's error may decide it.  ``tests/test_exhaustive.py`` runs
+margin, where X's error may decide it; so is a lo witness when a row lies
+within 2 ``TOL`` of ``FLOAT_RESOLUTION`` above the column minimum.  ``tests/test_exhaustive.py`` runs
 every graph on at most 3 nodes and the isomorphism classes on 4 nodes;
 ``scripts/exhaustive_check.py`` runs every labelled graph on 1 to 4 nodes.
 """
@@ -41,7 +42,9 @@ TOL = 1e-13
 SKIP = 1e-12
 
 
-def exact_x(g: DirectedGraph, alpha: float, u: Sequence[float] | None = None) -> list[list[Fraction]]:
+def exact_x(
+    g: DirectedGraph, alpha: float, u: Sequence[float] | None = None
+) -> list[list[Fraction]]:
     """X of graph g in rational arithmetic, by Gauss-Jordan elimination.
 
     alpha and u are taken at their exact binary values; u is uniform,
@@ -140,7 +143,7 @@ def _case_mismatches(g: DirectedGraph, u, alpha: float) -> list[str]:
     for i in range(n):
         lo = ex[:, i].min()
         near = ex[:, i] - lo
-        if abs(report.column_lo[i] - lo) > TOL:
+        if not abs(report.column_lo[i] - lo) <= TOL:
             found.append(f"lo of {i} is {report.column_lo[i]!r}, exactly {lo!r}")
         if not (np.abs(near - FLOAT_RESOLUTION) <= 2 * TOL).any():
             if report.lo_witness[i] != _first(near <= FLOAT_RESOLUTION):

@@ -134,8 +134,9 @@ def test_row_stochastic_matrix_validation():
 
 
 def test_transition_matrix_is_a_csr_matrix():
-    # a dense array, or CSR arrays that disagree, are domain errors, not a
-    # bare TypeError or ValueError from deep inside numpy
+    # a dense array, or a CSR of no row, is a domain error, not a bare
+    # TypeError or ValueError from deep inside numpy; CSR arrays that
+    # disagree are refused by CSRMatrix itself
     with pytest.raises(DomainError, match="^transition matrix must be a CSRMatrix$"):
         RowStochasticMatrix(p=np.eye(2))
     good = dict(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), data=np.ones(2))

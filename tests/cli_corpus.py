@@ -15,8 +15,10 @@ u move every value: each ``--config``, ``--u`` and ``--v`` file of
 ``MODEL_INPUTS``, and each mix of them with flags, through pagerank,
 intervals and verify when it is well formed and through pagerank when it
 is not; ``--v``, which only pagerank takes, is a usage error through the
-others.  Alpha
-near 1 is left out: there X's error (about 1e-8 at 1 - 1e-9) can flip a
+others.  Last come the ``INPUT_CASES``: graph files with a byte-order mark
+or malformed JSON from ``GRAPH_INPUTS``, labels holding "%", empty,
+CSV-quoted and non-finite flag values, and impossible sample counts.
+Alpha near 1 is left out: there X's error (about 1e-8 at 1 - 1e-9) can flip a
 6-decimal figure between BLAS builds.  Reseal only for a deliberate output
 change, and name it in CHANGES.md.
 """
@@ -31,6 +33,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -93,6 +96,57 @@ MODEL_ERRORS = [
 ]
 PATH_FLAGS = ("--config", "--u", "--v")
 
+# Graph files that are no clean input, relative to the repo root.
+GRAPH_INPUTS = "tests/graph_inputs/"
+MALFORMED_GRAPHS = [
+    "truncated.json",
+    "not_object.json",
+    "no_edges.json",
+    "nodes_not_list.json",
+    "edges_not_list.json",
+    "edge_not_pair.json",
+    "edge_bool.json",
+    "edge_out_of_range.json",
+    "repeated_label.json",
+    "lone_surrogate.json",
+    "no_nodes.json",
+]
+G1 = "graphs/g1.edges"
+AWKWARD = "graphs/awkward_labels.json"
+ACHIEVE_G1 = ["achieve", G1, "--node", "1", "--target"]
+SAMPLE_G1 = ["verify", G1, "--seed", "3", "--samples"]
+# Inputs that earlier fixes made one error line, or no error: a leading
+# byte-order mark is dropped, and empty and CSV-quoted labels name nodes.
+INPUT_CASES = [
+    ["pagerank", GRAPH_INPUTS + "bom.edges"],
+    ["pagerank", GRAPH_INPUTS + "bom.json"],
+    *[["pagerank", GRAPH_INPUTS + name] for name in MALFORMED_GRAPHS],
+    # "%" in a label, which a %-template must not read as a conversion
+    *[[command, GRAPH_INPUTS + "percent_labels.json", "--output", output]
+      for command in ("xmatrix", "intervals") for output in OUTPUTS],
+    ["competitors", G1, "--pair", ""],
+    ["competitors", G1, "--pair", ","],
+    ["competitors", AWKWARD, "--pair", '"a,b","say ""hi"""'],
+    ["competitors", AWKWARD, "--pair", '" lead","two\nlines"'],
+    ["competitors", AWKWARD, "--pair", '"",node'],
+    ["sc-interval", AWKWARD, "--node", ""],
+    ["sc-interval", G1, "--node", ""],
+    ["achieve", G1, "--node", "", "--target", "0.35"],
+    ["verify", AWKWARD, "--node", "", "--seed", "3", "--samples", "200"],
+    ["intervals", G1, "--alpha", "nan"],
+    ["intervals", G1, "--alpha", "inf"],
+    ["sc-interval", G1, "--epsilon", "nan"],
+    ["sc-interval", G1, "--epsilon=-inf"],
+    [*ACHIEVE_G1, "inf"],
+    [*ACHIEVE_G1, "nan"],
+    [*ACHIEVE_G1, "0.35", "--tol", "nan"],
+    [*ACHIEVE_G1, "0.35", "--tol", "inf"],
+    [*SAMPLE_G1, "0"],
+    [*SAMPLE_G1, "-5"],
+    [*SAMPLE_G1, "2.5"],
+    [*SAMPLE_G1, "100000000000000000000"],
+]
+
 
 def _model_argv(command: list[str], flags: list[str]) -> list[str]:
     files = [MODEL_INPUTS + arg if k and flags[k - 1] in PATH_FLAGS and arg != "uniform"
@@ -146,7 +200,7 @@ def cases() -> list[list[str]]:
                     ["verify", "--seed", "3", "--samples", "500"],
                 ):
                     argvs.append([command[0], *graph, *command[1:]])
-    return argvs + model_cases()
+    return argvs + model_cases() + INPUT_CASES
 
 
 def digest(argv: list[str]) -> str:
@@ -156,7 +210,9 @@ def digest(argv: list[str]) -> str:
     # repo root, and an error that names one prints it so again
     paths = [str(ROOT / arg) if k == 1 or (argv[k - 1] in PATH_FLAGS and arg != "uniform")
              else arg for k, arg in enumerate(argv)]
-    with redirect_stdout(out), redirect_stderr(err):
+    # argparse wraps a usage message to the terminal's width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), \
+            redirect_stderr(err):
         code = run(paths)
     blob = json.dumps([code, out.getvalue(), err.getvalue().replace(f"{ROOT}{os.sep}", "")])
     return hashlib.sha256(blob.encode()).hexdigest()

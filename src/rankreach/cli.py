@@ -175,12 +175,6 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
 # Rows per block of the xmatrix table, which bounds the Python objects a
 # block holds while it is written at EMIT_ROWS * n cells.
 EMIT_ROWS = 16
-_CSV_FORMATS = {"f6": "%.6f", "g6": "%.6g"}
-_CSV_BOOLS = np.array(["false", "true"], dtype=object)
-_JSON_FLOATS = {
-    "f6": lambda value: round(float(value), 6),
-    "g6": lambda value: float(f"{value:.6g}"),
-}
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:
@@ -196,22 +190,15 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return fields
 
 
-def _csv_part(kind: str, col, cells: np.ndarray) -> list[str]:
-    """The CSV field of each row for one column of a block."""
-    if kind == "label":
-        return cells[np.asarray(col, dtype=np.intp)].tolist()
-    if kind == "bool":
-        return _CSV_BOOLS[np.asarray(col, dtype=np.intp)].tolist()
-    return list(map(_CSV_FORMATS[kind].__mod__, np.asarray(col, dtype=float).tolist()))
+def _lookup(texts: list[str]):
+    """A cell encoder: each index of a column picks its cell from texts."""
+    table = np.array(texts, dtype=object)
+    return lambda col: table[np.asarray(col, dtype=np.intp)].tolist()
 
 
-def _json_part(kind: str, col, cells: np.ndarray) -> list:
-    """The JSON cell of each row for one column of a block."""
-    if kind == "label":
-        return cells[np.asarray(col, dtype=np.intp)].tolist()
-    if kind == "bool":
-        return np.asarray(col, dtype=bool).tolist()
-    return list(map(_JSON_FLOATS[kind], np.asarray(col, dtype=float).tolist()))
+def _each(fmt):
+    """A cell encoder: each float of a column as fmt writes it."""
+    return lambda col: list(map(fmt, np.asarray(col, dtype=float).tolist()))
 
 
 def _emit(
@@ -231,6 +218,11 @@ def _emit(
     error never follows partial output.  A JSON row is an object keyed by
     column name, so a table whose names repeat, as xmatrix's do when a
     node is labelled "node", is a :class:`DomainError` before any output.
+
+    Both formats write a row by one ``%`` template of the row's cell
+    texts.  The JSON texts are those ``json.dumps(rows, sort_keys=True)``
+    prints: a float is the repr of the rounded value, and the template
+    takes the columns in the order of their names.
     """
     names = [name for name, _ in spec]
     if args.output == "json":
@@ -240,24 +232,35 @@ def _emit(
                 f"a node labelled {json.dumps(repeated[0])} repeats a column name, "
                 "so JSON rows cannot hold the table; use --output csv"
             )
-        # the entry past the last label is what index -1 reads
-        cells = np.array([*labels, None], dtype=object)
-        sys.stdout.write("[")
-        sep = ""
-        for block in blocks:
-            parts = [_json_part(kind, col, cells) for (_, kind), col in zip(spec, block)]
-            rows = [dict(zip(names, row)) for row in zip(*parts)]
-            if rows:
-                sys.stdout.write(sep + json.dumps(rows, sort_keys=True)[1:-1])
-                sep = ", "
-        sys.stdout.write("]\n")
-        return
-    cells = np.array([*_csv_fields(labels), ""], dtype=object)
-    line = ",".join(["%s"] * len(spec)) + "\n"
-    sys.stdout.write(",".join(_csv_fields(names)) + "\n")
+        columns = sorted(range(len(spec)), key=names.__getitem__)
+        keys = [json.dumps(names[k]).replace("%", "%%") + ": %s" for k in columns]
+        line = "{" + ", ".join(keys) + "}"
+        head, join, tail = "[", ", ", "]\n"
+        encode = {
+            # the entry past the last label is what index -1 reads
+            "label": _lookup([*map(json.dumps, labels), "null"]),
+            "f6": _each(lambda x: repr(round(x, 6))),
+            "g6": _each(lambda x: repr(float("%.6g" % x))),
+        }
+    else:
+        columns = range(len(spec))
+        line = ",".join(["%s"] * len(spec)) + "\n"
+        head, join, tail = ",".join(_csv_fields(names)) + "\n", "", ""
+        encode = {
+            "label": _lookup([*_csv_fields(labels), ""]),
+            "f6": _each("%.6f".__mod__),
+            "g6": _each("%.6g".__mod__),
+        }
+    encode["bool"] = _lookup(["false", "true"])
+    sys.stdout.write(head)
+    sep = ""
     for block in blocks:
-        parts = [_csv_part(kind, col, cells) for (_, kind), col in zip(spec, block)]
-        sys.stdout.write("".join(map(line.__mod__, zip(*parts))))
+        parts = [encode[spec[k][1]](block[k]) for k in columns]
+        text = join.join(map(line.__mod__, zip(*parts)))
+        if text:
+            sys.stdout.write(sep + text)
+            sep = join
+    sys.stdout.write(tail)
 
 
 def _one_block(rows: list[Sequence]) -> list[list]:

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import doctest
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -667,6 +669,47 @@ def test_streamed_output_matches_csv_writer_and_json_dumps(capsys, tmp_path, out
                 continue
             assert code == 0, err
             assert out == _reference_render(output, spec, rows), command
+
+
+def test_percent_in_labels_is_no_template_conversion(capsys):
+    # JSON rows are written by a %-template that holds the column names,
+    # xmatrix's labels among them
+    path = GRAPH_DIR.parent / "tests" / "graph_inputs" / "percent_labels.json"
+    g = parse_graph_json(path.read_text())
+    assert all("%" in label for label in g.labels)
+    for command, (spec, rows) in _awkward_tables(g).items():
+        for output in ("csv", "json"):
+            code, out, err = invoke(capsys, command, "--output", output, str(path))
+            assert (code, err) == (0, "")
+            assert out == _reference_render(output, spec, rows), (command, output)
+
+
+# Floats whose cells are hard to print: ties of the 6th decimal or the 6th
+# significant digit, moved by a few ulps; signed zeros, 1.0 and subnormals;
+# and values just below 1e-4, where round(x, 6) prints in exponent form.
+FLOAT_CELLS = st.one_of(
+    st.builds(
+        lambda k, e, ulps: (k + 0.5) * 10.0**e + ulps * math.ulp((k + 0.5) * 10.0**e),
+        st.integers(-10**6, 10**6), st.integers(-15, 2), st.integers(-2, 2),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-4]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=9e-5, max_value=1e-4, exclude_max=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(FLOAT_CELLS, max_size=12), cut=st.integers(0, 12),
+       kind=st.sampled_from(["f6", "g6"]), output=st.sampled_from(["csv", "json"]))
+def test_float_cells_match_csv_writer_and_json_dumps(values, cut, kind, output):
+    # one float column, written in two blocks, either of which may be empty
+    spec = [("x", kind)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rankreach.cli._emit(argparse.Namespace(output=output), spec, [],
+                            [[values[:cut]], [values[cut:]]])
+    assert buf.getvalue() == _reference_render(output, spec, [[x] for x in values])
 
 
 def _traced_peak(argv) -> int:

@@ -258,6 +258,13 @@ class CSRMatrix:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def toarray(self) -> np.ndarray:
+        """The dense n x n matrix; a column index at or past n, which a
+        rectangular CSR may hold, is a :class:`DomainError`."""
+        if self.indices.size and self.indices.max() >= self.n:
+            raise DomainError(
+                f"toarray builds a square matrix, but column {int(self.indices.max())} "
+                f"is out of range for {self.n} rows"
+            )
         dense = np.zeros((self.n, self.n), dtype=self.data.dtype)
         dense[self.rows(), self.indices] = self.data
         return dense

@@ -172,6 +172,18 @@ def test_csr_matrix_checks_its_arrays():
             CSRMatrix(**{**good, **bad})
 
 
+def test_csr_toarray_of_a_wide_matrix_is_a_domain_error():
+    # a CSR may be rectangular, so a column past its rows is made without
+    # complaint; only the square dense form cannot hold it
+    wide = CSRMatrix(indptr=np.array([0, 1, 2]), indices=np.array([5, 0]), data=np.ones(2))
+    with pytest.raises(DomainError, match="^toarray builds a square matrix, but column 5 "
+                                          "is out of range for 2 rows$"):
+        wide.toarray()
+    edge = CSRMatrix(indptr=np.array([0, 1, 2]), indices=np.array([2, 0]), data=np.ones(2))
+    with pytest.raises(DomainError, match="column 2 is out of range"):
+        edge.toarray()
+
+
 def test_google_matrix_two_cycle(cycle2):
     g = google_matrix(0.85, row_stochastic(cycle2), PersonalizationVector.uniform(2))
     assert np.abs(g - [[0.075, 0.925], [0.925, 0.075]]).max() <= 1e-15

@@ -4,8 +4,9 @@
 Runs every graph on 1 to 3 nodes, self-loops included, and every
 loop-free graph on 4 nodes, 4,626 graphs, at each dangling distribution
 and alpha of ``tests/exhaustive.py`` and through its checks: X, each
-column solved alone, lo and its witness, the competitor scan and the
-leaders.  Prints every mismatch and exits 1 if there is one.
+column solved alone, lo and its witness, the competitor scan, the
+leaders, and each node's hull and achieved value.  Prints every mismatch
+and exits 1 if there is one.
 
 Example:
     PYTHONPATH=src python scripts/exhaustive_check.py

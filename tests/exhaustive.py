@@ -9,12 +9,19 @@ that differs from the one exact X gives:
 - X, and every node's column solved alone, within ``TOL`` of exact X;
 - each node's lo and lo witness;
 - the competitor scan's verdicts and witness rows;
-- the leaders and their witness rows.
+- the leaders and their witness rows;
+- each node's ``competitivity_interval`` hull within 2 ``TOL``, and the
+  node's value under the personalization ``achieve_value`` returns for
+  the midpoint of its exact interval, within the tolerance asked plus
+  2 ``TOL``: both read off a column solved alone and off X's report.
 
 A comparison against ``STRICT_MARGIN`` is skipped for a pair, and the
 leaders for a whole case, when an exact gap lies within ``SKIP`` of the
 margin, where X's error may decide it; so is a lo witness when a row lies
-within 2 ``TOL`` of ``FLOAT_RESOLUTION`` above the column minimum.  ``tests/test_exhaustive.py`` runs
+within 2 ``TOL`` of ``FLOAT_RESOLUTION`` above the column minimum.  The
+hull and the achieved value compare no gap with a margin, and hold
+whichever near-minimal row is the witness, so they skip no case.
+``tests/test_exhaustive.py`` runs
 every graph on at most 3 nodes and the isomorphism classes on 4 nodes;
 ``scripts/exhaustive_check.py`` runs every labelled graph on 1 to 4 nodes.
 """
@@ -31,6 +38,8 @@ from rankreach import (
     DirectedGraph,
     RankContext,
     RankReachError,
+    achieve_value,
+    competitivity_interval,
     competitor_scan,
     leadership_group,
 )
@@ -40,6 +49,10 @@ from rankreach.localization import FLOAT_RESOLUTION
 ALPHAS = (0.3, 0.85, 0.99)
 TOL = 1e-13
 SKIP = 1e-12
+# the concentration of the hull, as sc-interval's default, and the
+# tolerance asked of achieve_value
+EPSILON = 0.01
+ACHIEVE_TOL = 1e-10
 
 
 def exact_x(
@@ -124,21 +137,47 @@ def _first(flags: np.ndarray) -> int | None:
     return int(flags.argmax()) if flags.any() else None
 
 
+def _node_mismatches(ctx: RankContext, ex: np.ndarray, i: int) -> list[str]:
+    """What the context answers on node i's hull and achieved value that
+    exact X does not; the rank of i under v is v @ ex[:, i]."""
+    found = []
+    w = EPSILON / (ctx.n - 1)
+    family = (1.0 - EPSILON - w) * ex[:, i] + w * ex[:, i].sum()
+    lo, hi = float(family.min()), float(family.max())
+    sc = competitivity_interval(ctx, i, EPSILON)
+    # each end is a convex mix of X's entries, off by at most TOL each
+    if not max(abs(sc.lo - lo), abs(sc.hi - hi)) <= 2 * TOL:
+        found.append(f"hull of {i} is [{sc.lo!r}, {sc.hi!r}], exactly [{lo!r}, {hi!r}]")
+    target = float(0.5 * (ex[:, i].min() + ex[:, i].max()))
+    result = achieve_value(ctx, i, target, ACHIEVE_TOL)
+    value = float(result.v.v @ ex[:, i])
+    if not (abs(value - target) <= ACHIEVE_TOL + 2 * TOL
+            and abs(result.achieved - target) <= ACHIEVE_TOL):
+        found.append(f"achieve of {i} at {target!r} reads {result.achieved!r}, "
+                     f"exactly {value!r}")
+    return found
+
+
 def _case_mismatches(g: DirectedGraph, u, alpha: float) -> list[str]:
     """What the package answers on one graph, u and alpha that exact X
     does not."""
     n, found = g.n, []
     # float of the exact entries: off by about 1e-17, far inside SKIP
     ex = np.array(exact_x(g, alpha, u), dtype=float)
-    # each column solved alone, before the context holds X
+    # each column solved alone, before the context holds X; a lone node
+    # has no interval to take a hull of or a value inside
     ctx = RankContext.from_graph(g, alpha, u)
     for i in range(n):
         col = ctx.column(i)
         if not np.abs(col - ex[:, i]).max() <= TOL:
             found.append(f"column {i} off by {np.abs(col - ex[:, i]).max():.2e}")
+        if n > 1:
+            found += _node_mismatches(ctx, ex, i)
     fm = ctx.fundamental()
     if not np.abs(fm.x - ex).max() <= TOL:
         found.append(f"X off by {np.abs(fm.x - ex).max():.2e}")
+    for i in range(n if n > 1 else 0):
+        found += _node_mismatches(ctx, ex, i)
     report = fm.report
     for i in range(n):
         lo = ex[:, i].min()
